@@ -60,7 +60,6 @@ import (
 	"outofssa/internal/liveness"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
-	"outofssa/internal/pipeline"
 	"outofssa/internal/ssa"
 	"outofssa/internal/stats"
 	"outofssa/internal/workload"
@@ -203,24 +202,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ssabench: serving metrics on http://%s/metrics\n", addr)
 			defer stop()
 		}
-		if *verifyMode && !*benchInterference && !*benchLiveness && !*benchThroughput && !*benchPersist {
-			// Checked mode: cross-reference the registry's pass-counter
-			// mirror against an independent shadow sum of the trace-event
-			// counters. Any skew — a counter bumped without its event, or
-			// vice versa — is a hard failure (the faultinject MetricsSkew
-			// class exists to prove this trips). Runs after the snapshot
-			// defer below, so the snapshot is written either way.
-			shadow := newCounterSum()
-			tracer = obs.Multi(tracer, shadow)
-			defer func() {
-				snap := metrics.Default.Snapshot()
-				if err := metrics.SelfCheckPassCounters(snap, pipeline.MetricPassCounters, shadow.sums); err != nil {
-					fmt.Fprintln(os.Stderr, "ssabench: metrics self-check:", err)
-					os.Exit(1)
-				}
-				fmt.Fprintln(os.Stderr, "ssabench: metrics self-check: registry pass counters match trace totals")
-			}()
-		}
 		if *metricsOut != "" {
 			out := *metricsOut
 			defer func() {
@@ -306,8 +287,8 @@ func (c *counterSum) RunStart(string, string, obs.IRStat)      {}
 func (c *counterSum) PassStart(string, string, string)         {}
 func (c *counterSum) RunEnd(string, string, obs.IRStat, int64) {}
 func (c *counterSum) PassEnd(ev *obs.Event) {
-	for k, v := range ev.Counters {
-		c.sums[k] += v
+	for _, ctr := range ev.Counters {
+		c.sums[ev.Pass+"."+ctr.Name] += ctr.Value
 	}
 }
 

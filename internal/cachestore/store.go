@@ -30,6 +30,7 @@
 package cachestore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -291,21 +292,128 @@ func (s *Store) recover() ([]int, error) {
 // Checksums are not verified here — a flipped payload bit inside a
 // complete record is Scan's business.
 func validPrefix(path string) (int64, error) {
-	data, err := os.ReadFile(path)
+	r, err := openFrames(path)
 	if err != nil {
-		return 0, fmt.Errorf("cachestore: %w", err)
+		return 0, err
 	}
-	off, end := int64(0), int64(0)
-	for off < int64(len(data)) {
-		n := frameLen(data[off:])
-		if n <= 0 {
-			off = resync(data, off+1)
-			continue
+	defer r.f.Close()
+	for {
+		if _, done := r.next(); done {
+			break
 		}
-		off += n
-		end = off
 	}
-	return end, nil
+	return r.end, r.err
+}
+
+// frameReader walks the record frames of one segment file in order,
+// holding only the current frame plus a read-ahead window in memory.
+// It is the one frame parser behind torn-tail recovery, Scan and
+// compaction. A span that does not start a well-framed record is
+// resynced past: the reader steps byte by byte to the next offset
+// where one starts, or to the end of the segment.
+type frameReader struct {
+	f      *os.File
+	size   int64  // segment size at open; nothing past it is read
+	pos    int64  // segment offset of the cursor
+	win    []byte // window backing store
+	lo, hi int    // win[lo:hi] holds segment bytes [pos, pos+hi-lo)
+	end    int64  // offset just past the last well-framed record
+	err    error  // first read error; the walk stops at it
+}
+
+// frameReadAhead is the window refill size: large enough that a scan
+// costs few reads. The window grows past it only to hold a larger
+// frame.
+const frameReadAhead = 256 << 10
+
+func openFrames(path string) (*frameReader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("cachestore: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cachestore: %w", err)
+	}
+	return &frameReader{f: f, size: fi.Size()}, nil
+}
+
+// next returns the next span of the segment: a well-framed record
+// (checksum not yet verified; the bytes are valid until the following
+// call), or nil for a damaged span it resynced past. done reports the
+// end of the segment, or a read error (in r.err).
+func (r *frameReader) next() (frame []byte, done bool) {
+	if r.pos >= r.size || r.err != nil {
+		return nil, true
+	}
+	if n := r.frameHere(); n > 0 {
+		frame = r.win[r.lo : r.lo+n]
+		r.advance(int64(n))
+		r.end = r.pos
+		return frame, false
+	}
+	for r.err == nil {
+		r.advance(1)
+		if r.size-r.pos < recMinFrame {
+			r.advance(r.size - r.pos) // too short to hold a frame
+			break
+		}
+		if r.frameHere() > 0 {
+			break
+		}
+	}
+	return nil, r.err != nil
+}
+
+// frameHere returns the length of the well-framed record at the
+// cursor, or 0 if none starts there.
+func (r *frameReader) frameHere() int {
+	if !r.fill(recMinFrame) || binary.LittleEndian.Uint32(r.win[r.lo:]) != recMagic {
+		return 0
+	}
+	total := 4 + 4 + int64(binary.LittleEndian.Uint32(r.win[r.lo+4:])) + 8
+	if !r.fill(total) {
+		return 0
+	}
+	return int(frameLen(r.win[r.lo : r.lo+int(total)]))
+}
+
+// fill makes n bytes from the cursor resident, reporting false when
+// the segment ends first or a read fails. It never reads past the
+// segment size recorded at open, so a hostile length costs nothing.
+func (r *frameReader) fill(n int64) bool {
+	if n > r.size-r.pos {
+		return false
+	}
+	if n <= int64(r.hi-r.lo) {
+		return true
+	}
+	r.hi = copy(r.win, r.win[r.lo:r.hi])
+	r.lo = 0
+	want := int(min(max(n, frameReadAhead), r.size-r.pos))
+	if len(r.win) < want {
+		w := make([]byte, want)
+		copy(w, r.win[:r.hi])
+		r.win = w
+	}
+	k, err := r.f.ReadAt(r.win[r.hi:want], r.pos+int64(r.hi))
+	r.hi += k
+	if err != nil && r.hi < want {
+		r.err = fmt.Errorf("cachestore: %w", err)
+		return false
+	}
+	return true
+}
+
+// advance moves the cursor n bytes forward.
+func (r *frameReader) advance(n int64) {
+	if n < int64(r.hi-r.lo) {
+		r.lo += int(n)
+	} else {
+		r.lo, r.hi = 0, 0
+	}
+	r.pos += n
 }
 
 // frameLen returns the total length of the record frame at the start
@@ -361,24 +469,28 @@ func encodeRecord(dst []byte, rec *Record) []byte {
 	return binary.LittleEndian.AppendUint64(dst, h.Sum64())
 }
 
-// decodeRecord parses the frame at the start of data (already framed
-// by frameLen, which returned total) and verifies its checksum.
-func decodeRecord(data []byte, total int64) (*Record, bool) {
-	body := data[8 : total-8]
+// verifyFrame reports whether a well-framed record (as returned by
+// frameReader.next) checksums and carries a known kind.
+func verifyFrame(frame []byte) bool {
+	body := frame[8 : len(frame)-8]
 	h := fnv.New64a()
 	h.Write(body)
-	if h.Sum64() != binary.LittleEndian.Uint64(data[total-8:total]) {
-		return nil, false
+	if h.Sum64() != binary.LittleEndian.Uint64(frame[len(frame)-8:]) {
+		return false
 	}
 	kind := Kind(body[0])
-	if kind != KindResult && kind != KindDecode {
-		return nil, false
-	}
+	return kind == KindResult || kind == KindDecode
+}
+
+// decodeRecord parses a verified frame into a Record that owns its
+// bytes.
+func decodeRecord(frame []byte) *Record {
+	body := frame[8 : len(frame)-8]
 	flags := body[1]
 	nameLen := int64(binary.LittleEndian.Uint32(body[20:]))
 	payloadLen := int64(binary.LittleEndian.Uint32(body[24+nameLen:]))
 	return &Record{
-		Kind:     kind,
+		Kind:     Kind(body[0]),
 		Key:      binary.LittleEndian.Uint64(body[12:]),
 		Payload:  append([]byte(nil), body[28+nameLen:28+nameLen+payloadLen]...),
 		Name:     string(body[24 : 24+nameLen]),
@@ -386,7 +498,7 @@ func decodeRecord(data []byte, total int64) (*Record, bool) {
 		Instrs:   int(binary.LittleEndian.Uint32(body[8:])),
 		FellBack: flags&1 != 0,
 		Degraded: flags&2 != 0,
-	}, true
+	}
 }
 
 // Scan replays every valid record in segment order, oldest first, and
@@ -395,58 +507,46 @@ func decodeRecord(data []byte, total int64) (*Record, bool) {
 // searching for the next frame magic. Scan is the warm-start read —
 // call it after Open and before the first Put.
 func (s *Store) Scan(fn func(*Record) bool) error {
-	return s.scan(fn, true)
-}
-
-func (s *Store) scan(fn func(*Record) bool, count bool) error {
 	segs, err := s.segments()
 	if err != nil {
 		return err
 	}
+	return s.frames(segs, func(frame []byte) bool {
+		s.scanRecords.Add(1)
+		return fn(decodeRecord(frame))
+	})
+}
+
+// frames calls fn with every verified record frame of segs, in order,
+// until fn returns false. Damaged spans and frames that fail
+// verification are skipped and counted in CorruptDropped. The frame
+// bytes are only valid during the call.
+func (s *Store) frames(segs []int, fn func(frame []byte) bool) error {
 	for _, n := range segs {
-		data, err := os.ReadFile(s.segPath(n))
+		r, err := openFrames(s.segPath(n))
 		if err != nil {
-			return fmt.Errorf("cachestore: %w", err)
+			return err
 		}
-		off := int64(0)
-		for off < int64(len(data)) {
-			total := frameLen(data[off:])
-			if total <= 0 {
-				// Broken framing: resync by scanning for the next magic.
-				if count {
-					s.corruptDropped.Add(1)
-				}
-				off = resync(data, off+1)
+		for {
+			frame, done := r.next()
+			if done {
+				break
+			}
+			if frame == nil || !verifyFrame(frame) {
+				s.corruptDropped.Add(1)
 				continue
 			}
-			rec, ok := decodeRecord(data[off:], total)
-			off += total
-			if !ok {
-				if count {
-					s.corruptDropped.Add(1)
-				}
-				continue
-			}
-			if count {
-				s.scanRecords.Add(1)
-			}
-			if !fn(rec) {
+			if !fn(frame) {
+				r.f.Close()
 				return nil
 			}
 		}
-	}
-	return nil
-}
-
-// resync returns the offset of the next plausible frame start at or
-// after from, or the end of data.
-func resync(data []byte, from int64) int64 {
-	for off := from; off+4 <= int64(len(data)); off++ {
-		if binary.LittleEndian.Uint32(data[off:]) == recMagic && frameLen(data[off:]) > 0 {
-			return off
+		r.f.Close()
+		if r.err != nil {
+			return r.err
 		}
 	}
-	return int64(len(data))
+	return nil
 }
 
 // Put hands rec to the write-behind goroutine. It never blocks on the
@@ -595,7 +695,7 @@ func (s *Store) append(rec *Record) {
 
 // compactLocked rewrites the live records into a fresh segment and
 // deletes the old ones; the caller (append) holds s.mu, and the lock
-// is released around the read-back since only the writer goroutine
+// is released around the rewrite since only the writer goroutine
 // touches the files. Crash-safety: the new segment is written under a
 // .tmp name and renamed into place only after a successful sync, so a
 // kill mid-compaction leaves the old segments intact plus a .tmp the
@@ -607,60 +707,19 @@ func (s *Store) compactLocked() {
 	s.active.Close()
 	s.active = nil
 
-	type slot struct{ rec *Record }
-	latest := make(map[[2]uint64]*slot)
-	var order []*slot
-	s.mu.Unlock()
-	s.scan(func(rec *Record) bool {
-		k := [2]uint64{uint64(rec.Kind), rec.Key}
-		if sl, ok := latest[k]; ok {
-			sl.rec = rec // later record wins; content-equal by contract
-			s.compactDropped.Add(1)
-			return true
-		}
-		sl := &slot{rec: rec}
-		latest[k] = sl
-		order = append(order, sl)
-		return true
-	}, false)
-	s.mu.Lock()
-
 	newN := s.activeN + 1
-	abort := func(f *os.File, tmp string) {
-		if f != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-		s.reopenActive(s.activeN + 2)
-	}
 	tmp := s.segPath(newN) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	old, err := s.segments()
+	var kept int64
+	if err == nil {
+		s.mu.Unlock()
+		kept, err = s.rewrite(tmp, old)
+		s.mu.Lock()
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.segPath(newN))
+	}
 	if err != nil {
-		abort(nil, tmp)
-		return
-	}
-	var buf []byte
-	kept := int64(0)
-	for _, sl := range order {
-		if s.opts.Live != nil && !s.opts.Live(sl.rec.Kind, sl.rec.Key) {
-			s.compactDropped.Add(1)
-			continue
-		}
-		buf = encodeRecord(buf[:0], sl.rec)
-		if _, err := f.Write(buf); err != nil {
-			abort(f, tmp)
-			return
-		}
-		kept += int64(len(buf))
-	}
-	if f.Sync() != nil {
-		abort(f, tmp)
-		return
-	}
-	f.Close()
-	s.fsyncs.Add(1)
-	old, _ := s.segments()
-	if err := os.Rename(tmp, s.segPath(newN)); err != nil {
 		os.Remove(tmp)
 		s.reopenActive(s.activeN + 2)
 		return
@@ -670,6 +729,54 @@ func (s *Store) compactLocked() {
 	}
 	s.size = kept
 	s.reopenActive(newN + 1)
+}
+
+// rewrite streams the live records of segs into a new segment file at
+// path and syncs it, returning its size. Frames are copied verbatim,
+// one at a time, so memory holds one frame plus the set of keys seen:
+// the first occurrence of each (kind, key) is the one kept (or dropped,
+// if the Live callback says it is dead) — under the store's contract a
+// later record with the same key carries the same bytes.
+func (s *Store) rewrite(path string, segs []int) (int64, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	w := bufio.NewWriterSize(f, 64<<10)
+	seen := make(map[[2]uint64]struct{})
+	kept := int64(0)
+	var werr error
+	err = s.frames(segs, func(frame []byte) bool {
+		kind, key := Kind(frame[8]), binary.LittleEndian.Uint64(frame[20:])
+		k := [2]uint64{uint64(kind), key}
+		if _, dup := seen[k]; dup {
+			s.compactDropped.Add(1)
+			return true
+		}
+		seen[k] = struct{}{}
+		if s.opts.Live != nil && !s.opts.Live(kind, key) {
+			s.compactDropped.Add(1)
+			return true
+		}
+		_, werr = w.Write(frame)
+		kept += int64(len(frame))
+		return werr == nil
+	})
+	if err == nil {
+		err = werr
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		return 0, err
+	}
+	s.fsyncs.Add(1)
+	return kept, f.Close()
 }
 
 // reopenActive opens a fresh active segment numbered n; on failure the

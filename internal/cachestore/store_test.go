@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -357,5 +358,122 @@ func TestPutAfterClose(t *testing.T) {
 	s.Flush() // must not deadlock
 	if st := s.Stats(); st.Dropped == 0 {
 		t.Fatal("post-close Put not counted as dropped")
+	}
+}
+
+// TestCompactionStreamsLiveSet pins compaction's memory: rewriting a
+// 33 MB store whose live set is 1/32 of it must allocate no more than
+// twice the live bytes — frames stream through one window, and only
+// the set of keys seen is kept — and must leave exactly the live
+// records behind.
+func TestCompactionStreamsLiveSet(t *testing.T) {
+	dir := t.TempDir()
+	const n = 4096
+	payload := bytes.Repeat([]byte("p"), 8<<10)
+	s := openT(t, dir, Options{MaxBytes: -1})
+	for i := uint64(0); i < n; i++ {
+		s.Put(&Record{Kind: KindResult, Key: i, Payload: payload})
+		if i%512 == 511 {
+			s.Flush() // stay well inside the write-behind queue
+		}
+	}
+	s.Close()
+
+	live := func(k Kind, key uint64) bool { return key%32 == 0 }
+	s2 := openT(t, dir, Options{MaxBytes: 32 << 20, Live: live})
+	size := s2.Stats().SizeBytes
+	if size < 32<<20 {
+		t.Fatalf("store holds %d bytes, want at least 32 MiB", size)
+	}
+	liveBytes := size / 32
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	s2.Put(rec(KindResult, n+1, "over the cap")) // dead: dropped again
+	s2.Flush()
+	runtime.ReadMemStats(&m1)
+	st := s2.Stats()
+	if st.Compactions != 1 || st.CompactDropped != n-n/32+1 {
+		t.Fatalf("compaction did not run as expected: %+v", st)
+	}
+	alloc := int64(m1.TotalAlloc - m0.TotalAlloc)
+	t.Logf("compaction allocated %d bytes; live set %d bytes", alloc, liveBytes)
+	if alloc > 2*liveBytes {
+		t.Fatalf("compaction allocated %d bytes for a %d-byte live set of a %d-byte store", alloc, liveBytes, size)
+	}
+	s2.Close()
+
+	got := collect(t, openT(t, dir, Options{}))
+	if len(got) != n/32 {
+		t.Fatalf("%d records survived compaction, want %d", len(got), n/32)
+	}
+	for i, g := range got {
+		if g.Key != uint64(32*i) || !bytes.Equal(g.Payload, payload) {
+			t.Fatalf("record %d: key %d, %d payload bytes", i, g.Key, len(g.Payload))
+		}
+	}
+}
+
+// TestCompactionResyncsLikeScan damages an older segment four ways — a
+// flipped payload bit, a torn frame, stray bytes between frames, and a
+// well-checksummed record of unknown kind — and requires compaction to
+// skip and count exactly what Scan skips and counts, keep every intact
+// record, and leave a store that scans clean.
+func TestCompactionResyncsLikeScan(t *testing.T) {
+	frame := func(r *Record) []byte { return encodeRecord(nil, r) }
+	flipped := frame(rec(KindResult, 2, "two"))
+	flipped[len(flipped)-10] ^= 0x01 // payload byte: checksum fails
+	var seg0 []byte
+	seg0 = append(seg0, frame(rec(KindResult, 1, "one"))...)
+	seg0 = append(seg0, flipped...)
+	seg0 = append(seg0, frame(rec(KindDecode, 3, "three"))...)
+	seg0 = append(seg0, frame(rec(KindResult, 4, "four"))[:30]...) // torn mid-header
+	seg0 = append(seg0, frame(rec(KindResult, 5, "five"))...)
+	seg0 = append(seg0, "stray bytes"...)
+	seg0 = append(seg0, frame(&Record{Kind: 3, Key: 6, Payload: []byte("unknown kind")})...)
+	seg0 = append(seg0, frame(rec(KindDecode, 7, "seven"))...)
+	seg1 := frame(rec(KindResult, 8, "eight"))
+	want := map[uint64]string{1: "one", 3: "three", 5: "five", 7: "seven", 8: "eight"}
+
+	mkStore := func() string {
+		dir := t.TempDir()
+		for n, data := range [][]byte{seg0, seg1} {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(segPattern, n)), data, 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	check := func(stage string, got []*Record) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", stage, len(got), len(want))
+		}
+		for _, g := range got {
+			if w, ok := want[g.Key]; !ok || string(g.Payload) != w {
+				t.Fatalf("%s: unexpected record %d %q", stage, g.Key, g.Payload)
+			}
+		}
+	}
+
+	scanned := openT(t, mkStore(), Options{})
+	check("scan", collect(t, scanned))
+	corrupt := scanned.Stats().CorruptDropped
+	if corrupt != 4 {
+		t.Fatalf("scan counted %d corrupt spans, want 4", corrupt)
+	}
+
+	dir := mkStore()
+	s := openT(t, dir, Options{MaxBytes: 1}) // the next append compacts
+	s.Put(rec(KindResult, 9, "nine"))
+	s.Flush()
+	if st := s.Stats(); st.Compactions != 1 || st.CorruptDropped != corrupt || st.CompactDropped != 0 {
+		t.Fatalf("compaction counted differently from scan (%d corrupt): %+v", corrupt, st)
+	}
+	s.Close()
+	after := openT(t, dir, Options{})
+	want[9] = "nine"
+	check("after compaction", collect(t, after))
+	if st := after.Stats(); st.CorruptDropped != 0 {
+		t.Fatalf("compacted store does not scan clean: %+v", st)
 	}
 }

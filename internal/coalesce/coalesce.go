@@ -22,6 +22,7 @@ import (
 	"outofssa/internal/cfg"
 	"outofssa/internal/interference"
 	"outofssa/internal/ir"
+	"outofssa/internal/obs"
 	"outofssa/internal/pin"
 )
 
@@ -58,6 +59,20 @@ type Stats struct {
 	// Interference snapshots the analysis query counters accumulated by
 	// the pass (the tracer's view into the hot path).
 	Interference interference.Counters
+}
+
+// AppendCounters appends the statistics to dst as trace counters, in
+// field order.
+func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	dst = append(dst,
+		obs.Counter{Name: "Gain", Value: int64(s.Gain)},
+		obs.Counter{Name: "PhiSlots", Value: int64(s.PhiSlots)},
+		obs.Counter{Name: "EdgesBuilt", Value: int64(s.EdgesBuilt)},
+		obs.Counter{Name: "EdgesInterfering", Value: int64(s.EdgesInterfering)},
+		obs.Counter{Name: "EdgesPruned", Value: int64(s.EdgesPruned)},
+		obs.Counter{Name: "EdgesDeferred", Value: int64(s.EdgesDeferred)},
+		obs.Counter{Name: "Merges", Value: int64(s.Merges)})
+	return s.Interference.AppendCounters(dst)
 }
 
 // ProgramPinning runs the paper's Algorithm 1 on f (pinned SSA form): an

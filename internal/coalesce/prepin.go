@@ -5,6 +5,7 @@ import (
 	"outofssa/internal/cfg"
 	"outofssa/internal/interference"
 	"outofssa/internal/ir"
+	"outofssa/internal/obs"
 	"outofssa/internal/pin"
 )
 
@@ -19,6 +20,15 @@ type PrePinStats struct {
 	// Interference snapshots the analysis query counters accumulated by
 	// the pass (the tracer's view into the hot path).
 	Interference interference.Counters
+}
+
+// AppendCounters appends the statistics to dst as trace counters, in
+// field order.
+func (s *PrePinStats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	dst = append(dst,
+		obs.Counter{Name: "DefsPinned", Value: int64(s.DefsPinned)},
+		obs.Counter{Name: "Skipped", Value: int64(s.Skipped)})
+	return s.Interference.AppendCounters(dst)
 }
 
 // PrePinDefs implements the pre-pass the paper suggests for limitation

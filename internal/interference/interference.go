@@ -11,6 +11,7 @@ import (
 	"outofssa/internal/cfg"
 	"outofssa/internal/ir"
 	"outofssa/internal/liveness"
+	"outofssa/internal/obs"
 )
 
 // Mode selects the Class-1 kill test precision (paper Algorithm 4).
@@ -70,6 +71,25 @@ type Counters struct {
 	LiveQueryHits     int64
 	LiveQueryMisses   int64
 	LiveVarRecomputes int64
+}
+
+// AppendCounters appends the query counters to dst as trace counters,
+// in field order. They are named under "Interference.", the field the
+// coalesce, pre-pin and leung Stats embed them in.
+func (c *Counters) AppendCounters(dst []obs.Counter) []obs.Counter {
+	return append(dst,
+		obs.Counter{Name: "Interference.KillQueries", Value: c.KillQueries},
+		obs.Counter{Name: "Interference.InterfereQueries", Value: c.InterfereQueries},
+		obs.Counter{Name: "Interference.StrongQueries", Value: c.StrongQueries},
+		obs.Counter{Name: "Interference.LiveAfterHits", Value: c.LiveAfterHits},
+		obs.Counter{Name: "Interference.LiveAfterMisses", Value: c.LiveAfterMisses},
+		obs.Counter{Name: "Interference.ResourceKilled", Value: c.ResourceKilled},
+		obs.Counter{Name: "Interference.ResourceInterfere", Value: c.ResourceInterfere},
+		obs.Counter{Name: "Interference.KilledMemoHits", Value: c.KilledMemoHits},
+		obs.Counter{Name: "Interference.InterfereMemoHits", Value: c.InterfereMemoHits},
+		obs.Counter{Name: "Interference.LiveQueryHits", Value: c.LiveQueryHits},
+		obs.Counter{Name: "Interference.LiveQueryMisses", Value: c.LiveQueryMisses},
+		obs.Counter{Name: "Interference.LiveVarRecomputes", Value: c.LiveVarRecomputes})
 }
 
 // Analysis answers variable-level interference queries on an SSA

@@ -6,12 +6,20 @@
 // coalescing pass recovers only what Chaitin-style coalescing can.
 package naiveabi
 
-import "outofssa/internal/ir"
+import (
+	"outofssa/internal/ir"
+	"outofssa/internal/obs"
+)
 
 // Stats describes the insertion.
 type Stats struct {
 	// Moves is the number of move instructions inserted.
 	Moves int
+}
+
+// AppendCounters appends the statistics to dst as trace counters.
+func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	return append(dst, obs.Counter{Name: "Moves", Value: int64(s.Moves)})
 }
 
 // Apply rewrites f in place:

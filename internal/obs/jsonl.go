@@ -46,6 +46,7 @@ type jsonlRun struct {
 type jsonlPass struct {
 	Type string `json:"type"`
 	*Event
+	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 func (j *JSONL) RunStart(fn, config string, before IRStat) {
@@ -61,7 +62,14 @@ func (j *JSONL) PassEnd(ev *Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.passes++
-	j.enc.Encode(jsonlPass{Type: "pass", Event: ev})
+	rec := jsonlPass{Type: "pass", Event: ev}
+	if len(ev.Counters) > 0 {
+		rec.Counters = make(map[string]int64, len(ev.Counters))
+		for _, c := range ev.Counters {
+			rec.Counters[ev.Pass+"."+c.Name] = c.Value
+		}
+	}
+	j.enc.Encode(rec)
 }
 
 func (j *JSONL) RunEnd(fn, config string, after IRStat, wallNS int64) {

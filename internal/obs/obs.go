@@ -4,10 +4,11 @@
 // after each pass), plus pluggable sinks — a human-readable summary
 // writer, a JSONL event stream for machine diffing, and a no-op tracer.
 //
-// The instrumented pass runner in internal/pipeline emits these events;
-// with a nil Tracer the runner takes a fast path that performs no
-// measurement and allocates nothing, so the default (untraced) pipeline
-// pays zero overhead.
+// The instrumented pass runner in internal/pipeline emits these events,
+// and hands the same event to its metrics registry, so traces and
+// metrics agree by construction. With neither a Tracer nor a registry
+// the runner takes a fast path that performs no measurement and
+// allocates nothing, so the default pipeline pays zero overhead.
 package obs
 
 import "outofssa/internal/ir"
@@ -62,15 +63,20 @@ type Event struct {
 	// AllocBytes and Mallocs are runtime.MemStats deltas (TotalAlloc,
 	// Mallocs) across the pass — cumulative counters, so unaffected by
 	// garbage collection, but shared with any concurrent goroutines.
+	// Reading them stops the world, so the runner fills them (and
+	// Before/After) only when a tracer is attached; they are zero in
+	// the events a metrics registry alone receives.
 	AllocBytes uint64 `json:"alloc_bytes"`
 	Mallocs    uint64 `json:"mallocs"`
 	// Before and After are IR snapshots around the pass.
 	Before IRStat `json:"before"`
 	After  IRStat `json:"after"`
-	// Counters carries pass-specific counters (flattened from the pass's
-	// Stats struct, e.g. "pinning-phi.Merges" or
+	// Counters carries the pass-specific counters of a successful pass,
+	// flattened once from its Stats struct in the order the Stats type
+	// lists them. The JSONL sink renders them as one object keyed
+	// "<pass>.<Name>" (e.g. "pinning-phi.Merges" or
 	// "out-of-pinned-ssa.Interference.KillQueries").
-	Counters map[string]int64 `json:"counters,omitempty"`
+	Counters []Counter `json:"-"`
 	// Err is the pass failure (pass error, contained panic, or checked-mode
 	// verifier violation), empty on success. A run whose last event carries
 	// Err and that has no run_end record died on that pass.

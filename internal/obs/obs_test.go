@@ -9,58 +9,6 @@ import (
 	"outofssa/internal/obs"
 )
 
-func TestCountersFlattening(t *testing.T) {
-	type inner struct {
-		Hits   int64
-		Misses int64
-	}
-	type stats struct {
-		Count   int
-		Flag    bool
-		Name    string // non-integer: skipped
-		Nested  inner
-		Pointer *inner
-		hidden  int
-	}
-	got := obs.Counters("p", &stats{
-		Count:   3,
-		Flag:    true,
-		Name:    "x",
-		Nested:  inner{Hits: 7, Misses: 1},
-		Pointer: &inner{Hits: 9},
-		hidden:  5,
-	})
-	want := map[string]int64{
-		"p.Count":          3,
-		"p.Flag":           1,
-		"p.Nested.Hits":    7,
-		"p.Nested.Misses":  1,
-		"p.Pointer.Hits":   9,
-		"p.Pointer.Misses": 0,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("%s = %d, want %d", k, got[k], v)
-		}
-	}
-}
-
-func TestCountersNilSafety(t *testing.T) {
-	if got := obs.Counters("p", nil); got != nil {
-		t.Fatalf("Counters(nil) = %v", got)
-	}
-	var sp *struct{ N int }
-	if got := obs.Counters("p", sp); got != nil {
-		t.Fatalf("Counters(nil ptr) = %v", got)
-	}
-	if got := obs.Counters("p", 42); got != nil {
-		t.Fatalf("Counters(non-struct) = %v", got)
-	}
-}
-
 func TestMultiFiltersNil(t *testing.T) {
 	if obs.Multi() != nil {
 		t.Fatal("Multi() should be nil")
@@ -97,7 +45,7 @@ func TestSummaryRendersTable(t *testing.T) {
 		WallNS: 1500, AllocBytes: 2048,
 		Before:   obs.IRStat{Moves: 5, Instrs: 30, Phis: 2},
 		After:    obs.IRStat{Moves: 3, Instrs: 28, Phis: 2},
-		Counters: map[string]int64{"ssaopt.Rounds": 2},
+		Counters: []obs.Counter{{Name: "Rounds", Value: 2}},
 	})
 	s.RunEnd("fir", "Lphi+C", obs.IRStat{Moves: 3}, 2000)
 	out := buf.String()
@@ -113,7 +61,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	j := obs.NewJSONL(&buf)
 	j.RunStart("f", "c", obs.IRStat{Moves: 1})
 	j.PassEnd(&obs.Event{Func: "f", Config: "c", Pass: "p", Seq: 0,
-		Counters: map[string]int64{"p.N": 4}})
+		Counters: []obs.Counter{{Name: "N", Value: 4}}})
 	j.RunEnd("f", "c", obs.IRStat{}, 10)
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
 	if len(lines) != 3 {

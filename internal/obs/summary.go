@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 )
 
@@ -47,11 +48,10 @@ func (s *Summary) RunEnd(fn, config string, after IRStat, wallNS int64) {
 	}
 	if s.Verbose {
 		for _, ev := range s.events {
-			if len(ev.Counters) == 0 {
-				continue
-			}
-			for _, k := range SortedKeys(ev.Counters) {
-				fmt.Fprintf(s.w, ";     %-40s %10d\n", k, ev.Counters[k])
+			cs := append([]Counter(nil), ev.Counters...)
+			sort.Slice(cs, func(i, j int) bool { return cs[i].Name < cs[j].Name })
+			for _, c := range cs {
+				fmt.Fprintf(s.w, ";     %-40s %10d\n", ev.Pass+"."+c.Name, c.Value)
 			}
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"outofssa/internal/cfg"
 	"outofssa/internal/interference"
 	"outofssa/internal/ir"
+	"outofssa/internal/obs"
 	"outofssa/internal/parcopy"
 	"outofssa/internal/pin"
 )
@@ -42,6 +43,18 @@ type Stats struct {
 	// Interference snapshots the analysis query counters accumulated by
 	// the translation (the tracer's view into the hot path).
 	Interference interference.Counters
+}
+
+// AppendCounters appends the statistics to dst as trace counters, in
+// field order.
+func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	dst = append(dst,
+		obs.Counter{Name: "Repairs", Value: int64(s.Repairs)},
+		obs.Counter{Name: "PhiMoves", Value: int64(s.PhiMoves)},
+		obs.Counter{Name: "PinMoves", Value: int64(s.PinMoves)},
+		obs.Counter{Name: "EdgesSplit", Value: int64(s.EdgesSplit)},
+		obs.Counter{Name: "Killed", Value: int64(s.Killed)})
+	return s.Interference.AppendCounters(dst)
 }
 
 // Translate converts the pinned SSA function f out of SSA form in place.

@@ -10,6 +10,7 @@ package naive
 import (
 	"outofssa/internal/cfg"
 	"outofssa/internal/ir"
+	"outofssa/internal/obs"
 	"outofssa/internal/parcopy"
 )
 
@@ -19,6 +20,14 @@ type Stats struct {
 	PhiMoves int
 	// EdgesSplit is the number of critical edges split.
 	EdgesSplit int
+}
+
+// AppendCounters appends the statistics to dst as trace counters, in
+// field order.
+func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	return append(dst,
+		obs.Counter{Name: "PhiMoves", Value: int64(s.PhiMoves)},
+		obs.Counter{Name: "EdgesSplit", Value: int64(s.EdgesSplit)})
 }
 
 // Translate replaces every φ of f with copies in the predecessor blocks.

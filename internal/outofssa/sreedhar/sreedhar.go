@@ -27,6 +27,7 @@ import (
 	"outofssa/internal/interference"
 	"outofssa/internal/ir"
 	"outofssa/internal/liveness"
+	"outofssa/internal/obs"
 )
 
 // Stats describes the conversion.
@@ -44,6 +45,17 @@ type Stats struct {
 	// Sreedhar implementation producing incorrect code in such cases.
 	IllegalSplitAvoided int
 	IllegalSplits       int
+}
+
+// AppendCounters appends the statistics to dst as trace counters, in
+// field order.
+func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	return append(dst,
+		obs.Counter{Name: "CopiesInserted", Value: int64(s.CopiesInserted)},
+		obs.Counter{Name: "PhisProcessed", Value: int64(s.PhisProcessed)},
+		obs.Counter{Name: "EdgesSplit", Value: int64(s.EdgesSplit)},
+		obs.Counter{Name: "IllegalSplitAvoided", Value: int64(s.IllegalSplitAvoided)},
+		obs.Counter{Name: "IllegalSplits", Value: int64(s.IllegalSplits)})
 }
 
 // Options tunes the conversion.

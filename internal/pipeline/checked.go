@@ -159,11 +159,11 @@ func fallbackRun(f, backup *ir.Func, exp string, tr obs.Tracer, opts runOpts, r 
 			}
 			r.Naive = st
 			return nil
-		}, stats: func() any { return r.Naive }},
+		}, stats: func() counterLister { return r.Naive }},
 		{name: "fallback-naive-abi", stage: verify.StagePostSSA, run: func() error {
 			r.NaiveABI = naiveabi.Apply(f)
 			return nil
-		}, stats: func() any { return r.NaiveABI }},
+		}, stats: func() counterLister { return r.NaiveABI }},
 		{name: "fallback-crosscheck", stage: verify.StagePostSSA, run: func() error {
 			return crossCheck(ref, f, budget)
 		}},

@@ -7,7 +7,7 @@ package pipeline
 
 import (
 	"errors"
-	"strings"
+	"sync"
 
 	"outofssa/internal/ir"
 	"outofssa/internal/obs"
@@ -22,10 +22,8 @@ const (
 	// MetricRunWallNS is the whole-run wall-time distribution per
 	// experiment configuration (includes instrumentation overhead).
 	MetricRunWallNS = "laoc_pipeline_run_wall_ns"
-	// MetricPassWallNS / MetricPassAllocBytes are the per-pass
-	// wall-time and allocation-volume distributions.
-	MetricPassWallNS     = "laoc_pipeline_pass_wall_ns"
-	MetricPassAllocBytes = "laoc_pipeline_pass_alloc_bytes"
+	// MetricPassWallNS is the per-pass wall-time distribution.
+	MetricPassWallNS = "laoc_pipeline_pass_wall_ns"
 	// MetricPassErrors counts failed passes (errors, contained panics,
 	// checked-mode violations) per pass; MetricPanics the contained
 	// panics among them; MetricFallbacks the runs rescued by the naive
@@ -33,12 +31,10 @@ const (
 	MetricPassErrors = "laoc_pipeline_pass_errors_total"
 	MetricPanics     = "laoc_pipeline_panics_total"
 	MetricFallbacks  = "laoc_pipeline_fallbacks_total"
-	// MetricPassCounters mirrors every flattened pass counter
-	// ("<pass>.<Field.Path>" in trace events) onto the registry as
-	// {pass=...,counter=...}. Both feeds come from the same Stats
-	// structs, so registry totals match `-trace-counters` totals
-	// exactly; metrics.SelfCheckPassCounters enforces that in checked
-	// mode.
+	// MetricPassCounters mirrors every pass counter ("<pass>.<Name>" in
+	// trace events) onto the registry as {pass=...,counter=...}. The
+	// registry records the very event a tracer receives, so registry
+	// totals match `-trace-counters` totals by construction.
 	MetricPassCounters = "laoc_pipeline_pass_counters_total"
 	// MetricMaxLive is the derived per-function MAXLIVE distribution
 	// (register pressure), computed post-pipeline via the query
@@ -105,10 +101,11 @@ func init() {
 }
 
 // WithMetrics attaches a metrics registry to one Run call: the pass
-// runner records per-pass wall/alloc histograms, error/panic/fallback
-// counters, the flattened pass-counter mirror, and the derived MAXLIVE
-// histogram. A nil registry is the disabled fast path — identical to
-// not passing the option.
+// runner records per-pass wall histograms, error/panic/fallback
+// counters, the pass-counter mirror, and the derived MAXLIVE
+// histogram. It reads no allocation statistics, so it is safe to leave
+// on under concurrent callers. A nil registry is the disabled fast
+// path — identical to not passing the option.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(rc *runConfig) {
 		rc.metrics = reg
@@ -123,7 +120,6 @@ func registerHelp(reg *metrics.Registry) {
 	reg.SetHelp(MetricRuns, "Pipeline runs started, by experiment configuration.")
 	reg.SetHelp(MetricRunWallNS, "Whole-run wall time in nanoseconds, by experiment configuration.")
 	reg.SetHelp(MetricPassWallNS, "Per-pass wall time in nanoseconds.")
-	reg.SetHelp(MetricPassAllocBytes, "Per-pass heap allocation volume in bytes (runtime.MemStats TotalAlloc delta).")
 	reg.SetHelp(MetricPassErrors, "Failed passes: errors, contained panics, checked-mode violations.")
 	reg.SetHelp(MetricPanics, "Panics contained by the per-pass recover.")
 	reg.SetHelp(MetricFallbacks, "Runs that fell back to the naive out-of-SSA translation.")
@@ -135,22 +131,61 @@ func registerHelp(reg *metrics.Registry) {
 	reg.SetHelp(MetricBatchQueueDepth, "Batch jobs not yet claimed by a worker.")
 }
 
-// recordPassMetrics feeds one completed pass into the registry. The
-// counters map is the same flatten the trace event carries, so the
-// registry mirror and -trace-counters totals agree by construction.
-func recordPassMetrics(reg *metrics.Registry, pass string, wallNS int64, allocBytes uint64, counters map[string]int64, err error) {
-	reg.Histogram(MetricPassWallNS, metrics.L("pass", pass)).Observe(wallNS)
-	reg.Histogram(MetricPassAllocBytes, metrics.L("pass", pass)).Observe(int64(allocBytes))
-	for _, k := range obs.SortedKeys(counters) {
-		reg.Counter(MetricPassCounters,
-			metrics.L("pass", pass),
-			metrics.L("counter", strings.TrimPrefix(k, pass+"."))).Add(counters[k])
+// recordPass feeds one pass's event into the registry: its wall time,
+// its counters into the pass-counter mirror, and its failure, if any.
+func recordPass(reg *metrics.Registry, ev *obs.Event, err error) {
+	c := cellsFor(reg, ev)
+	c.wall.Observe(ev.WallNS)
+	for i, ctr := range ev.Counters {
+		c.counters[i].Add(ctr.Value)
 	}
 	if err != nil {
-		reg.Counter(MetricPassErrors, metrics.L("pass", pass)).Inc()
+		reg.Counter(MetricPassErrors, metrics.L("pass", ev.Pass)).Inc()
 		var pa *PanicError
 		if errors.As(err, &pa) {
 			reg.Counter(MetricPanics).Inc()
 		}
 	}
+}
+
+// passCells are one pass's cells in one registry. A labeled lookup
+// builds a key string under the registry lock; done per counter per
+// pass it dominated the cost of the mirror, so the cells are resolved
+// once per (registry, pass) and shared by every later run.
+type passCells struct {
+	wall     *metrics.Histogram
+	counters []*metrics.Counter // parallel to the pass's counter list
+}
+
+type cellKey struct {
+	reg  *metrics.Registry
+	pass string
+}
+
+var cellCache = struct {
+	sync.RWMutex
+	m map[cellKey]*passCells
+}{m: make(map[cellKey]*passCells)}
+
+// cellsFor returns the cells of ev's pass in reg, resolving them on the
+// pass's first event, and again on its first event with counters (a
+// failed pass carries none). A pass's counter list is fixed by its
+// Stats type, so the cells then serve every later event.
+func cellsFor(reg *metrics.Registry, ev *obs.Event) *passCells {
+	k := cellKey{reg, ev.Pass}
+	cellCache.RLock()
+	c := cellCache.m[k]
+	cellCache.RUnlock()
+	if c != nil && len(c.counters) >= len(ev.Counters) {
+		return c
+	}
+	c = &passCells{wall: reg.Histogram(MetricPassWallNS, metrics.L("pass", ev.Pass))}
+	for _, ctr := range ev.Counters {
+		c.counters = append(c.counters, reg.Counter(MetricPassCounters,
+			metrics.L("pass", ev.Pass), metrics.L("counter", ctr.Name)))
+	}
+	cellCache.Lock()
+	cellCache.m[k] = c
+	cellCache.Unlock()
+	return c
 }

@@ -2,14 +2,24 @@ package pipeline
 
 import (
 	"errors"
-	"strings"
+	"reflect"
+	rtmetrics "runtime/metrics"
 	"testing"
 
+	"outofssa/internal/coalesce"
 	"outofssa/internal/faultinject"
 	"outofssa/internal/ir"
+	"outofssa/internal/naiveabi"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
+	"outofssa/internal/outofssa/leung"
+	"outofssa/internal/outofssa/naive"
+	"outofssa/internal/outofssa/sreedhar"
+	"outofssa/internal/psi"
+	"outofssa/internal/regalloc"
+	"outofssa/internal/ssaopt"
 	"outofssa/internal/testprog"
+	"outofssa/internal/workload"
 )
 
 // TestNilMetricsAllocatesNothing pins the disabled-metrics contract
@@ -39,11 +49,11 @@ func TestNilMetricsAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMetricsMirrorMatchesTraceCounters is the in-process version of
-// the ssabench -verify self-check: the registry's pass-counter mirror
-// and a tracer's counter totals are fed from the same flatten, so
-// SelfCheckPassCounters must find zero skew after real runs, and the
-// headline per-run metrics must line up with the trace.
+// TestMetricsMirrorMatchesTraceCounters: the registry records the same
+// event the tracer receives, so every pass-counter mirror cell must
+// equal the recorder's total for its (pass, counter), with no cell
+// missing or extra, and the headline per-run metrics must line up with
+// the trace.
 func TestMetricsMirrorMatchesTraceCounters(t *testing.T) {
 	reg := metrics.New()
 	rec := &obs.Recorder{}
@@ -58,19 +68,42 @@ func TestMetricsMirrorMatchesTraceCounters(t *testing.T) {
 		}
 	}
 
-	totals := map[string]int64{}
+	totals := map[[2]string]int64{}
 	passEvents := 0
 	for _, run := range rec.Runs {
 		for _, ev := range run.Events {
 			passEvents++
-			for k, v := range ev.Counters {
-				totals[k] += v
+			for _, c := range ev.Counters {
+				totals[[2]string{ev.Pass, c.Name}] += c.Value
 			}
 		}
 	}
+	if len(totals) == 0 {
+		t.Fatal("traced runs carried no counters")
+	}
 	s := reg.Snapshot()
-	if err := metrics.SelfCheckPassCounters(s, MetricPassCounters, totals); err != nil {
-		t.Fatalf("registry mirror skewed against trace totals: %v", err)
+	cells := 0
+	for _, c := range s.Counters {
+		if c.Name != MetricPassCounters {
+			continue
+		}
+		cells++
+		var k [2]string
+		for _, l := range c.Labels {
+			switch l.Key {
+			case "pass":
+				k[0] = l.Value
+			case "counter":
+				k[1] = l.Value
+			}
+		}
+		if want, ok := totals[k]; !ok || want != c.Value {
+			t.Errorf("%s{pass=%q,counter=%q} = %d, trace total %d (traced: %v)",
+				MetricPassCounters, k[0], k[1], c.Value, want, ok)
+		}
+	}
+	if cells != len(totals) {
+		t.Fatalf("%d mirror cells for %d traced (pass, counter) pairs", cells, len(totals))
 	}
 
 	find := func(name string) *metrics.HistogramSnap {
@@ -108,44 +141,92 @@ func TestMetricsMirrorMatchesTraceCounters(t *testing.T) {
 	}
 }
 
-// TestMetricsSkewCaught proves the self-check has teeth: after a clean
-// run where mirror and trace agree, one InjectMetricsSkew bump — no IR
-// change, no trace event — must make SelfCheckPassCounters fail and
-// name the skewed cell.
-func TestMetricsSkewCaught(t *testing.T) {
-	reg := metrics.New()
-	rec := &obs.Recorder{}
+// TestCounterListsMatchStatsFields keeps each pass Stats type's
+// explicit counter list in step with its struct: every exported
+// integer field — nested ones under their field path — appears exactly
+// once, under its field name, with its value. Reflection is the oracle
+// here and only here.
+func TestCounterListsMatchStatsFields(t *testing.T) {
+	for _, st := range []counterLister{&ssaopt.Stats{}, &psi.Stats{}, &sreedhar.Stats{},
+		&coalesce.PrePinStats{}, &coalesce.Stats{}, &leung.Stats{}, &naive.Stats{},
+		&naiveabi.Stats{}, &regalloc.Stats{}, &cssaStats{}} {
+		want := map[string]int64{}
+		var fill func(v reflect.Value, prefix string)
+		fill = func(v reflect.Value, prefix string) {
+			for i := 0; i < v.NumField(); i++ {
+				f, fv := v.Type().Field(i), v.Field(i)
+				if !f.IsExported() {
+					continue
+				}
+				switch fv.Kind() {
+				case reflect.Struct:
+					fill(fv, prefix+f.Name+".")
+				case reflect.Int, reflect.Int64:
+					n := int64(len(want) + 1) // distinct per field
+					fv.SetInt(n)
+					want[prefix+f.Name] = n
+				default:
+					t.Fatalf("%T: field %s%s has kind %s, not a counter", st, prefix, f.Name, fv.Kind())
+				}
+			}
+		}
+		fill(reflect.ValueOf(st).Elem(), "")
+		got := map[string]int64{}
+		for _, c := range st.AppendCounters(nil) {
+			if _, dup := got[c.Name]; dup {
+				t.Fatalf("%T: counter %s listed twice", st, c.Name)
+			}
+			got[c.Name] = c.Value
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: counter list %v, struct fields %v", st, got, want)
+		}
+	}
+}
+
+// TestMetricsNeverStopTheWorld pins that a registry is cheap enough to
+// leave on where laocd runs it: its preset (checked + fallback) with
+// WithMetrics attached must not stop the world. Every
+// runtime.ReadMemStats adds one sample to the runtime's non-GC pause
+// histogram while runtime/metrics.Read adds none, and this package runs
+// no parallel tests, so any growth is the runner's doing.
+func TestMetricsNeverStopTheWorld(t *testing.T) {
 	conf, err := Preset(ExpLphiABIC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := testprog.SwapLoop()
-	if _, err := Run(f, conf, WithExperiment(ExpLphiABIC), WithTracer(rec), WithMetrics(reg)); err != nil {
-		t.Fatal(err)
-	}
-	totals := map[string]int64{}
-	var skewPass, skewCounter string
-	for _, run := range rec.Runs {
-		for _, ev := range run.Events {
-			for k, v := range ev.Counters {
-				totals[k] += v
-				skewPass, skewCounter = ev.Pass, strings.TrimPrefix(k, ev.Pass+".")
-			}
+	conf.Verify, conf.Fallback = true, true
+	funcs := workload.SynthFuncs(40, 15)
+	reg := metrics.New()
+	before := nonGCPauses(t)
+	for _, f := range funcs {
+		if _, err := Run(f, conf, WithExperiment(ExpLphiABIC), WithMetrics(reg)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := metrics.SelfCheckPassCounters(reg.Snapshot(), MetricPassCounters, totals); err != nil {
-		t.Fatalf("clean run skewed: %v", err)
+	pauses := nonGCPauses(t) - before
+	if got := reg.Counter(MetricRuns, metrics.L("config", ExpLphiABIC)).Value(); got != int64(len(funcs)) {
+		t.Fatalf("%s = %d, want %d: the registry was not attached", MetricRuns, got, len(funcs))
 	}
-	if !faultinject.InjectMetricsSkew(reg, MetricPassCounters, skewPass, skewCounter) {
-		t.Fatal("injection reported no-op on a live registry")
+	if pauses != 0 {
+		t.Fatalf("%d non-GC stop-the-world pauses across %d metered runs, want 0", pauses, len(funcs))
 	}
-	err = metrics.SelfCheckPassCounters(reg.Snapshot(), MetricPassCounters, totals)
-	if err == nil || !strings.Contains(err.Error(), skewPass+"."+skewCounter) {
-		t.Fatalf("metrics skew on %s.%s not caught: %v", skewPass, skewCounter, err)
+}
+
+// nonGCPauses returns the sample count of the runtime's histogram of
+// stop-the-world pauses not caused by the garbage collector.
+func nonGCPauses(t *testing.T) uint64 {
+	t.Helper()
+	s := []rtmetrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	rtmetrics.Read(s)
+	if s[0].Value.Kind() != rtmetrics.KindFloat64Histogram {
+		t.Fatalf("runtime/metrics has no %s histogram", s[0].Name)
 	}
-	if faultinject.InjectMetricsSkew(nil, MetricPassCounters, "p", "c") {
-		t.Fatal("nil registry reported as skewed")
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
 	}
+	return n
 }
 
 // TestMetricsErrorPanicFallbackCounters drives the failure counters:

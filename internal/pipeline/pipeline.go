@@ -133,9 +133,9 @@ type runConfig struct {
 }
 
 // WithTracer attaches the instrumented pass runner: every executed pass
-// is reported to tr as an obs.Event carrying wall time, allocation
-// deltas and IR before/after snapshots. A nil tracer is the unmeasured
-// fast path — no snapshots, no clock reads.
+// is reported to tr as an obs.Event carrying wall time, counters,
+// allocation deltas and IR before/after snapshots. A nil tracer is the
+// unmeasured fast path — no snapshots, no clock reads.
 func WithTracer(tr obs.Tracer) Option {
 	return func(rc *runConfig) { rc.tracer = tr }
 }
@@ -276,14 +276,28 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 // pass is one step of the instrumented runner: a name (stable across
 // configurations — it keys trace diffing), the checked-mode verifier
 // stage its output must satisfy, the work itself, and an optional
-// accessor for the pass's Stats struct, flattened into the trace
-// event's counters. run closures wrap their own errors so the untraced
-// path reports exactly what the pre-runner pipeline did.
+// accessor for the pass's Stats struct, flattened into the event's
+// counters after a successful run. run closures wrap their own errors
+// so the unmeasured path reports exactly what the pre-runner pipeline
+// did.
 type pass struct {
 	name  string
 	stage verify.Stage
 	run   func() error
-	stats func() any
+	stats func() counterLister
+}
+
+// counterLister is a pass's Stats struct: it appends its counters to
+// dst in a fixed order, the same list on every successful run.
+type counterLister interface {
+	AppendCounters(dst []obs.Counter) []obs.Counter
+}
+
+// cssaStats is the pinning-cssa pass's Stats.
+type cssaStats struct{ Unpinned int }
+
+func (s cssaStats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	return append(dst, obs.Counter{Name: "Unpinned", Value: int64(s.Unpinned)})
 }
 
 // passes materializes conf as the ordered pass list of the paper's
@@ -293,7 +307,7 @@ type pass struct {
 // translation and everything after it carry verify.StagePostSSA.
 func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 	var ps []pass
-	add := func(name string, stage verify.Stage, run func() error, stats func() any) {
+	add := func(name string, stage verify.Stage, run func() error, stats func() counterLister) {
 		ps = append(ps, pass{name: name, stage: stage, run: run, stats: stats})
 	}
 
@@ -312,7 +326,7 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 				return fmt.Errorf("pipeline: after SSA optimization: %v", err)
 			}
 			return nil
-		}, func() any { return r.Opt })
+		}, func() counterLister { return r.Opt })
 	}
 
 	if conf.Psi {
@@ -329,7 +343,7 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 				return fmt.Errorf("pipeline: after psi conversion: %v", err)
 			}
 			return nil
-		}, func() any { return r.Psi })
+		}, func() counterLister { return r.Psi })
 	}
 
 	if conf.Sreedhar {
@@ -342,7 +356,7 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 			}
 			r.Sreedhar = st
 			return nil
-		}, func() any { return r.Sreedhar })
+		}, func() counterLister { return r.Sreedhar })
 	}
 
 	add("pinning-sp", verify.StageSSA, func() error { pin.CollectSP(f, info); return nil }, nil)
@@ -360,7 +374,7 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 			}
 			r.CSSAUnpinned = unpinned
 			return nil
-		}, func() any { return struct{ Unpinned int }{r.CSSAUnpinned} })
+		}, func() counterLister { return cssaStats{r.CSSAUnpinned} })
 	}
 
 	if conf.PrePin {
@@ -371,7 +385,7 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 			}
 			r.PrePin = st
 			return nil
-		}, func() any { return r.PrePin })
+		}, func() counterLister { return r.PrePin })
 	}
 
 	if conf.PhiCoalesce {
@@ -382,7 +396,7 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 			}
 			r.Coalesce = st
 			return nil
-		}, func() any { return r.Coalesce })
+		}, func() counterLister { return r.Coalesce })
 	}
 
 	if conf.NaiveOut {
@@ -393,7 +407,7 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 			}
 			r.Naive = st
 			return nil
-		}, func() any { return r.Naive })
+		}, func() counterLister { return r.Naive })
 	} else {
 		add("out-of-pinned-ssa", verify.StagePostSSA, func() error {
 			st, err := leung.Translate(f)
@@ -402,16 +416,16 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 			}
 			r.Leung = st
 			return nil
-		}, func() any { return r.Leung })
+		}, func() counterLister { return r.Leung })
 	}
 
 	if conf.NaiveABI {
 		add("naive-abi", verify.StagePostSSA, func() error { r.NaiveABI = naiveabi.Apply(f); return nil },
-			func() any { return r.NaiveABI })
+			func() counterLister { return r.NaiveABI })
 	}
 	if conf.Chaitin {
 		add("chaitin", verify.StagePostSSA, func() error { r.Chaitin = regalloc.AggressiveCoalesce(f); return nil },
-			func() any { return r.Chaitin })
+			func() counterLister { return r.Chaitin })
 	}
 	return ps
 }
@@ -419,13 +433,15 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 // runPasses executes the pass list. With a nil tracer, no metrics
 // registry and default opts it is a plain loop — no snapshots, no
 // clock reads, no allocations beyond what the passes themselves do.
-// With a tracer or a registry it brackets the run and every pass with
-// measurements: per-pass wall time, runtime.MemStats allocation
-// deltas, and (tracer only) IR snapshots before/after. The tracer
-// receives events; the registry receives wall/alloc histograms, the
-// pass-counter mirror, and error/panic counters — both fed from the
-// same measurements and the same flattened counters, so their totals
-// agree. Every pass failure — its own error, a contained panic, or a
+// With a tracer or a registry every pass yields one obs.Event: its
+// wall time, its counters flattened once from its Stats, and its
+// error. The registry records that event (wall histogram, counter
+// mirror, error/panic counters) and the tracer receives the same
+// event, so metrics and traces agree by construction. Only a tracer
+// adds IR snapshots before/after and runtime.MemStats allocation
+// deltas: reading those stops the world and yields process-global
+// numbers, fit for serial diagnostics but not for the serving path.
+// Every pass failure — its own error, a contained panic, or a
 // checked-mode violation — surfaces as a *PassError; in checked mode
 // the entry state is verified too, reported against the pseudo-pass
 // "<input>". Verifier time is charged to the pass it checks.
@@ -461,40 +477,31 @@ func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) e
 		if err := ctxCheck(f, exp, p, opts); err != nil {
 			return err
 		}
-		var before obs.IRStat
+		ev := &obs.Event{Func: f.Name, Config: exp, Pass: p.name, Seq: i}
 		if tr != nil {
 			tr.PassStart(f.Name, exp, p.name)
-			before = obs.Snapshot(f)
+			ev.Before = obs.Snapshot(f)
+			runtime.ReadMemStats(&ms0)
 		}
-		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
 		err := runOne(f, exp, p, opts)
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&ms1)
-		var counters map[string]int64
-		if err == nil && p.stats != nil {
-			counters = obs.Counters(p.name, p.stats())
-		}
+		ev.WallNS = time.Since(t0).Nanoseconds()
 		if tr != nil {
-			ev := &obs.Event{
-				Func:       f.Name,
-				Config:     exp,
-				Pass:       p.name,
-				Seq:        i,
-				WallNS:     wall.Nanoseconds(),
-				AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-				Mallocs:    ms1.Mallocs - ms0.Mallocs,
-				Before:     before,
-				After:      obs.Snapshot(f),
-				Counters:   counters,
-			}
-			if err != nil {
-				ev.Err = err.Error()
-			}
-			tr.PassEnd(ev)
+			runtime.ReadMemStats(&ms1)
+			ev.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
+			ev.Mallocs = ms1.Mallocs - ms0.Mallocs
+			ev.After = obs.Snapshot(f)
+		}
+		if err != nil {
+			ev.Err = err.Error()
+		} else if p.stats != nil {
+			ev.Counters = p.stats().AppendCounters(nil)
 		}
 		if reg != nil {
-			recordPassMetrics(reg, p.name, wall.Nanoseconds(), ms1.TotalAlloc-ms0.TotalAlloc, counters, err)
+			recordPass(reg, ev, err)
+		}
+		if tr != nil {
+			tr.PassEnd(ev)
 		}
 		if err != nil {
 			return err

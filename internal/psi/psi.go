@@ -18,6 +18,7 @@ package psi
 import (
 	"outofssa/internal/cfg"
 	"outofssa/internal/ir"
+	"outofssa/internal/obs"
 )
 
 // Stats describes what the passes did.
@@ -33,6 +34,17 @@ type Stats struct {
 	// TiesPinned the 2-operand-like pins applied.
 	PsisLowered int
 	TiesPinned  int
+}
+
+// AppendCounters appends the statistics to dst as trace counters, in
+// field order.
+func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	return append(dst,
+		obs.Counter{Name: "DiamondsConverted", Value: int64(s.DiamondsConverted)},
+		obs.Counter{Name: "TrianglesConverted", Value: int64(s.TrianglesConverted)},
+		obs.Counter{Name: "InstrsSpeculated", Value: int64(s.InstrsSpeculated)},
+		obs.Counter{Name: "PsisLowered", Value: int64(s.PsisLowered)},
+		obs.Counter{Name: "TiesPinned", Value: int64(s.TiesPinned)})
 }
 
 // MaxArmInstrs bounds the size of an arm eligible for if-conversion.

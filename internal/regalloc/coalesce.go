@@ -14,6 +14,7 @@ import (
 	"outofssa/internal/analysis"
 	"outofssa/internal/bitset"
 	"outofssa/internal/ir"
+	"outofssa/internal/obs"
 )
 
 // Stats describes one aggressive coalescing run.
@@ -22,6 +23,14 @@ type Stats struct {
 	MovesRemoved int
 	// Rounds is the number of build-coalesce rounds until fixed point.
 	Rounds int
+}
+
+// AppendCounters appends the statistics to dst as trace counters, in
+// field order.
+func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	return append(dst,
+		obs.Counter{Name: "MovesRemoved", Value: int64(s.MovesRemoved)},
+		obs.Counter{Name: "Rounds", Value: int64(s.Rounds)})
 }
 
 // AggressiveCoalesce repeatedly builds the interference graph of f and

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"outofssa/internal/ir"
+	"outofssa/internal/obs"
 	"outofssa/internal/ssa"
 )
 
@@ -22,6 +23,17 @@ type Stats struct {
 	CSEHits          int
 	DeadRemoved      int
 	Rounds           int
+}
+
+// AppendCounters appends the statistics to dst as trace counters, in
+// field order.
+func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
+	return append(dst,
+		obs.Counter{Name: "CopiesPropagated", Value: int64(s.CopiesPropagated)},
+		obs.Counter{Name: "ConstantsFolded", Value: int64(s.ConstantsFolded)},
+		obs.Counter{Name: "CSEHits", Value: int64(s.CSEHits)},
+		obs.Counter{Name: "DeadRemoved", Value: int64(s.DeadRemoved)},
+		obs.Counter{Name: "Rounds", Value: int64(s.Rounds)})
 }
 
 // Optimize runs the pass bundle to a fixed point on SSA form. info is
