@@ -52,7 +52,7 @@ func main() {
 		brCooldown   = flag.Duration("breaker-cooldown", 5*time.Second, "breaker open time before a half-open probe")
 		allowDebug   = flag.Bool("allow-debug", false, "accept request debug blocks (injected sleeps/panics) — test rigs only")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
-		cacheDir     = flag.String("cache-dir", "", "persist the caches in this `directory` and warm-start from it (empty disables)")
+		cacheDir     = flag.String("cache-dir", "", "persist the result cache in this `directory` and warm-start from it (empty disables)")
 		cacheFsync   = flag.String("cache-fsync", "never", "cache store durability: never, interval or always")
 		cacheMax     = flag.Int64("cache-max-bytes", 64<<20, "cache store on-disk size cap before compaction (negative disables)")
 

@@ -278,7 +278,7 @@ func benchRestart() (restartSection, error) {
 		WarmSkipped:   regCounter(warmReg, "laocd_store_warm_skipped_total"),
 		StoreCorrupt:  regCounter(warmReg, "laocd_store_corrupt_total"),
 		ByteIdentical: identical,
-		Note:          "Cold: empty directory, every distinct function compiles once. Warm: same directory after a clean drain — the store replays one result and one decode record per distinct function, so the warm pass must serve every request from the verified cache (hit rate 1.0, zero decode misses). Byte identity compares all per-request outputs across the restart.",
+		Note:          "Cold: empty directory, every distinct function compiles once. Warm: same directory after a clean drain — the store replays one result record per distinct function, so the warm pass must serve every request from the verified cache (hit rate 1.0, zero decodes). Byte identity compares all per-request outputs across the restart.",
 	}, nil
 }
 

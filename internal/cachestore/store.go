@@ -50,8 +50,10 @@ const (
 	// KindResult is a compiled translation: payload = rendered LAI text,
 	// with the result counters riding in the record header.
 	KindResult Kind = 1
-	// KindDecode is an interned decode master: payload = the function's
-	// b1 wire document.
+	// KindDecode is a decoded function (payload = its b1 wire document),
+	// written by laocd versions that kept a decode cache. The server no
+	// longer writes or reads it; it stays a known kind so that such
+	// records in an older store are skipped, not counted as corrupt.
 	KindDecode Kind = 2
 )
 

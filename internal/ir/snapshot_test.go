@@ -268,9 +268,10 @@ func TestConcurrentSnapshots(t *testing.T) {
 // that faulted only SOME of its shared slabs (private, un-capped
 // storage behind cleared share flags) must not hand that storage to a
 // new snapshot without re-freezing — its own in-place writes would leak
-// into the snapshot. This is exactly the checked pipeline's shape: SSA
-// construction mutates a decode-cache snapshot partially, then
-// Config.Fallback snapshots it as the rollback backup.
+// into the snapshot. This is exactly the checked batch driver's shape:
+// SSA construction mutates a job's snapshot partially, then the
+// checked-mode COW probe (or Config.Fallback's rollback backup)
+// snapshots it.
 func TestSnapshotOfPartiallyMaterialized(t *testing.T) {
 	master := buildSnapshotFixture(80)
 	f := master.Snapshot()

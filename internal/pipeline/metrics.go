@@ -113,8 +113,17 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
+// helped holds the registries registerHelp has already run on.
+var helped sync.Map
+
+// registerHelp sets the HELP strings of the pipeline families, once
+// per registry: the options that attach a registry call it on every
+// run, and each SetHelp is a map write under the registry lock.
 func registerHelp(reg *metrics.Registry) {
 	if reg == nil {
+		return
+	}
+	if _, done := helped.LoadOrStore(reg, struct{}{}); done {
 		return
 	}
 	reg.SetHelp(MetricRuns, "Pipeline runs started, by experiment configuration.")
@@ -157,9 +166,11 @@ type passCells struct {
 	counters []*metrics.Counter // parallel to the pass's counter list
 }
 
+// cellKey names a set of cells in one registry: a pass name for
+// passCells, an experiment configuration for runCells.
 type cellKey struct {
 	reg  *metrics.Registry
-	pass string
+	name string
 }
 
 var cellCache = struct {
@@ -187,5 +198,36 @@ func cellsFor(reg *metrics.Registry, ev *obs.Event) *passCells {
 	cellCache.Lock()
 	cellCache.m[k] = c
 	cellCache.Unlock()
+	return c
+}
+
+// runCells are one configuration's run-level cells in one registry,
+// resolved once per (registry, configuration) like passCells.
+type runCells struct {
+	runs *metrics.Counter
+	wall *metrics.Histogram
+}
+
+var runCellCache = struct {
+	sync.RWMutex
+	m map[cellKey]*runCells
+}{m: make(map[cellKey]*runCells)}
+
+// runCellsFor returns the run-level cells of configuration exp in reg.
+func runCellsFor(reg *metrics.Registry, exp string) *runCells {
+	k := cellKey{reg, exp}
+	runCellCache.RLock()
+	c := runCellCache.m[k]
+	runCellCache.RUnlock()
+	if c != nil {
+		return c
+	}
+	c = &runCells{
+		runs: reg.Counter(MetricRuns, metrics.L("config", exp)),
+		wall: reg.Histogram(MetricRunWallNS, metrics.L("config", exp)),
+	}
+	runCellCache.Lock()
+	runCellCache.m[k] = c
+	runCellCache.Unlock()
 	return c
 }

@@ -238,9 +238,7 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 	}
 	r := &Result{}
 	if reg != nil {
-		// Guarded rather than relying on the nil-instrument no-op: the
-		// variadic label would otherwise allocate on the disabled path.
-		reg.Counter(MetricRuns, metrics.L("config", exp)).Inc()
+		runCellsFor(reg, exp).runs.Inc()
 	}
 	opts := runOpts{verify: conf.Verify, faultHook: conf.FaultHook, metrics: reg,
 		ctx: rc.ctx, execBudget: rc.execBudget}
@@ -511,7 +509,7 @@ func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) e
 		tr.RunEnd(f.Name, exp, obs.Snapshot(f), time.Since(runStart).Nanoseconds())
 	}
 	if reg != nil {
-		reg.Histogram(MetricRunWallNS, metrics.L("config", exp)).Observe(time.Since(runStart).Nanoseconds())
+		runCellsFor(reg, exp).wall.Observe(time.Since(runStart).Nanoseconds())
 	}
 	return nil
 }

@@ -92,6 +92,22 @@ func (b *breaker) plan() (degraded bool, probeClass string) {
 	return degraded, ""
 }
 
+// anyOpen reports whether any class is open, probing or not. Unlike
+// plan it has no side effect, so the handler can use it to pick the
+// result-cache key of a hit without taking (and then never reporting)
+// the half-open probe; the probe is handed out only by plan, to a
+// request that will compile.
+func (b *breaker) anyOpen() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, c := range b.classes {
+		if c.open {
+			return true
+		}
+	}
+	return false
+}
+
 // fail records a verifier/pass failure attributed to class and trips
 // the class when the windowed count reaches the threshold. Returns
 // whether this call tripped the class.

@@ -1,16 +1,32 @@
 package server
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock drives the breaker deterministically.
-type fakeClock struct{ t time.Time }
+// fakeClock drives the breaker deterministically. It is safe for
+// concurrent use, so a running server can read it while a test
+// advances it.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1000, 0)} }
 func testBreaker(clk *fakeClock, threshold int) *breaker {
 	return newBreaker(threshold, 10*time.Second, 2*time.Second, clk.now)
 }
@@ -114,5 +130,33 @@ func TestBreakerClassesIndependent(t *testing.T) {
 	open := b.openClasses()
 	if len(open) != 1 || open[0] != "a" {
 		t.Fatalf("openClasses = %v, want [a]", open)
+	}
+}
+
+// TestBreakerAnyOpenTakesNoProbe pins the handler's read: anyOpen
+// reports an open class, cooled down or not, and never takes the
+// half-open probe that plan hands out.
+func TestBreakerAnyOpenTakesNoProbe(t *testing.T) {
+	clk := newFakeClock()
+	b := testBreaker(clk, 1)
+	if b.anyOpen() {
+		t.Fatal("no class has failed yet")
+	}
+	b.fail("x")
+	clk.advance(3 * time.Second)
+	for i := 0; i < 3; i++ {
+		if !b.anyOpen() {
+			t.Fatal("a cooled-down class is still open")
+		}
+	}
+	if d, probe := b.plan(); d || probe != "x" {
+		t.Fatalf("anyOpen took the probe: degraded=%v probe=%q", d, probe)
+	}
+	if !b.anyOpen() {
+		t.Fatal("a probing class is still open")
+	}
+	b.probeResult("x", true)
+	if b.anyOpen() {
+		t.Fatal("a successful probe closes the class")
 	}
 }

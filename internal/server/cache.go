@@ -6,18 +6,19 @@
 // serving them. An entry whose bytes no longer match its checksum —
 // torn write, bit rot, or the deliberate faultinject.InjectCachePoison
 // — is counted, evicted and recompiled, never served.
-//
-// The LRU mechanics live in the shared lru type; this file keeps only
-// the result-specific rules (the checksum discipline and the tamper
-// test seam).
 package server
 
-import "hash/fnv"
+import (
+	"container/list"
+	"hash/fnv"
+	"sync"
+)
 
 // cacheEntry is one cached translation. code is the rendered LAI text
 // of the translated function; the small result counters ride along so
 // a hit reproduces the full response.
 type cacheEntry struct {
+	key      uint64 // result key, set by put
 	code     []byte
 	checksum uint64 // fnvSum(code) at insert time
 	name     string
@@ -37,52 +38,96 @@ func fnvSum(parts ...[]byte) uint64 {
 	return h.Sum64()
 }
 
-// cache is a fixed-capacity LRU keyed by content hash. All methods are
+// cache is a fixed-capacity LRU keyed by result key. All methods are
 // safe for concurrent use. Lookups verify entry integrity; get never
 // returns bytes that fail their checksum.
 type cache struct {
-	lru *lru[*cacheEntry]
+	mu      sync.Mutex
+	cap     int
+	entries map[uint64]*list.Element
+	order   *list.List // front = most recent; values are *cacheEntry
 }
 
 func newCache(capacity int) *cache {
-	return &cache{lru: newLRU(capacity, func(e *cacheEntry) bool {
-		return fnvSum(e.code) == e.checksum
-	}, nil)}
+	if capacity <= 0 {
+		capacity = 1024
+	}
+	return &cache{
+		cap:     capacity,
+		entries: make(map[uint64]*list.Element, capacity),
+		order:   list.New(),
+	}
 }
 
 // get returns the entry for key after re-verifying its checksum.
 // poisoned reports an entry that existed but failed verification; it
 // has already been evicted when get returns.
 func (c *cache) get(key uint64) (e *cacheEntry, ok, poisoned bool) {
-	return c.lru.get(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false, false
+	}
+	e = el.Value.(*cacheEntry)
+	if fnvSum(e.code) != e.checksum {
+		c.removeLocked(el)
+		return nil, false, true
+	}
+	c.order.MoveToFront(el)
+	return e, true, false
 }
 
 // put inserts (or replaces) the entry for key, evicting the least
 // recently used entry beyond capacity.
 func (c *cache) put(key uint64, e *cacheEntry) {
-	e.checksum = fnvSum(e.code)
-	c.lru.put(key, e)
+	e.key, e.checksum = key, fnvSum(e.code)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.removeLocked(el)
+	}
+	c.entries[key] = c.order.PushFront(e)
+	for c.order.Len() > c.cap {
+		c.removeLocked(c.order.Back())
+	}
 }
 
 // contains reports residency without touching recency — the store's
-// compaction liveness probe.
+// compaction liveness probe, which must not distort it.
 func (c *cache) contains(key uint64) bool {
-	return c.lru.contains(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
 }
 
 // len reports the live entry count.
 func (c *cache) len() int {
-	return c.lru.len()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
-// tamper applies mutate to the stored code bytes of every entry until
-// mutate reports success, and returns whether any entry was mutated.
-// It deliberately does not touch the stored checksum — that is the
-// point: it models an entry corrupted after insert, which the next get
-// must detect. Test seam only (the fault-injection tests drive it with
-// faultinject.InjectCachePoison); production code never calls it.
+func (c *cache) removeLocked(el *list.Element) {
+	delete(c.entries, el.Value.(*cacheEntry).key)
+	c.order.Remove(el)
+}
+
+// tamper applies mutate to the stored code bytes of every entry, most
+// recent first, until mutate reports success, and returns whether any
+// entry was mutated. It deliberately does not touch the stored
+// checksum — that is the point: it models an entry corrupted after
+// insert, which the next get must detect. Test seam only (the
+// fault-injection tests drive it with faultinject.InjectCachePoison);
+// production code never calls it.
 func (c *cache) tamper(mutate func([]byte) bool) bool {
-	return c.lru.each(func(_ uint64, e *cacheEntry) bool {
-		return mutate(e.code)
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		if mutate(el.Value.(*cacheEntry).code) {
+			return true
+		}
+	}
+	return false
 }

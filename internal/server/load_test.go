@@ -31,14 +31,12 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 //
 //   - every request 200 OK — no sheds, deadlines, or fallbacks;
 //   - zero result-cache poisonings (checksum verification never fires);
-//   - O(distinct) memory residency, not O(requests): the decode cache
-//     interns each distinct function once as a frozen master, every
-//     request compiles a released copy-on-write snapshot of it, and
-//     the result cache is LRU-capped — so 100k requests must not grow
-//     the heap beyond a fixed bound;
-//   - at most one decode-cache miss and one full compile per distinct
-//     function (singleflight may retry, hence "at most" with slack on
-//     the cached count, not an exact equality).
+//   - O(distinct) memory residency, not O(requests): repeat content is
+//     answered from the LRU-capped result cache before it is decoded,
+//     so 100k requests must not grow the heap beyond a fixed bound;
+//   - at most one decode and one full compile per distinct function
+//     (singleflight may retry, hence "at most" with slack on the
+//     cached count, not an exact equality).
 //
 // Skipped under -short: the full run is ~100k round trips.
 func TestSyntheticLoad100k(t *testing.T) {
@@ -110,7 +108,7 @@ func TestSyntheticLoad100k(t *testing.T) {
 	}
 	// Each distinct function decodes at most once.
 	if miss := counterValue(reg, MetricDecodeMisses); miss > distinct {
-		t.Fatalf("%d decode-cache misses for %d distinct functions", miss, distinct)
+		t.Fatalf("%d decodes for %d distinct functions", miss, distinct)
 	}
 	// The COW path bounds the pipeline's copy work by the distinct pool,
 	// not the request count: only jobs that actually compile materialize.

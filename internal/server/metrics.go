@@ -27,18 +27,22 @@ const (
 	// MetricDegraded counts requests compiled in naive-translation-only
 	// mode while a breaker was open.
 	MetricDegraded = "laocd_degraded_total"
-	// MetricCacheHits / Misses / Poison count result-cache reads:
-	// checksum-verified hits, misses (including singleflight leaders),
-	// and entries whose stored checksum no longer matched — detected
-	// poison, evicted and recompiled, never served.
+	// MetricCacheHits / Misses / Poison count result-cache outcomes:
+	// checksum-verified hits (answered in the handler), misses (tasks a
+	// worker compiles, debug requests aside), and entries whose stored
+	// checksum no longer matched — detected poison, evicted and
+	// recompiled, never served.
 	MetricCacheHits   = "laocd_cache_hits_total"
 	MetricCacheMisses = "laocd_cache_misses_total"
 	MetricCachePoison = "laocd_cache_poison_total"
-	// MetricDecodeHits / Misses count decode-cache reads: a hit skips
-	// the parse and compiles a copy-on-write snapshot of the interned
-	// frozen master; a miss parses and interns.
-	MetricDecodeHits   = "laocd_decode_hits_total"
+	// MetricDecodeMisses counts decodes: one per request that parsed its
+	// content (a singleflight leader that missed the result cache, or a
+	// debug request). Hits and singleflight followers never decode.
 	MetricDecodeMisses = "laocd_decode_misses_total"
+	// MetricDecodeHits named the hits of the decode cache, which is
+	// gone: the server no longer reports this family. The name stays so
+	// that importers reading it still compile; it reads as zero.
+	MetricDecodeHits = "laocd_decode_hits_total"
 	// MetricFallbacks counts responses served from the naive fallback
 	// after a contained pipeline failure.
 	MetricFallbacks = "laocd_fallback_total"
@@ -79,17 +83,16 @@ func registerHelp(reg *metrics.Registry) {
 	reg.SetHelp(MetricBreakerProbes, "circuit-breaker half-open probes by result")
 	reg.SetHelp(MetricDegraded, "requests compiled in naive-translation-only (breaker open) mode")
 	reg.SetHelp(MetricCacheHits, "result-cache hits (checksum verified)")
-	reg.SetHelp(MetricCacheMisses, "result-cache misses")
+	reg.SetHelp(MetricCacheMisses, "result-cache misses (compiles)")
 	reg.SetHelp(MetricCachePoison, "poisoned cache entries detected on read and evicted")
-	reg.SetHelp(MetricDecodeHits, "decode-cache hits (request compiled a snapshot of the interned master)")
-	reg.SetHelp(MetricDecodeMisses, "decode-cache misses (request parsed and interned its content)")
+	reg.SetHelp(MetricDecodeMisses, "request contents decoded (cache hits and singleflight followers never decode)")
 	reg.SetHelp(MetricFallbacks, "responses served from the naive fallback translation")
 	reg.SetHelp(MetricWorkerPanics, "panics contained by the worker's last-resort recover")
 	reg.SetHelp(MetricQueueDepth, "requests waiting for a worker")
 	reg.SetHelp(MetricInflight, "requests being compiled right now")
 	reg.SetHelp(MetricRequestWallNS, "end-to-end request latency (ns)")
-	reg.SetHelp(MetricStoreWarm, "cache entries warm-loaded from the store at startup, by kind")
-	reg.SetHelp(MetricStoreWarmSkipped, "store records that passed framing but failed decode at warm start (skipped, never served)")
+	reg.SetHelp(MetricStoreWarm, "result-cache entries warm-loaded from the store at startup")
+	reg.SetHelp(MetricStoreWarmSkipped, "store records that passed framing but are not results, e.g. older decode records (skipped at warm start, never served)")
 	reg.SetHelp(MetricStoreAppends, "records appended by the store's write-behind goroutine")
 	reg.SetHelp(MetricStoreAppendBytes, "encoded bytes appended to the store")
 	reg.SetHelp(MetricStoreDropped, "store appends dropped (full queue, closed store, write error)")

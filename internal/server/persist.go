@@ -1,20 +1,20 @@
-// Cache persistence: the glue between the in-memory LRUs and the
-// append-only cachestore. With Config.CacheDir set, the server
+// Cache persistence: the glue between the in-memory result cache and
+// the append-only cachestore. With Config.CacheDir set, the server
 //
-//   - warm-starts at New: every valid record in the store is replayed
-//     into the result cache (code + counters, re-checksummed on insert)
-//     or the decode cache (b1 document → frozen COW master). Records
-//     the store flags as corrupt never reach this code; records that
-//     pass the store's checksum but fail the b1 decoder are counted as
-//     warm-skipped and dropped — either way nothing questionable is
-//     ever served.
-//   - writes behind on insert: the two cache-insert points hand a
-//     Record to the store's write-behind queue, which never blocks the
+//   - warm-starts at New: every valid result record in the store is
+//     replayed into the result cache (code + counters, re-checksummed
+//     on insert). Records the store flags as corrupt never reach this
+//     code; records of any other kind — the decode records an older
+//     laocd wrote alongside its results — are counted as warm-skipped
+//     and never read.
+//   - writes behind on insert: each compiled result is handed to the
+//     store's write-behind queue as a Record, which never blocks the
 //     request path (a full queue drops the record — the store is a
 //     cache of a cache).
 //   - drives compaction liveness: the store's Live callback asks the
-//     LRUs whether a key is still resident, so the disk follows memory
-//     instead of growing monotonically.
+//     result cache whether a key is still resident, so the disk follows
+//     memory instead of growing monotonically; records of other kinds
+//     are never live, so compaction drops them.
 //
 // The store is closed in Drain after the workers stop, so every
 // accepted request's write-behind Put has been enqueued by then and
@@ -25,12 +25,11 @@ import (
 	"fmt"
 
 	"outofssa/internal/cachestore"
-	"outofssa/internal/ir"
 	"outofssa/internal/obs/metrics"
 )
 
 // openStore opens the configured cache store and replays it into the
-// in-memory caches. Called from New after the caches exist; returns
+// result cache. Called from New after the cache exists; returns
 // (nil, nil) when persistence is disabled.
 func (s *Server) openStore() (*cachestore.Store, error) {
 	if s.conf.CacheDir == "" {
@@ -44,13 +43,7 @@ func (s *Server) openStore() (*cachestore.Store, error) {
 		MaxBytes: s.conf.StoreMaxBytes,
 		Fsync:    policy,
 		Live: func(kind cachestore.Kind, key uint64) bool {
-			switch kind {
-			case cachestore.KindResult:
-				return s.cache.contains(key)
-			case cachestore.KindDecode:
-				return s.decode.contains(key)
-			}
-			return false
+			return kind == cachestore.KindResult && s.cache.contains(key)
 		},
 	})
 	if err != nil {
@@ -58,29 +51,17 @@ func (s *Server) openStore() (*cachestore.Store, error) {
 	}
 
 	// Warm scan. The store yields only records whose frame checksum
-	// verified; the b1 decoder re-validates decode payloads end to end
-	// (arena reconstruction + Verify), so a record that was written
-	// corrupt — not just stored corrupt — is also caught here.
-	warm := map[cachestore.Kind]int{}
-	skipped := 0
+	// verified, and the result cache re-checksums every entry it
+	// serves.
+	warm, skipped := 0, 0
 	scanErr := store.Scan(func(rec *cachestore.Record) bool {
-		switch rec.Kind {
-		case cachestore.KindResult:
-			s.cache.put(rec.Key, &cacheEntry{code: rec.Payload, name: rec.Name,
-				moves: rec.Moves, instrs: rec.Instrs, fellBack: rec.FellBack, degraded: rec.Degraded})
-			warm[rec.Kind]++
-		case cachestore.KindDecode:
-			f, err := ir.Unmarshal(rec.Payload)
-			if err != nil {
-				skipped++
-				return true
-			}
-			if s.decode.warm(rec.Key, f) {
-				warm[rec.Kind]++
-			}
-		default:
+		if rec.Kind != cachestore.KindResult {
 			skipped++
+			return true
 		}
+		s.cache.put(rec.Key, &cacheEntry{code: rec.Payload, name: rec.Name,
+			moves: rec.Moves, instrs: rec.Instrs, fellBack: rec.FellBack, degraded: rec.Degraded})
+		warm++
 		return true
 	})
 	if scanErr != nil {
@@ -88,8 +69,7 @@ func (s *Server) openStore() (*cachestore.Store, error) {
 		return nil, fmt.Errorf("server: warm scan: %w", scanErr)
 	}
 	if reg := s.reg; reg != nil {
-		reg.Counter(MetricStoreWarm, metrics.L("kind", "result")).Add(int64(warm[cachestore.KindResult]))
-		reg.Counter(MetricStoreWarm, metrics.L("kind", "decode")).Add(int64(warm[cachestore.KindDecode]))
+		reg.Counter(MetricStoreWarm, metrics.L("kind", "result")).Add(int64(warm))
 		reg.Counter(MetricStoreWarmSkipped).Add(int64(skipped))
 	}
 	s.bridgeStoreMetrics(store)
@@ -130,19 +110,4 @@ func (s *Server) persistResult(key uint64, e *cacheEntry) {
 		Name: e.name, Moves: e.moves, Instrs: e.instrs,
 		FellBack: e.fellBack, Degraded: e.degraded,
 	})
-}
-
-// persistDecode hands a freshly decoded function to the write-behind
-// queue as its b1 document. Called before the function is interned
-// (and thereby frozen and shared), so the marshal reads bytes no other
-// goroutine can touch yet. No-op without a store.
-func (s *Server) persistDecode(key uint64, f *ir.Func) {
-	if s.store == nil {
-		return
-	}
-	doc, err := ir.MarshalBinary(f)
-	if err != nil {
-		return
-	}
-	s.store.Put(&cachestore.Record{Kind: cachestore.KindDecode, Key: key, Payload: doc})
 }

@@ -15,6 +15,7 @@ import (
 	"outofssa/internal/cachestore"
 	"outofssa/internal/ir"
 	"outofssa/internal/obs/metrics"
+	"outofssa/internal/pipeline"
 	"outofssa/internal/testprog"
 	"outofssa/internal/workload"
 )
@@ -87,8 +88,8 @@ func TestWarmStartServesIdentical(t *testing.T) {
 	stop1()
 
 	hs2, reg2, _ := runPersistServer(t, Config{CacheDir: dir})
-	if warm := counterValue(reg2, MetricStoreWarm); warm != int64(2*len(funcs)) {
-		t.Fatalf("warm-loaded %d records, want %d (one result + one decode master per function)", warm, 2*len(funcs))
+	if warm := counterValue(reg2, MetricStoreWarm); warm != int64(len(funcs)) {
+		t.Fatalf("warm-loaded %d records, want %d (one result per function)", warm, len(funcs))
 	}
 	if skipped := counterValue(reg2, MetricStoreWarmSkipped); skipped != 0 {
 		t.Fatalf("warm start skipped %d records, want 0", skipped)
@@ -109,7 +110,7 @@ func TestWarmStartServesIdentical(t *testing.T) {
 		t.Fatalf("%d result-cache misses after warm start, want 0", miss)
 	}
 	if miss := counterValue(reg2, MetricDecodeMisses); miss != 0 {
-		t.Fatalf("%d decode-cache misses after warm start, want 0", miss)
+		t.Fatalf("%d decodes after warm start, want 0", miss)
 	}
 	if poison := counterValue(reg2, MetricCachePoison); poison != 0 {
 		t.Fatalf("%d poisoned entries after warm start, want 0", poison)
@@ -172,46 +173,80 @@ func TestWarmStartSkipsCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestWarmStartSkipsUndecodableDecodeRecord hand-writes a decode
-// record whose payload passes the store's frame checksum but is not a
-// valid b1 document: the warm scan must skip and count it, not intern
-// garbage.
-func TestWarmStartSkipsUndecodableDecodeRecord(t *testing.T) {
+// TestWarmStartSkipsOlderDecodeRecords opens a store written by a
+// laocd that also persisted its decoded functions: one valid b1 decode
+// record and one garbage one. The warm scan decodes and serves neither
+// — both count as skipped, not corrupt — and the next compaction drops
+// both, leaving result records only.
+func TestWarmStartSkipsOlderDecodeRecords(t *testing.T) {
 	dir := t.TempDir()
-	hs1, _, stop1 := runPersistServer(t, Config{CacheDir: dir})
-	rep := postCompile(t, hs1.URL, compileRequest{LAI: srcSimple})
-	if rep.status != http.StatusOK {
-		t.Fatalf("cold: status %d (%s)", rep.status, rep.errK)
+	f := testprog.Rand(5, testprog.DefaultRandOptions())
+	doc, err := ir.MarshalBinary(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stop1()
-
-	// Rewrite the newest segment's decode record... simpler: append a
-	// fresh well-framed KindDecode record with a garbage payload via the
-	// store itself.
-	appendGarbageDecodeRecord(t, dir)
-
-	_, reg2, _ := runPersistServer(t, Config{CacheDir: dir})
-	if skipped := counterValue(reg2, MetricStoreWarmSkipped); skipped != 1 {
-		t.Fatalf("warm start skipped %d records, want 1 (the garbage decode payload)", skipped)
-	}
-	if poison := counterValue(reg2, MetricCachePoison); poison != 0 {
-		t.Fatalf("%d poisoned serves, want 0", poison)
-	}
-}
-
-// appendGarbageDecodeRecord writes a well-framed KindDecode record
-// whose payload is not a valid IR document — the store will happily
-// persist and replay it; the server's warm scan is what must reject it.
-func appendGarbageDecodeRecord(t *testing.T, dir string) {
-	t.Helper()
+	want, _ := localOutput(t, f, pipeline.ExpLphiABIC)
 	st, err := cachestore.Open(dir, cachestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.Put(&cachestore.Record{Kind: cachestore.KindDecode, Key: contentKey("ir", doc, pipeline.ExpLphiABIC), Payload: doc})
 	st.Put(&cachestore.Record{Kind: cachestore.KindDecode, Key: 0xDEAD, Payload: []byte("not an ir document")})
 	st.Flush()
+	size := st.Stats().SizeBytes
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A cap just above the old records: the first result append
+	// compacts the store.
+	decoded := ir.Stats().UnmarshalsB1
+	hs, reg, stop := runPersistServer(t, Config{CacheDir: dir, StoreMaxBytes: size + 1})
+	if got := ir.Stats().UnmarshalsB1 - decoded; got != 0 {
+		t.Fatalf("warm start decoded %d b1 documents, want 0", got)
+	}
+	if skipped := counterValue(reg, MetricStoreWarmSkipped); skipped != 2 {
+		t.Fatalf("warm start skipped %d records, want 2 (both decode records)", skipped)
+	}
+	if warm := counterValue(reg, MetricStoreWarm); warm != 0 {
+		t.Fatalf("warm-loaded %d records, want 0", warm)
+	}
+	if corrupt := counterValue(reg, MetricStoreCorrupt); corrupt != 0 {
+		t.Fatalf("store counted %d corrupt records, want 0: decode records are a known kind", corrupt)
+	}
+
+	// The function behind the valid decode record compiles afresh.
+	rep := postRawCompile(t, hs.URL, doc)
+	if rep.status != http.StatusOK || rep.resp.Cached || rep.resp.Output != want {
+		t.Fatalf("after warm start: status=%d cached=%v, want a fresh compile matching the local pipeline", rep.status, rep.resp.Cached)
+	}
+	if got := counterValue(reg, MetricDecodeMisses); got != 1 {
+		t.Fatalf("%d decodes, want 1", got)
+	}
+	if poison := counterValue(reg, MetricCachePoison); poison != 0 {
+		t.Fatalf("%d poisoned serves, want 0", poison)
+	}
+	stop()
+	if got := counterValue(reg, MetricStoreCompactions); got != 1 {
+		t.Fatalf("%d compactions, want 1", got)
+	}
+	if got := counterValue(reg, MetricStoreCompactDropped); got != 2 {
+		t.Fatalf("compaction dropped %d records, want 2 (both decode records)", got)
+	}
+	st, err = cachestore.Open(dir, cachestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var kinds []cachestore.Kind
+	if err := st.Scan(func(rec *cachestore.Record) bool {
+		kinds = append(kinds, rec.Kind)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kinds) != 1 || kinds[0] != cachestore.KindResult {
+		t.Fatalf("compacted store holds kinds %v, want one result record", kinds)
 	}
 }
 

@@ -21,8 +21,10 @@
 //     half-open probes decide recovery (see breaker.go).
 //   - Result cache. Content hash → translated function with per-entry
 //     checksums; poisoned entries are detected on read, evicted and
-//     recompiled, never served (see cache.go). Identical concurrent
-//     requests are deduplicated by a singleflight layer.
+//     recompiled, never served (see cache.go). The handler answers a
+//     verified hit itself, before decode and admission, so a hit never
+//     takes a queue slot. Identical concurrent misses are deduplicated
+//     by a singleflight layer whose leader alone decodes and compiles.
 //   - Drain. Drain stops admission (503) and waits for in-flight work,
 //     so SIGTERM never abandons an accepted request.
 package server
@@ -76,9 +78,9 @@ type Config struct {
 	AllowDebug bool
 	// MaxBodyBytes bounds a request body (default 4 MiB).
 	MaxBodyBytes int64
-	// CacheDir enables cache persistence: both caches are warm-started
-	// from the cachestore in this directory at New and written behind on
-	// insert (empty disables persistence). StoreMaxBytes caps the
+	// CacheDir enables cache persistence: the result cache is
+	// warm-started from the cachestore in this directory at New and
+	// written behind on insert (empty disables persistence). StoreMaxBytes caps the
 	// on-disk size (0 = cachestore default, negative = no compaction);
 	// StoreFsync is the durability policy ("never", "interval",
 	// "always"; empty = never).
@@ -103,7 +105,6 @@ type Server struct {
 	draining atomic.Bool
 
 	cache   *cache
-	decode  *decodeCache
 	breaker *breaker
 	store   *cachestore.Store // nil unless Config.CacheDir is set
 
@@ -111,6 +112,7 @@ type Server struct {
 	sf   map[uint64]*call
 
 	reg         *metrics.Registry
+	requests    map[string]*metrics.Counter // laocd_requests_total by kind
 	queueGauge  *metrics.Gauge
 	inflight    *metrics.Gauge
 	shed        *metrics.Counter
@@ -119,8 +121,7 @@ type Server struct {
 	degradedCtr *metrics.Counter
 	hits        *metrics.Counter
 	misses      *metrics.Counter
-	decodeHits  *metrics.Counter
-	decodeMiss  *metrics.Counter
+	decodes     *metrics.Counter
 	poison      *metrics.Counter
 	panics      *metrics.Counter
 	wall        *metrics.Histogram
@@ -183,11 +184,11 @@ func New(conf Config) (*Server, error) {
 		},
 		queue:   make(chan *task, conf.QueueDepth),
 		cache:   newCache(conf.CacheEntries),
-		decode:  newDecodeCache(conf.CacheEntries),
 		breaker: newBreaker(conf.BreakerThreshold, conf.BreakerWindow, conf.BreakerCooldown, conf.now),
 		sf:      make(map[uint64]*call),
 
 		reg:         reg,
+		requests:    make(map[string]*metrics.Counter, len(requestKinds)),
 		queueGauge:  reg.Gauge(MetricQueueDepth),
 		inflight:    reg.Gauge(MetricInflight),
 		shed:        reg.Counter(MetricShed),
@@ -196,11 +197,13 @@ func New(conf Config) (*Server, error) {
 		degradedCtr: reg.Counter(MetricDegraded),
 		hits:        reg.Counter(MetricCacheHits),
 		misses:      reg.Counter(MetricCacheMisses),
-		decodeHits:  reg.Counter(MetricDecodeHits),
-		decodeMiss:  reg.Counter(MetricDecodeMisses),
+		decodes:     reg.Counter(MetricDecodeMisses),
 		poison:      reg.Counter(MetricCachePoison),
 		panics:      reg.Counter(MetricWorkerPanics),
 		wall:        reg.Histogram(MetricRequestWallNS),
+	}
+	for _, kind := range requestKinds {
+		s.requests[kind] = reg.Counter(MetricRequests, metrics.L("kind", kind))
 	}
 	if reg != nil {
 		registerHelp(reg)
@@ -281,7 +284,7 @@ func (s *Server) Handler() http.Handler {
 // a JSON string. A request whose whole body starts with the b1 magic
 // skips JSON entirely — the body IS the IR, with deadline/debug at
 // their defaults. Raw and base64 b1 bodies normalize to the same
-// content bytes, so they share decode- and result-cache keys. The
+// content bytes, so they share result-cache and singleflight keys. The
 // response is always the JSON compileResponse (rendered LAI text plus
 // counters), whatever the request schema.
 type compileRequest struct {
@@ -309,6 +312,10 @@ type compileResponse struct {
 	Degraded bool   `json:"degraded,omitempty"`
 	Cached   bool   `json:"cached,omitempty"`
 }
+
+// requestKinds are the outcome kinds that label laocd_requests_total:
+// "ok" and every httpError kind.
+var requestKinds = []string{"ok", "parse", "shed", "deadline", "draining", "compile"}
 
 // httpError is the typed failure a request can end in. Kind is stable
 // (it labels laocd_requests_total) and maps to the status code.
@@ -395,12 +402,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Decode in the handler: linear work bounded by MaxBodyBytes, and a
-	// malformed body must not occupy a queue slot. Content seen before
-	// skips the parse entirely — the request compiles a copy-on-write
-	// snapshot of the interned frozen master (see decode.go). Only
-	// successfully decoded content is ever interned, so malformed bodies
-	// cannot hit.
 	var content []byte
 	mode := "lai"
 	if req.LAI == "" {
@@ -425,34 +426,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		content = []byte(req.LAI)
 	}
 	key := contentKey(mode, content, s.conf.Experiment)
-	f, ok := s.decode.snapshot(key)
-	if ok {
-		s.decodeHits.Inc()
-	} else {
-		var err error
-		if mode == "lai" {
-			f, err = lai.Parse(req.LAI)
-		} else {
-			f, err = ir.Unmarshal(content)
-		}
-		if err != nil {
-			s.finish(w, t0, nil, errParse(err))
+
+	// Hits first: a verified hit is answered here, with no decode, no
+	// singleflight slot and no queue slot. Debug requests bypass the
+	// cache (their behavior is per-request, not content-determined).
+	if req.Debug == nil {
+		if resp := s.cached(key); resp != nil {
+			s.finish(w, t0, resp, nil)
 			return
-		}
-		master := f
-		var inserted bool
-		f, inserted = s.decode.intern(key, master)
-		// Exact hit/miss accounting: a request that parsed but lost the
-		// intern race to a concurrent twin compiles the winner's snapshot
-		// — a hit. Misses therefore count interned masters, at most one
-		// per distinct content. Only the winner persists (the frozen
-		// master is immutable, so marshaling it after publication is
-		// safe); losers would only write duplicate records.
-		if inserted {
-			s.decodeMiss.Inc()
-			s.persistDecode(key, master)
-		} else {
-			s.decodeHits.Inc()
 		}
 	}
 
@@ -466,14 +447,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
 
-	// Debug requests bypass singleflight (their behavior is
-	// per-request, not content-determined); everything else
-	// deduplicates identical concurrent content.
 	if req.Debug != nil {
-		resp, herr := s.admit(ctx, f, key, req.Debug, d)
+		resp, herr := s.compile(ctx, &req, content, key, d)
 		s.finish(w, t0, resp, herr)
 		return
 	}
+	// A miss deduplicates identical concurrent content: only the leader
+	// decodes and compiles; followers wait for its answer.
 	for attempt := 0; ; attempt++ {
 		s.sfMu.Lock()
 		if c, ok := s.sf[key]; ok {
@@ -495,7 +475,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		c := &call{done: make(chan struct{})}
 		s.sf[key] = c
 		s.sfMu.Unlock()
-		c.resp, c.herr = s.admit(ctx, f, key, nil, d)
+		// Re-check: a twin may have finished between the handler's
+		// lookup and taking the slot.
+		if c.resp = s.cached(key); c.resp == nil {
+			c.resp, c.herr = s.compile(ctx, &req, content, key, d)
+		}
 		s.sfMu.Lock()
 		delete(s.sf, key)
 		s.sfMu.Unlock()
@@ -503,6 +487,47 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, t0, c.resp, c.herr)
 		return
 	}
+}
+
+// cached answers key from the result cache, or returns nil. The key
+// follows the breaker's current mode, read without taking the
+// half-open probe: only a request that compiles may take it, because
+// only a compile reports the probe's verdict. A draining server
+// answers nothing from the cache, so its requests get the 503 of
+// admission. A poisoned entry is counted and evicted, and the request
+// recompiles.
+func (s *Server) cached(key uint64) *compileResponse {
+	if s.draining.Load() {
+		return nil
+	}
+	e, ok, poisoned := s.cache.get(resultKey(key, s.breaker.anyOpen()))
+	if poisoned {
+		s.poison.Inc()
+	}
+	if !ok {
+		return nil
+	}
+	s.hits.Inc()
+	return &compileResponse{Name: e.name, Output: string(e.code), Moves: e.moves,
+		Instrs: e.instrs, FellBack: e.fellBack, Degraded: e.degraded, Cached: true}
+}
+
+// compile decodes the request content and queues it for a worker.
+// Decoding stays in the handler: it is linear work bounded by
+// MaxBodyBytes, and a malformed body must not occupy a queue slot.
+func (s *Server) compile(ctx context.Context, req *compileRequest, content []byte, key uint64, d time.Duration) (*compileResponse, *httpError) {
+	var f *ir.Func
+	var err error
+	if req.LAI != "" {
+		f, err = lai.Parse(req.LAI)
+	} else {
+		f, err = ir.Unmarshal(content)
+	}
+	if err != nil {
+		return nil, errParse(err)
+	}
+	s.decodes.Inc()
+	return s.admit(ctx, f, key, req.Debug, d)
 }
 
 // admit runs admission control and waits for the worker: the bounded
@@ -539,9 +564,7 @@ func (s *Server) finish(w http.ResponseWriter, t0 time.Time, resp *compileRespon
 	if herr != nil {
 		kind = herr.Kind
 	}
-	if s.reg != nil {
-		s.reg.Counter(MetricRequests, metrics.L("kind", kind)).Inc()
-	}
+	s.requests[kind].Inc()
 	switch kind {
 	case "shed":
 		s.shed.Inc()
@@ -591,17 +614,11 @@ func (s *Server) runTask(t *task) {
 	s.inflight.Inc()
 	defer s.inflight.Dec()
 
+	// The handler already missed the cache for this task, so the worker
+	// always compiles: a request that wins the half-open probe here
+	// always reports its verdict.
 	degraded, probeClass := s.breaker.plan()
-	ckey := resultKey(t.key, degraded)
 	if t.debug == nil {
-		if e, ok, poisoned := s.cache.get(ckey); ok {
-			s.hits.Inc()
-			t.resp = &compileResponse{Name: e.name, Output: string(e.code), Moves: e.moves,
-				Instrs: e.instrs, FellBack: e.fellBack, Degraded: e.degraded, Cached: true}
-			return
-		} else if poisoned {
-			s.poison.Inc()
-		}
 		s.misses.Inc()
 	}
 
@@ -659,6 +676,7 @@ func (s *Server) runTask(t *task) {
 	if t.debug == nil {
 		e := &cacheEntry{code: []byte(code), name: t.f.Name,
 			moves: res.Moves, instrs: res.Instrs, fellBack: res.FellBack, degraded: degraded}
+		ckey := resultKey(t.key, degraded)
 		s.cache.put(ckey, e)
 		s.persistResult(ckey, e)
 	}

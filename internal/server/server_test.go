@@ -382,6 +382,97 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeNeverServedFromCache is the regression test for a
+// half-open probe answered from the result cache: a probe that never
+// compiles never reports, the class stays "probing", and every later
+// request degrades for good. Here the first request after the cooldown
+// carries content cached under the full key; it must compile as the
+// probe and close the class.
+func TestBreakerProbeNeverServedFromCache(t *testing.T) {
+	clk := newFakeClock()
+	_, hs, reg := startServer(t, Config{
+		AllowDebug:       true,
+		BreakerThreshold: 1,
+		BreakerWindow:    time.Minute,
+		BreakerCooldown:  5 * time.Second,
+		now:              clk.now,
+	})
+	if rep := postCompile(t, hs.URL, compileRequest{LAI: srcSimple}); rep.status != http.StatusOK || rep.resp.Degraded {
+		t.Fatalf("first compile: status=%d %+v", rep.status, rep.resp)
+	}
+	trip := postCompile(t, hs.URL, compileRequest{LAI: srcSimple, Debug: &debugRequest{PanicPass: "pinning-sp"}})
+	if trip.status != http.StatusOK || !trip.resp.FellBack {
+		t.Fatalf("faulted request: status=%d fellBack=%v", trip.status, trip.resp.FellBack)
+	}
+	if got := counterValue(reg, MetricBreakerTrips); got != 1 {
+		t.Fatalf("breaker trips = %d, want 1", got)
+	}
+
+	clk.advance(6 * time.Second)
+	probe := postCompile(t, hs.URL, compileRequest{LAI: srcSimple})
+	if probe.status != http.StatusOK || probe.resp.Degraded {
+		t.Fatalf("probe after cooldown: status=%d degraded=%v, want the full pipeline", probe.status, probe.resp.Degraded)
+	}
+	for i, seed := range []int64{31, 32} {
+		clk.advance(time.Minute)
+		doc, err := ir.Marshal(testprog.Rand(seed, testprog.DefaultRandOptions()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := postCompile(t, hs.URL, compileRequest{IR: doc})
+		if rep.status != http.StatusOK || rep.resp.Degraded {
+			t.Fatalf("request %d after the probe: status=%d degraded=%v, want the breaker closed", i, rep.status, rep.resp.Degraded)
+		}
+	}
+	if got := counterValue(reg, MetricBreakerProbes); got != 1 {
+		t.Fatalf("breaker probes = %d, want 1", got)
+	}
+}
+
+// TestCacheHitSkipsQueue pins hits-first: with the only worker busy and
+// the only queue slot taken, a request for cached content is answered
+// from the handler — no decode, no snapshot, no shed.
+func TestCacheHitSkipsQueue(t *testing.T) {
+	s, hs, reg := startServer(t, Config{Workers: 1, QueueDepth: 1, AllowDebug: true})
+	if rep := postCompile(t, hs.URL, compileRequest{LAI: srcSimple}); rep.status != http.StatusOK {
+		t.Fatalf("first compile: status %d (%s)", rep.status, rep.errK)
+	}
+	// Two slow debug requests: one holds the worker, the other the
+	// queue slot. Their deadlines end both soon after the check.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			postCompile(t, hs.URL, compileRequest{LAI: srcSimple, DeadlineMS: 1000,
+				Debug: &debugRequest{SleepMS: 100}})
+		}()
+	}
+	for wait := time.Now().Add(5 * time.Second); len(s.queue) < 1 || s.inflight.Value() < 1; {
+		if time.Now().After(wait) {
+			t.Fatal("the slow requests never filled the worker and the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Let the running request take its entry snapshots and reach its
+	// first sleep.
+	time.Sleep(50 * time.Millisecond)
+
+	snaps, decodes := ir.Stats().Snapshots, counterValue(reg, MetricDecodeMisses)
+	rep := postCompile(t, hs.URL, compileRequest{LAI: srcSimple})
+	if rep.status != http.StatusOK || !rep.resp.Cached {
+		t.Fatalf("cached content behind a full queue: status=%d (%s) cached=%v, want 200 cached",
+			rep.status, rep.errK, rep.resp.Cached)
+	}
+	if got := ir.Stats().Snapshots - snaps; got != 0 {
+		t.Fatalf("the hit took %d IR snapshots, want 0", got)
+	}
+	if got := counterValue(reg, MetricDecodeMisses) - decodes; got != 0 {
+		t.Fatalf("the hit decoded %d times, want 0", got)
+	}
+}
+
 func TestDrainRejectsNewWork(t *testing.T) {
 	conf := Config{Metrics: metrics.New()}
 	s, err := New(conf)
