@@ -54,16 +54,16 @@ var throughputLevels = []int{1, 2, 4, 8}
 
 // throughputReport is the BENCH_throughput.json schema.
 type throughputReport struct {
-	Description string            `json:"description"`
-	Date        string            `json:"date"`
-	Host        obs.Host          `json:"host"`
-	GOMAXPROCS  int               `json:"gomaxprocs"`
-	Cores       int               `json:"cores"`
-	Caveat      string            `json:"caveat,omitempty"`
-	Workload    throughputLoad    `json:"workload"`
-	Levels      []throughputLevel `json:"levels"`
-	COW         cowCounters       `json:"cow_counters"`
-	AllocsPerJob allocComparison  `json:"allocs_per_compile_job"`
+	Description  string            `json:"description"`
+	Date         string            `json:"date"`
+	Host         obs.Host          `json:"host"`
+	GOMAXPROCS   int               `json:"gomaxprocs"`
+	Cores        int               `json:"cores"`
+	Caveat       string            `json:"caveat,omitempty"`
+	Workload     throughputLoad    `json:"workload"`
+	Levels       []throughputLevel `json:"levels"`
+	COW          cowCounters       `json:"cow_counters"`
+	AllocsPerJob allocComparison   `json:"allocs_per_compile_job"`
 }
 
 type throughputLoad struct {
@@ -74,9 +74,9 @@ type throughputLoad struct {
 }
 
 type throughputLevel struct {
-	Parallel          int     `json:"parallel"`
-	CompileWallNS     int64   `json:"compile_wall_ns"`
-	AnalyzeWallNS     int64   `json:"analyze_wall_ns"`
+	Parallel           int     `json:"parallel"`
+	CompileWallNS      int64   `json:"compile_wall_ns"`
+	AnalyzeWallNS      int64   `json:"analyze_wall_ns"`
 	CompileFuncsPerSec float64 `json:"compile_funcs_per_sec"`
 	AnalyzeFuncsPerSec float64 `json:"analyze_funcs_per_sec"`
 	TotalFuncsPerSec   float64 `json:"total_funcs_per_sec"`
@@ -84,12 +84,12 @@ type throughputLevel struct {
 }
 
 type cowCounters struct {
-	Snapshots           int64   `json:"snapshots_total"`
-	Materializations    int64   `json:"copies_materialized_total"`
-	SlabCopies          int64   `json:"slab_copies_total"`
-	Adoptions           int64   `json:"adoptions_total"`
-	MaterializedRatio   float64 `json:"copies_materialized_ratio"`
-	Note                string  `json:"note"`
+	Snapshots         int64   `json:"snapshots_total"`
+	Materializations  int64   `json:"copies_materialized_total"`
+	SlabCopies        int64   `json:"slab_copies_total"`
+	Adoptions         int64   `json:"adoptions_total"`
+	MaterializedRatio float64 `json:"copies_materialized_ratio"`
+	Note              string  `json:"note"`
 }
 
 type allocComparison struct {

@@ -87,3 +87,19 @@ func Ops(vals ...ValueID) []Operand {
 	}
 	return out
 }
+
+// MergeIDs merges two ascending lists of distinct value IDs into a new
+// ascending list with len == cap, so an append to the result never
+// writes into memory another holder of it can see. The union-finds over
+// values keep their classes' member lists with it.
+func MergeIDs(a, b []ValueID) []ValueID {
+	out := make([]ValueID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}

@@ -22,6 +22,8 @@
 package sreedhar
 
 import (
+	"slices"
+
 	"outofssa/internal/analysis"
 	"outofssa/internal/cfg"
 	"outofssa/internal/interference"
@@ -125,9 +127,9 @@ func ConvertToCSSA(f *ir.Func, opt Options) (*Stats, map[ir.ValueID]ir.ValueID, 
 		if f.IsPhys(v) {
 			continue
 		}
-		if r := cc.findValue(f, v); r != v {
+		if r := cc.findValue(v); r != v {
 			classes[v] = r
-		} else if len(cc.members(f, v)) > 1 {
+		} else if len(cc.lists[r]) > 1 {
 			classes[v] = v
 		}
 	}
@@ -156,7 +158,7 @@ func (cc *classes) processPhi(f *ir.Func, phi *ir.Instr, live *liveness.Info, an
 	// at the merge point associated with y: live-out of y's predecessor
 	// block for arguments, live-in of the φ block for the target.
 	liveHit := func(x, y phiResource) bool {
-		for _, m := range cc.members(f, x.val) {
+		for _, m := range cc.members(x.val) {
 			if y.isTarget {
 				if live.LiveIn(m, y.blk) {
 					return true
@@ -168,11 +170,11 @@ func (cc *classes) processPhi(f *ir.Func, phi *ir.Instr, live *liveness.Info, an
 		return false
 	}
 	classesInterfere := func(x, y phiResource) bool {
-		if cc.same(f, x.val, y.val) {
+		if cc.same(x.val, y.val) {
 			return false
 		}
-		for _, mx := range cc.members(f, x.val) {
-			for _, my := range cc.members(f, y.val) {
+		for _, mx := range cc.members(x.val) {
+			for _, my := range cc.members(y.val) {
 				if an.Interfere(mx, my) {
 					return true
 				}
@@ -187,7 +189,7 @@ func (cc *classes) processPhi(f *ir.Func, phi *ir.Instr, live *liveness.Info, an
 		if opt.Unsplittable == nil {
 			return true
 		}
-		for _, m := range cc.members(f, res[i].val) {
+		for _, m := range cc.members(res[i].val) {
 			if opt.Unsplittable(m) {
 				return false
 			}
@@ -304,9 +306,16 @@ func (cc *classes) processPhi(f *ir.Func, phi *ir.Instr, live *liveness.Info, an
 }
 
 // classes is a growable union-find over value IDs (values created during
-// conversion are admitted lazily).
+// conversion are admitted lazily). As in Sreedhar et al., each class is
+// also an explicit set: its root keeps the virtual members in ascending
+// ID order, merged at union, so enumerating a class costs its size
+// rather than a scan of the function.
 type classes struct {
+	fn     *ir.Func
 	parent []int
+	// lists[r] holds root r's virtual members in ascending ID order; a
+	// physical register contributes none. Non-root entries are nil.
+	lists [][]ir.ValueID
 	// targetPC and edgePC accumulate this conversion's copies as one
 	// parallel copy per block boundary.
 	targetPC map[*ir.Block]*ir.Instr
@@ -314,16 +323,30 @@ type classes struct {
 }
 
 func newClasses(f *ir.Func) *classes {
-	c := &classes{parent: make([]int, f.NumValues())}
-	for i := range c.parent {
-		c.parent[i] = i
-	}
+	c := &classes{fn: f}
+	c.grow(f.NumValues())
 	return c
 }
 
+// grow admits the values below n as singleton classes. One backing
+// array serves every new singleton list: union always builds a fresh
+// merged list, so no list is ever written after it is made.
 func (c *classes) grow(n int) {
-	for len(c.parent) < n {
-		c.parent = append(c.parent, len(c.parent))
+	old := len(c.parent)
+	if n <= old {
+		return
+	}
+	ids := make([]ir.ValueID, n-old)
+	c.parent = slices.Grow(c.parent, n-old)
+	c.lists = slices.Grow(c.lists, n-old)
+	for i := range ids {
+		ids[i] = ir.ValueID(old + i)
+		c.parent = append(c.parent, old+i)
+		var m []ir.ValueID
+		if !c.fn.IsPhys(ids[i]) {
+			m = ids[i : i+1 : i+1]
+		}
+		c.lists = append(c.lists, m)
 	}
 }
 
@@ -340,30 +363,21 @@ func (c *classes) union(a, b ir.ValueID) {
 	ra, rb := c.find(int(a)), c.find(int(b))
 	if ra != rb {
 		c.parent[rb] = ra
+		c.lists[ra] = ir.MergeIDs(c.lists[ra], c.lists[rb])
+		c.lists[rb] = nil
 	}
 }
 
-func (c *classes) same(f *ir.Func, a, b ir.ValueID) bool {
+func (c *classes) same(a, b ir.ValueID) bool {
 	return c.find(int(a)) == c.find(int(b))
 }
 
-func (c *classes) findValue(f *ir.Func, v ir.ValueID) ir.ValueID {
+func (c *classes) findValue(v ir.ValueID) ir.ValueID {
 	return ir.ValueID(c.find(int(v)))
 }
 
-// members enumerates the congruence class of v. Linear in the number of
-// values; φ classes are small so this is acceptable for the workloads.
-func (c *classes) members(f *ir.Func, v ir.ValueID) []ir.ValueID {
-	root := c.find(int(v))
-	var out []ir.ValueID
-	for id := 0; id < f.NumValues(); id++ {
-		w := ir.ValueID(id)
-		if f.IsPhys(w) {
-			continue
-		}
-		if c.find(id) == root {
-			out = append(out, w)
-		}
-	}
-	return out
+// members returns the virtual values of v's congruence class in
+// ascending ID order: the root's merged list, read-only to the caller.
+func (c *classes) members(v ir.ValueID) []ir.ValueID {
+	return c.lists[c.find(int(v))]
 }

@@ -75,6 +75,23 @@ func TestMembersSorted(t *testing.T) {
 	}
 }
 
+// TestMembersAllocatesNothing pins that Members of a multi-member class
+// returns the class's own sorted list, without copying or sorting.
+func TestMembersAllocatesNothing(t *testing.T) {
+	f := ir.NewFunc("m")
+	res, _ := pin.NewResources(f)
+	vs := []ir.ValueID{f.NewValue("x"), f.NewValue("y"), f.NewValue("z")}
+	res.Union(vs[2], vs[0])
+	res.Union(vs[1], f.Target.R[0])
+	res.Union(vs[1], vs[2])
+	if got := res.Members(vs[0]); len(got) != 4 {
+		t.Fatalf("members = %v, want 4", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { res.Members(vs[0]) }); n != 0 {
+		t.Fatalf("Members allocates %.1f times per call, want 0", n)
+	}
+}
+
 func TestCollectSP(t *testing.T) {
 	f := testprog.WithCallsAndStack()
 	info := ssa.MustBuild(f)

@@ -2,6 +2,7 @@ package pin_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,9 @@ import (
 
 // TestResourcesQuick checks the union-find against a naive map-based
 // model under random operation sequences, including the physical-root
-// invariants.
+// invariants and exact, sorted membership. It also holds on to a
+// Members slice taken before each Union: the union must not write into
+// it.
 func TestResourcesQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -43,7 +46,12 @@ func TestResourcesQuick(t *testing.T) {
 			a := vals[rng.Intn(len(vals))]
 			b := vals[rng.Intn(len(vals))]
 			pa, pb := classPhys(model[a]), classPhys(model[b])
+			before := res.Members(a)
+			kept := slices.Clone(before)
 			_, err := res.Union(a, b)
+			if !slices.Equal(before, kept) {
+				return false // Union wrote into a slice Members returned
+			}
 			wantErr := pa != ir.NoValue && pb != ir.NoValue && pa != pb
 			if wantErr != (err != nil) {
 				return false
@@ -72,15 +80,15 @@ func TestResourcesQuick(t *testing.T) {
 				} else if f.IsPhys(root) {
 					return false
 				}
-				// Members must be exactly the model class.
-				m := res.Members(x)
-				count := 0
+				// Members must be exactly the model class, in ID order.
+				var want []ir.ValueID
 				for _, v := range vals {
 					if model[v] == model[x] {
-						count++
+						want = append(want, v)
 					}
 				}
-				if len(m) != count {
+				slices.Sort(want)
+				if !slices.Equal(res.Members(x), want) {
 					return false
 				}
 			}

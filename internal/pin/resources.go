@@ -24,7 +24,7 @@ type Resources struct {
 	fn      *ir.Func
 	parent  []ir.ValueID
 	rank    []int
-	members map[ir.ValueID][]ir.ValueID // root -> member values
+	members map[ir.ValueID][]ir.ValueID // root -> member values, ascending ID order
 
 	// gen counts class-changing operations (successful Unions). Resource-
 	// level interference verdicts are memoized against it: a verdict
@@ -120,31 +120,28 @@ func (r *Resources) Union(a, b ir.ValueID) (ir.ValueID, error) {
 	if r.rank[ra] == r.rank[rb] {
 		r.rank[ra]++
 	}
-	ma := r.members[ra]
-	if ma == nil {
-		ma = []ir.ValueID{ra}
-	}
-	mb := r.members[rb]
-	if mb == nil {
-		mb = []ir.ValueID{rb}
-	}
-	r.members[ra] = append(ma, mb...)
+	r.members[ra] = ir.MergeIDs(r.classOf(ra), r.classOf(rb))
 	delete(r.members, rb)
 	r.gen++
 	return ra, nil
 }
 
-// Members returns every value in v's resource class, in ID order.
-// Singleton classes return just the value itself.
+// Members returns every value in v's resource class, in ascending ID
+// order. Singleton classes return just the value itself. The slice is
+// the class's own list, returned without a copy: callers must not write
+// into it. It stays valid across later Unions, which build each merged
+// list afresh (with len == cap) and never write into a list already
+// handed out.
 func (r *Resources) Members(v ir.ValueID) []ir.ValueID {
-	root := r.Find(v)
-	m := r.members[root]
-	if m == nil {
-		return []ir.ValueID{root}
+	return r.classOf(r.Find(v))
+}
+
+// classOf returns root's member list; a singleton has none stored.
+func (r *Resources) classOf(root ir.ValueID) []ir.ValueID {
+	if m := r.members[root]; m != nil {
+		return m
 	}
-	out := append([]ir.ValueID(nil), m...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return []ir.ValueID{root}
 }
 
 // IsPhysResource reports whether v's resource contains a dedicated
@@ -153,8 +150,9 @@ func (r *Resources) IsPhysResource(v ir.ValueID) bool {
 	return r.fn.IsPhys(r.Find(v))
 }
 
-// Roots returns the representative of every multi-member or pinned class,
-// plus singletons on demand; used by tests.
+// Roots returns the representative of every multi-member class, in
+// ascending ID order. verify.checkPins walks them for its strong-
+// interference scan.
 func (r *Resources) Roots() []ir.ValueID {
 	var out []ir.ValueID
 	for id := range r.members {

@@ -10,6 +10,7 @@ package ssa
 
 import (
 	"fmt"
+	"strconv"
 
 	"outofssa/internal/analysis"
 	"outofssa/internal/bitset"
@@ -135,12 +136,11 @@ func Build(f *ir.Func) (info *Info, err error) {
 		info.OrigOf[ir.ValueID(id)] = ir.ValueID(id)
 	}
 	stacks := make(map[ir.ValueID][]ir.ValueID)
-	versions := make(map[ir.ValueID]int)
+	versions := make([]int, f.NumValues()) // renamed defs are all pre-existing values
 
 	fresh := func(orig ir.ValueID) ir.ValueID {
 		versions[orig]++
-		name := fmt.Sprintf("%s.%d", f.ValueName(orig), versions[orig])
-		nv := f.NewValue(name)
+		nv := f.NewValue(f.ValueName(orig) + "." + strconv.Itoa(versions[orig]))
 		info.OrigOf[nv] = orig
 		return nv
 	}

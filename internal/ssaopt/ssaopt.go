@@ -9,8 +9,9 @@
 package ssaopt
 
 import (
-	"fmt"
+	"strconv"
 
+	"outofssa/internal/bitset"
 	"outofssa/internal/ir"
 	"outofssa/internal/obs"
 	"outofssa/internal/ssa"
@@ -241,6 +242,7 @@ func FoldSelects(f *ir.Func) int {
 // dissolves). Returns the number of replacements.
 func LocalCSE(f *ir.Func, info *ssa.Info) int {
 	n := 0
+	var buf [64]byte
 	for _, b := range f.Blocks() {
 		avail := make(map[string]ir.ValueID)
 		for _, in := range b.Instrs() {
@@ -259,15 +261,15 @@ func LocalCSE(f *ir.Func, info *ssa.Info) int {
 			if pinned {
 				continue
 			}
-			key := exprKey(in)
-			if prev, ok := avail[key]; ok {
+			key := exprKey(buf[:0], in)
+			if prev, ok := avail[string(key)]; ok {
 				in.SetOp(ir.Copy)
 				in.SetOperands([]ir.Operand{in.DefOp(0)}, []ir.Operand{{Val: prev}})
 				in.Imm = 0
 				n++
 				continue
 			}
-			avail[key] = in.Def(0)
+			avail[string(key)] = in.Def(0)
 		}
 	}
 	return n
@@ -284,12 +286,17 @@ func pureOp(op ir.Op) bool {
 	return false
 }
 
-func exprKey(in *ir.Instr) string {
-	key := fmt.Sprintf("%d:%d", in.Op(), in.Imm)
+// exprKey appends in's expression key to buf: opcode, immediate and
+// use value IDs in decimal, colon-separated ("op:imm:u0:u1...").
+func exprKey(buf []byte, in *ir.Instr) []byte {
+	buf = strconv.AppendInt(buf, int64(in.Op()), 10)
+	buf = append(buf, ':')
+	buf = strconv.AppendInt(buf, in.Imm, 10)
 	for _, u := range in.Uses() {
-		key += fmt.Sprintf(":%d", int32(u.Val))
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(u.Val), 10)
 	}
-	return key
+	return buf
 }
 
 // EliminateDeadCode removes pure instructions whose results are unused
@@ -297,12 +304,13 @@ func exprKey(in *ir.Instr) string {
 // instructions.
 func EliminateDeadCode(f *ir.Func) int {
 	removed := 0
+	used := bitset.New(f.NumValues())
 	for {
-		used := make(map[ir.ValueID]bool)
+		used.Clear()
 		for _, b := range f.Blocks() {
 			for _, in := range b.Instrs() {
 				for _, u := range in.Uses() {
-					used[u.Val] = true
+					used.Add(int(u.Val))
 				}
 			}
 		}
@@ -315,7 +323,7 @@ func EliminateDeadCode(f *ir.Func) int {
 				}
 				live := false
 				for _, d := range in.Defs() {
-					if used[d.Val] || d.Pinned() {
+					if used.Has(int(d.Val)) || d.Pinned() {
 						live = true
 						break
 					}

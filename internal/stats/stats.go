@@ -170,7 +170,10 @@ func buildTable(title, note string, cols []string, tr obs.Tracer, spec func(col 
 			res := &results[i]
 			ci := i / len(master.Funcs)
 			if res.Err != nil {
-				return nil, fmt.Errorf("%s/%s: %v", master.Name, res.Func.Name, res.Err)
+				// Name the suite function, not res.Func: a job the
+				// cancelled batch never started has none.
+				fn := master.Funcs[i%len(master.Funcs)]
+				return nil, fmt.Errorf("%s/%s: %w", master.Name, fn.Name, res.Err)
 			}
 			if specs[ci].weighted {
 				row.Cells[ci] += res.Result.WeightedMoves

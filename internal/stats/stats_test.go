@@ -1,6 +1,9 @@
 package stats_test
 
 import (
+	"context"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -56,5 +59,52 @@ func TestRenderingDeltas(t *testing.T) {
 	s := tb.String()
 	if !strings.Contains(s, "10") || !strings.Contains(s, "+3") {
 		t.Fatalf("delta rendering wrong:\n%s", s)
+	}
+}
+
+// TestTablesGolden pins every cell of Tables 2–5: they are rendered at
+// Parallel 2, plain and in checked mode, and must match the committed
+// rendering byte for byte.
+func TestTablesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/tables_2_5.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(parallel int, checked bool) {
+		stats.Parallel, stats.Checked = parallel, checked
+	}(stats.Parallel, stats.Checked)
+	stats.Parallel = 2
+	for _, checked := range []bool{false, true} {
+		stats.Checked = checked
+		ts, err := stats.AllTables()
+		if err != nil {
+			t.Fatalf("checked=%v: %v", checked, err)
+		}
+		var b strings.Builder
+		for _, tb := range ts {
+			b.WriteString(tb.String())
+			b.WriteString("\n")
+		}
+		if got := b.String(); got != string(want) {
+			t.Errorf("checked=%v: tables differ from testdata/tables_2_5.txt\ngot:\n%s\nwant:\n%s", checked, got, want)
+		}
+	}
+}
+
+// TestCancelledTableReturnsCause: a table run whose context is already
+// done stops without building any job and returns an error wrapping
+// the context's cause, serially and on the worker pool.
+func TestCancelledTableReturnsCause(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	defer func(c context.Context, parallel int) {
+		stats.Context, stats.Parallel = c, parallel
+	}(stats.Context, stats.Parallel)
+	stats.Context = ctx
+	for _, parallel := range []int{1, 2} {
+		stats.Parallel = parallel
+		if _, err := stats.Table2(); !errors.Is(err, context.Canceled) {
+			t.Errorf("Parallel %d: err = %v, want one wrapping context.Canceled", parallel, err)
+		}
 	}
 }
