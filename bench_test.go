@@ -371,8 +371,8 @@ var benchEngines = []interference.Engine{interference.EnginePairwise, interferen
 // BenchmarkInterferenceQueries isolates the resource-level query engines
 // on the raw Resource_killed / Resource_interfere workload: for every
 // function of the suite, a fresh ResourceGraph (empty memos) answers
-// KilledSet for every resource root plus Interfere over a root-pair
-// sample. This is the hot path Program_pinning and the Leung mark phase
+// IsKilled for every value (one Resource_killed computation per class)
+// plus Interfere over a root-pair sample. This is the hot path Program_pinning and the Leung mark phase
 // sit on; BENCH_interference.json records a committed run.
 func BenchmarkInterferenceQueries(b *testing.B) {
 	for _, engine := range benchEngines {
@@ -384,6 +384,7 @@ func BenchmarkInterferenceQueries(b *testing.B) {
 					an    *interference.Analysis
 					res   *pin.Resources
 					roots []ir.ValueID
+					nv    int
 				}
 				var ps []prep
 				for _, f := range funcs {
@@ -401,7 +402,7 @@ func BenchmarkInterferenceQueries(b *testing.B) {
 							roots = append(roots, r)
 						}
 					}
-					ps = append(ps, prep{an, res, roots})
+					ps = append(ps, prep{an, res, roots, f.NumValues()})
 				}
 				b.StartTimer()
 				verdicts := 0
@@ -409,8 +410,10 @@ func BenchmarkInterferenceQueries(b *testing.B) {
 					for _, p := range ps {
 						g := interference.NewResourceGraph(p.an, p.res)
 						g.Engine = engine
-						for _, r := range p.roots {
-							verdicts += g.KilledSet(r).Len()
+						for id := 0; id < p.nv; id++ {
+							if g.IsKilled(ir.ValueID(id)) {
+								verdicts++
+							}
 						}
 						step := len(p.roots)/48 + 1
 						for x := 0; x < len(p.roots); x += step {

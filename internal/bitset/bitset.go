@@ -138,21 +138,6 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
-// IntersectsWith reports whether s and o share at least one element,
-// without allocating.
-func (s *Set) IntersectsWith(o *Set) bool {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NextSet returns the smallest element >= i, or -1 if there is none.
 // Word-level scanning makes iterating a sparse set over a large domain
 // cheap: for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) { ... }.
@@ -175,32 +160,6 @@ func (s *Set) NextSet(i int) int {
 	return -1
 }
 
-// NextAnd returns the smallest element of s ∩ o that is >= i, or -1 if
-// there is none — NextSet over an intersection, without materializing
-// it.
-func (s *Set) NextAnd(o *Set, i int) int {
-	if i < 0 {
-		i = 0
-	}
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	wi := i / 64
-	if wi >= n {
-		return -1
-	}
-	if w := (s.words[wi] & o.words[wi]) >> uint(i%64); w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < n; wi++ {
-		if w := s.words[wi] & o.words[wi]; w != 0 {
-			return wi*64 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
 // CopyFrom makes s an exact copy of o, reusing s's storage when large
 // enough.
 func (s *Set) CopyFrom(o *Set) {
@@ -214,23 +173,6 @@ func (s *Set) CopyFrom(o *Set) {
 // ForEach calls fn for each element in increasing order.
 func (s *Set) ForEach(fn func(int)) {
 	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*64 + b)
-			w &^= 1 << uint(b)
-		}
-	}
-}
-
-// ForEachAnd calls fn for each element of s ∩ o in increasing order,
-// without materializing the intersection.
-func (s *Set) ForEachAnd(o *Set, fn func(int)) {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for wi := 0; wi < n; wi++ {
-		w := s.words[wi] & o.words[wi]
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			fn(wi*64 + b)

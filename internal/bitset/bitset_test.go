@@ -169,35 +169,6 @@ func TestNextSet(t *testing.T) {
 	}
 }
 
-func TestIntersectsWithAndForEachAnd(t *testing.T) {
-	a := bitset.New(200)
-	b := bitset.New(200)
-	for _, x := range []int{1, 70, 150} {
-		a.Add(x)
-	}
-	for _, x := range []int{2, 71, 151} {
-		b.Add(x)
-	}
-	if a.IntersectsWith(b) {
-		t.Fatal("disjoint sets reported intersecting")
-	}
-	b.Add(70)
-	if !a.IntersectsWith(b) || !b.IntersectsWith(a) {
-		t.Fatal("intersecting sets reported disjoint")
-	}
-	var got []int
-	a.ForEachAnd(b, func(i int) { got = append(got, i) })
-	if len(got) != 1 || got[0] != 70 {
-		t.Fatalf("ForEachAnd = %v, want [70]", got)
-	}
-	// Mismatched capacities must not panic or over-read.
-	small := bitset.New(8)
-	small.Add(1)
-	if !small.IntersectsWith(a) == a.Has(1) {
-		t.Fatal("capacity mismatch handling wrong")
-	}
-}
-
 func TestCopyFrom(t *testing.T) {
 	src := bitset.New(300)
 	src.Add(7)

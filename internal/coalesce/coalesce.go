@@ -147,14 +147,11 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 			for _, phi := range b.Phis() {
 				x := res.Find(phi.Def(0))
 				for _, u := range phi.Uses() {
-					if rg.KilledSet(u.Val).Has(int(u.Val)) {
+					if rg.IsKilled(u.Val) {
 						continue // repaired argument: nothing to gain
 					}
 					a := res.Find(u.Val)
-					if a == x || rg.Interfere(a, x) {
-						continue
-					}
-					if _, err := res.Union(a, x); err != nil {
+					if a == x || !rg.Merge(a, x) {
 						continue
 					}
 					x = res.Find(phi.Def(0))
@@ -179,7 +176,7 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 			x := res.Find(phi.Def(0))
 			for _, u := range phi.Uses() {
 				st.PhiSlots++
-				if res.Find(u.Val) == x && !rg.KilledSet(x).Has(int(u.Val)) {
+				if res.Find(u.Val) == x && !rg.IsKilled(u.Val) {
 					st.Gain++
 				}
 			}
@@ -233,11 +230,6 @@ func createAffinityGraph(b *ir.Block, res *pin.Resources, rg *interference.Resou
 		}
 		return nil
 	}
-	// Resource_killed sets are memoized inside the graph (generation-
-	// keyed), so repeated probes per root cost a map hit.
-	isKilled := func(v ir.ValueID) bool {
-		return rg.KilledSet(v).Has(int(v))
-	}
 	for _, phi := range b.Phis() {
 		rX := addVert(phi.Def(0))
 		for _, u := range phi.Uses() {
@@ -247,7 +239,7 @@ func createAffinityGraph(b *ir.Block, res *pin.Resources, rg *interference.Resou
 					continue
 				}
 			}
-			if isKilled(u.Val) {
+			if rg.IsKilled(u.Val) {
 				continue // repair move is unavoidable: no gain possible
 			}
 			rx := addVert(u.Val)
@@ -373,13 +365,7 @@ func pinBlock(g *graph, res *pin.Resources, rg *interference.ResourceGraph, st *
 		if a == b {
 			continue
 		}
-		if rg.Interfere(a, b) {
-			st.EdgesDeferred++
-			continue
-		}
-		if _, err := res.Union(a, b); err != nil {
-			// Two physical resources — interference should have caught
-			// this; treat as a deferred edge.
+		if !rg.Merge(a, b) {
 			st.EdgesDeferred++
 			continue
 		}

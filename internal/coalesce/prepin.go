@@ -90,11 +90,7 @@ func PrePinDefs(f *ir.Func, mode interference.Mode) (*PrePinStats, error) {
 				// The value must not be killed in its own resource at this
 				// point (then the repair move is unavoidable anyway), and
 				// merging must not create a new interference.
-				if rg.KilledSet(v).Has(int(v)) || rg.Interfere(v, want) {
-					st.Skipped++
-					continue
-				}
-				if _, err := res.Union(v, want); err != nil {
+				if rg.IsKilled(v) || !rg.Merge(v, want) {
 					st.Skipped++
 					continue
 				}

@@ -1,6 +1,8 @@
 package interference
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"outofssa/internal/bitset"
@@ -39,9 +41,12 @@ var DefaultEngine = EngineDominance
 
 // ResourceGraph lifts variable interference to resources (§3.3). It
 // consults pin.Resources for membership, so queries remain correct as
-// the coalescer merges classes; resource-level verdicts are memoized
-// keyed on the Resources generation, so repeated probes between merges
-// (the greedy affinity pruning re-asks constantly) cost a map hit.
+// the coalescer merges classes. Resource-level results are memoized per
+// class: the killed marks of a root, and the verdict for a pair of
+// roots, stay valid until a Union grows one of those classes
+// (pin.Resources.Changed), so merging two other classes evicts nothing,
+// and Merge keeps the merged class's marks valid without recomputing
+// them.
 type ResourceGraph struct {
 	An  *Analysis
 	Res *pin.Resources
@@ -50,27 +55,30 @@ type ResourceGraph struct {
 	// verdicts.
 	Engine Engine
 
-	// Sites are the pinned-use clobber points of the function (φ uses
-	// excluded — those are Class 2).
-	Sites []PinSite
+	// sites are the pinned-use clobber points of the function (φ uses
+	// excluded — those are Class 2), grouped by pinned value: the sites
+	// pinned to value v are sites[siteOff[v]:siteOff[v+1]], so a class
+	// finds its sites through its members.
+	sites   []PinSite
+	siteOff []int32
 
-	killedMemo    map[ir.ValueID]killedEntry
+	// killed holds the Resource_killed marks of every value whose class
+	// has been computed. killedAt[root] is one more than the generation
+	// at which root's marks were made valid (0: never); they stay valid
+	// while Res.Changed(root) is below it. A recompute clears and
+	// re-marks only the class's own members.
+	killed        *bitset.Set
+	killedAt      []uint64
 	interfereMemo map[[2]ir.ValueID]interfereEntry
-	pool          bitset.Pool
 
 	// Sweep scratch, recycled across queries: defPoint structs, the
 	// point-slice headers, and the dominance-chain stack. The sweeps run
-	// once per (resource, generation) but the coalescer's probe loop makes
-	// that tens of thousands of times per function, so their steady-state
+	// once per class change but the coalescer's probe loop makes that
+	// tens of thousands of times per function, so their steady-state
 	// allocation rate has to be zero.
 	ptFree  []*defPoint
 	bufFree [][]*defPoint
 	stack   []*defPoint
-}
-
-type killedEntry struct {
-	gen uint64
-	set *bitset.Set
 }
 
 type interfereEntry struct {
@@ -81,11 +89,14 @@ type interfereEntry struct {
 // NewResourceGraph pairs an analysis with resource classes and collects
 // the pinned-use clobber sites.
 func NewResourceGraph(an *Analysis, res *pin.Resources) *ResourceGraph {
+	nv := an.fn.NumValues()
 	g := &ResourceGraph{
 		An:            an,
 		Res:           res,
 		Engine:        DefaultEngine,
-		killedMemo:    make(map[ir.ValueID]killedEntry),
+		siteOff:       make([]int32, nv+1),
+		killed:        bitset.New(nv),
+		killedAt:      make([]uint64, nv),
 		interfereMemo: make(map[[2]ir.ValueID]interfereEntry),
 	}
 	for _, b := range an.fn.Blocks() {
@@ -95,44 +106,66 @@ func NewResourceGraph(an *Analysis, res *pin.Resources) *ResourceGraph {
 			}
 			for _, u := range in.Uses() {
 				if u.Pinned() {
-					g.Sites = append(g.Sites, PinSite{Pin: u.Pin(), Val: u.Val, In: in})
+					g.sites = append(g.sites, PinSite{Pin: u.Pin(), Val: u.Val, In: in})
 				}
 			}
 		}
 	}
+	slices.SortStableFunc(g.sites, func(x, y PinSite) int { return cmp.Compare(x.Pin, y.Pin) })
+	for _, s := range g.sites {
+		g.siteOff[s.Pin+1]++
+	}
+	for v := 1; v <= nv; v++ {
+		g.siteOff[v] += g.siteOff[v-1]
+	}
 	return g
 }
 
-// KilledSet implements Resource_killed: the members of v's resource that
-// are killed by some other member (or by themselves, for the lost-copy
-// case), or by a pinned use writing the resource while they are live.
-// The returned set is memoized and must be treated as read-only; it is
-// valid until the next Resources.Union.
-func (g *ResourceGraph) KilledSet(v ir.ValueID) *bitset.Set {
-	g.An.c.ResourceKilled++
-	root := g.Res.Find(v)
-	gen := g.Res.Gen()
-	if e, ok := g.killedMemo[root]; ok && e.gen == gen {
-		g.An.c.KilledMemoHits++
-		return e.set
-	}
-	var s *bitset.Set
-	if g.Engine == EnginePairwise {
-		s = g.killedPairwise(root, g.Res.Members(root))
-	} else {
-		s = g.killedSweep(root)
-	}
-	g.killedMemo[root] = killedEntry{gen: gen, set: s}
-	return s
+// sitesOf returns the pin sites whose pinned value is v.
+func (g *ResourceGraph) sitesOf(v ir.ValueID) []PinSite {
+	return g.sites[g.siteOff[v]:g.siteOff[v+1]]
 }
 
-// Killed is KilledSet as a map, for callers (and tests) that want value
-// keys rather than a bitset.
+// IsKilled implements membership in Resource_killed: whether v is
+// killed within its resource by some other member (or by itself, for
+// the lost-copy case), or by a pinned use writing the resource while v
+// is live.
+func (g *ResourceGraph) IsKilled(v ir.ValueID) bool {
+	g.ensureKilled(g.Res.Find(v))
+	return g.killed.Has(int(v))
+}
+
+// Killed returns the Resource_killed set of v's resource as a map.
 func (g *ResourceGraph) Killed(v ir.ValueID) map[ir.ValueID]bool {
-	set := g.KilledSet(v)
-	killed := make(map[ir.ValueID]bool, set.Len())
-	set.ForEach(func(id int) { killed[ir.ValueID(id)] = true })
+	root := g.Res.Find(v)
+	g.ensureKilled(root)
+	killed := make(map[ir.ValueID]bool)
+	for _, m := range g.Res.Members(root) {
+		if g.killed.Has(int(m)) {
+			killed[m] = true
+		}
+	}
 	return killed
+}
+
+// ensureKilled makes root's killed marks valid, recomputing them unless
+// no Union has grown the class since they were last computed.
+func (g *ResourceGraph) ensureKilled(root ir.ValueID) {
+	g.An.c.ResourceKilled++
+	if g.Res.Changed(root) < g.killedAt[root] {
+		g.An.c.KilledMemoHits++
+		return
+	}
+	members := g.Res.Members(root)
+	for _, m := range members {
+		g.killed.Remove(int(m))
+	}
+	if g.Engine == EnginePairwise {
+		g.killedPairwise(members)
+	} else {
+		g.killedSweep(members)
+	}
+	g.killedAt[root] = g.Res.Gen() + 1
 }
 
 // Interfere implements Resource_interfere(A, B): merging the two
@@ -151,27 +184,58 @@ func (g *ResourceGraph) Interfere(a, b ir.ValueID) bool {
 	if key[0] > key[1] {
 		key[0], key[1] = key[1], key[0]
 	}
-	gen := g.Res.Gen()
-	if e, ok := g.interfereMemo[key]; ok && e.gen == gen {
+	if e, ok := g.interfereMemo[key]; ok && g.Res.Changed(ra) <= e.gen && g.Res.Changed(rb) <= e.gen {
 		g.An.c.InterfereMemoHits++
 		return e.verdict
 	}
+	g.ensureKilled(ra)
+	g.ensureKilled(rb)
+	ma, mb := g.Res.Members(ra), g.Res.Members(rb)
 	var v bool
 	if g.Engine == EnginePairwise {
-		v = g.interferePairwise(ra, rb, g.Res.Members(ra), g.Res.Members(rb))
+		v = g.interferePairwise(ma, mb)
 	} else {
-		v = g.interfereSweep(ra, rb)
+		v = g.interfereSweep(ma, mb)
 	}
-	g.interfereMemo[key] = interfereEntry{gen: gen, verdict: v}
+	g.interfereMemo[key] = interfereEntry{gen: g.Res.Gen(), verdict: v}
 	return v
+}
+
+// Merge unions the resources of a and b unless Interfere(a, b) reports
+// that doing so would create a new interference, and reports whether
+// they now share a resource.
+//
+// The merged class's killed marks stay valid without a recompute:
+// Interfere is false only when no member left unkilled in its own class
+// is killed by a member or a pin site of the other, so the merge kills
+// nothing new and every kill within either half persists —
+// Resource_killed(A∪B) = Resource_killed(A) ∪ Resource_killed(B), and
+// both halves' marks are valid once Interfere has answered.
+func (g *ResourceGraph) Merge(a, b ir.ValueID) bool {
+	if g.Interfere(a, b) {
+		return false
+	}
+	ra, rb := g.Res.Find(a), g.Res.Find(b)
+	if ra == rb {
+		return true
+	}
+	root, err := g.Res.Union(ra, rb)
+	if err != nil {
+		// Two physical roots: Interfere answered true above.
+		panic("interference: Merge: " + err.Error())
+	}
+	g.killedAt[root] = g.Res.Gen() + 1
+	return true
 }
 
 // ---------------------------------------------------------------------
 // Pairwise engine: the direct O(k²) expansion of the paper's lifting.
 
-func (g *ResourceGraph) killedPairwise(root ir.ValueID, members []ir.ValueID) *bitset.Set {
+// killedPairwise marks the killed members of a class whose marks have
+// just been cleared.
+func (g *ResourceGraph) killedPairwise(members []ir.ValueID) {
 	f := g.An.fn
-	killed := bitset.New(f.NumValues())
+	killed := g.killed
 	for _, ai := range members {
 		if f.IsPhys(ai) {
 			continue
@@ -186,26 +250,33 @@ func (g *ResourceGraph) killedPairwise(root ir.ValueID, members []ir.ValueID) *b
 			}
 		}
 	}
-	for _, site := range g.Sites {
-		if g.Res.Find(site.Pin) != root {
-			continue
-		}
-		for _, m := range members {
-			if f.IsPhys(m) || killed.Has(int(m)) {
-				continue
-			}
-			if site.kills(g.An, m) {
-				killed.Add(int(m))
+	g.siteKills(members)
+}
+
+// siteKills marks the members, virtual and not yet marked, that a site
+// pinned to the class clobbers: a use pinned to the resource writes it
+// just before its instruction, killing members live across that point.
+func (g *ResourceGraph) siteKills(members []ir.ValueID) {
+	f := g.An.fn
+	for _, p := range members {
+		for _, site := range g.sitesOf(p) {
+			for _, m := range members {
+				if f.IsPhys(m) || g.killed.Has(int(m)) {
+					continue
+				}
+				if site.kills(g.An, m) {
+					g.killed.Add(int(m))
+				}
 			}
 		}
 	}
-	return killed
 }
 
-func (g *ResourceGraph) interferePairwise(ra, rb ir.ValueID, ma, mb []ir.ValueID) bool {
+// interferePairwise answers Interfere for two distinct classes whose
+// killed marks are valid.
+func (g *ResourceGraph) interferePairwise(ma, mb []ir.ValueID) bool {
 	f := g.An.fn
-	killedA := g.KilledSet(ra)
-	killedB := g.KilledSet(rb)
+	killed := g.killed
 	for _, x := range ma {
 		if f.IsPhys(x) {
 			continue
@@ -214,10 +285,10 @@ func (g *ResourceGraph) interferePairwise(ra, rb ir.ValueID, ma, mb []ir.ValueID
 			if f.IsPhys(y) {
 				continue
 			}
-			if !killedA.Has(int(x)) && g.An.Kills(y, x) {
+			if !killed.Has(int(x)) && g.An.Kills(y, x) {
 				return true
 			}
-			if !killedB.Has(int(y)) && g.An.Kills(x, y) {
+			if !killed.Has(int(y)) && g.An.Kills(x, y) {
 				return true
 			}
 			if g.An.StronglyInterfere(x, y) {
@@ -227,24 +298,23 @@ func (g *ResourceGraph) interferePairwise(ra, rb ir.ValueID, ma, mb []ir.ValueID
 	}
 	// A pinned use writing one resource kills live members of the other
 	// once merged.
-	for _, site := range g.Sites {
-		rs := g.Res.Find(site.Pin)
-		var victims []ir.ValueID
-		var killedV *bitset.Set
-		switch rs {
-		case ra:
-			victims, killedV = mb, killedB
-		case rb:
-			victims, killedV = ma, killedA
-		default:
-			continue
-		}
-		for _, m := range victims {
-			if f.IsPhys(m) || killedV.Has(int(m)) {
-				continue
-			}
-			if site.kills(g.An, m) {
-				return true
+	return g.siteClobbers(ma, mb) || g.siteClobbers(mb, ma)
+}
+
+// siteClobbers reports whether a site pinned to one of pinned's values
+// clobbers a virtual member of victims that its own class leaves
+// unkilled.
+func (g *ResourceGraph) siteClobbers(pinned, victims []ir.ValueID) bool {
+	f := g.An.fn
+	for _, p := range pinned {
+		for _, site := range g.sitesOf(p) {
+			for _, m := range victims {
+				if f.IsPhys(m) || g.killed.Has(int(m)) {
+					continue
+				}
+				if site.kills(g.An, m) {
+					return true
+				}
 			}
 		}
 	}
@@ -420,7 +490,7 @@ func (an *Analysis) killsAtPoint(p *defPoint, victim ir.ValueID) bool {
 // sweepCutoff is the class size (virtual members) at or below which the
 // dominance engine answers with the pairwise expansion: at tiny k the
 // O(k²) loop over memoized sparse-liveness queries is cheaper than
-// mobilizing the sweep (point grouping, pooled sets, chain stack), and
+// mobilizing the sweep (point grouping, chain stack), and
 // most classes stay tiny — the sweep earns its keep on the large pinned
 // classes (SP ties, ABI chains, late-coalescing merges) where k² bites.
 // The crossover was measured with BenchmarkInterferenceQueries; verdicts
@@ -438,15 +508,16 @@ func virtualCount(f *ir.Func, members []ir.ValueID) int {
 	return n
 }
 
-func (g *ResourceGraph) killedSweep(root ir.ValueID) *bitset.Set {
+// killedSweep marks the killed members of a class whose marks have just
+// been cleared.
+func (g *ResourceGraph) killedSweep(members []ir.ValueID) {
 	an := g.An
 	f := an.fn
-	members := g.Res.Members(root)
 	if virtualCount(f, members) <= sweepCutoff {
-		return g.killedPairwise(root, members)
+		g.killedPairwise(members)
+		return
 	}
-	nv := f.NumValues()
-	killed := bitset.New(nv)
+	killed := g.killed
 
 	// Class 2: a φ member's replacement move at the end of predecessor i
 	// clobbers every member live out of that predecessor other than the
@@ -518,37 +589,24 @@ func (g *ResourceGraph) killedSweep(root ir.ValueID) *bitset.Set {
 		stack = append(stack, p)
 	}
 
-	// Pinned-use clobbers: a use pinned to this resource writes it just
-	// before its instruction, killing members live across that point.
-	for _, site := range g.Sites {
-		if g.Res.Find(site.Pin) != root {
-			continue
-		}
-		for _, m := range members {
-			if f.IsPhys(m) || killed.Has(int(m)) {
-				continue
-			}
-			if site.kills(an, m) {
-				killed.Add(int(m))
-			}
-		}
-	}
-	return killed
+	g.siteKills(members)
 }
 
-func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID) bool {
+// interfereSweep answers Interfere for two distinct classes whose killed
+// marks are valid.
+func (g *ResourceGraph) interfereSweep(ma, mb []ir.ValueID) bool {
 	an := g.An
 	f := an.fn
-	ma, mb := g.Res.Members(ra), g.Res.Members(rb)
 	// The pairwise cost of Interfere is the PRODUCT of the class sizes
 	// (one huge class probed against a singleton is only k queries), so
 	// the cutoff is on the product.
 	if virtualCount(f, ma)*virtualCount(f, mb) <= sweepCutoff*sweepCutoff {
-		return g.interferePairwise(ra, rb, ma, mb)
+		return g.interferePairwise(ma, mb)
 	}
-	killedA := g.KilledSet(ra)
-	killedB := g.KilledSet(rb)
-	nv := f.NumValues()
+	// The victim candidates are the virtual members not already killed
+	// within their own class (a kill already repaired is not a *new*
+	// interference).
+	killed := g.killed
 
 	// Shared definition points across the two classes interfere outright
 	// (same instruction → strong; same block's φ prefix → Class 4).
@@ -588,28 +646,10 @@ func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID) bool {
 		}
 	}
 
-	// aliveA/aliveB: virtual members not already killed within their own
-	// class — the victim candidates (a kill already repaired is not a
-	// *new* interference).
-	aliveA := g.pool.Get(nv)
-	aliveB := g.pool.Get(nv)
-	defer g.pool.Put(aliveA)
-	defer g.pool.Put(aliveB)
-	for _, x := range ma {
-		if !f.IsPhys(x) && !killedA.Has(int(x)) {
-			aliveA.Add(int(x))
-		}
-	}
-	for _, y := range mb {
-		if !f.IsPhys(y) && !killedB.Has(int(y)) {
-			aliveB.Add(int(y))
-		}
-	}
-
 	// Class 2 across the merge: a φ member of one class clobbering an
 	// alive member of the other at a predecessor exit. Point queries per
 	// victim keep the query engine on its memoized per-variable walks.
-	phiClobbers := func(members []ir.ValueID, victims *bitset.Set) bool {
+	phiClobbers := func(members, victims []ir.ValueID) bool {
 		for _, m := range members {
 			if f.IsPhys(m) {
 				continue
@@ -621,8 +661,11 @@ func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID) bool {
 			blk := def.Block()
 			for i, u := range def.Uses() {
 				pred := blk.Pred(i)
-				for id := victims.NextSet(0); id >= 0; id = victims.NextSet(id + 1) {
-					if ir.ValueID(id) != u.Val && an.live.LiveOut(ir.ValueID(id), pred) {
+				for _, v := range victims {
+					if f.IsPhys(v) || killed.Has(int(v)) {
+						continue
+					}
+					if v != u.Val && an.live.LiveOut(v, pred) {
 						return true
 					}
 				}
@@ -630,7 +673,7 @@ func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID) bool {
 		}
 		return false
 	}
-	if phiClobbers(ma, aliveB) || phiClobbers(mb, aliveA) {
+	if phiClobbers(ma, mb) || phiClobbers(mb, ma) {
 		return true
 	}
 
@@ -647,16 +690,12 @@ func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID) bool {
 		for len(stack) > 0 && !g.covers(stack[len(stack)-1], p) {
 			stack = stack[:len(stack)-1]
 		}
-		alive := aliveA
-		if p.side == 0 {
-			alive = aliveB
-		}
 		for _, q := range stack {
 			if q.side == p.side {
 				continue
 			}
 			for _, victim := range q.vals {
-				if alive.Has(int(victim)) && an.killsAtPoint(p, victim) {
+				if !killed.Has(int(victim)) && an.killsAtPoint(p, victim) {
 					return true
 				}
 			}
@@ -665,22 +704,5 @@ func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID) bool {
 	}
 
 	// Pinned-use clobbers across the merge.
-	for _, site := range g.Sites {
-		rs := g.Res.Find(site.Pin)
-		var victims *bitset.Set
-		switch rs {
-		case ra:
-			victims = aliveB
-		case rb:
-			victims = aliveA
-		default:
-			continue
-		}
-		for id := victims.NextSet(0); id >= 0; id = victims.NextSet(id + 1) {
-			if site.kills(an, ir.ValueID(id)) {
-				return true
-			}
-		}
-	}
-	return false
+	return g.siteClobbers(ma, mb) || g.siteClobbers(mb, ma)
 }

@@ -13,46 +13,51 @@ import (
 	"outofssa/internal/testprog"
 )
 
-// crossCheckEngines builds two resource graphs over the same function,
-// pins and resource classes — one per engine — and requires bit-for-bit
-// identical Resource_killed sets and Resource_interfere verdicts, both
-// on the initial classes and again after a round of φ-affinity merges
-// (which exercises multi-member classes, the generation-keyed memo
-// invalidation, and the merged-class sweep paths).
+// crossCheckEngines checks the dominance engine against the pairwise
+// oracle over one function, pins and mode. Both engines must give
+// bit-for-bit identical Resource_killed marks and Resource_interfere
+// verdicts on the initial classes. Then, for each engine, a round of
+// φ-affinity merges — the unions the coalescer's residual sweep would
+// perform — runs through Merge: after every merge, the marks the graph
+// carried across it must equal those of a fresh pairwise graph, and
+// Merge must have refused exactly the merges the oracle said interfere.
+// The engines must agree again on the grown classes.
 func crossCheckEngines(t *testing.T, f *ir.Func, mode interference.Mode) {
 	t.Helper()
 	cfg.SplitCriticalEdges(f)
-	res, err := pin.NewResources(f)
-	if err != nil {
-		t.Fatalf("NewResources: %v", err)
-	}
 	live := liveness.Compute(f)
 	dom := cfg.Dominators(f)
 	an := interference.New(f, live, dom, mode)
-	gD := interference.NewResourceGraph(an, res)
-	gD.Engine = interference.EngineDominance
-	gP := interference.NewResourceGraph(an, res)
-	gP.Engine = interference.EnginePairwise
-
-	roots := func() []ir.ValueID {
-		seen := make(map[ir.ValueID]bool)
-		var out []ir.ValueID
+	newResources := func() *pin.Resources {
+		res, err := pin.NewResources(f)
+		if err != nil {
+			t.Fatalf("NewResources: %v", err)
+		}
+		return res
+	}
+	graph := func(res *pin.Resources, engine interference.Engine) *interference.ResourceGraph {
+		g := interference.NewResourceGraph(an, res)
+		g.Engine = engine
+		return g
+	}
+	sameKilled := func(stage string, g, oracle *interference.ResourceGraph) {
 		for id := 0; id < f.NumValues(); id++ {
-			r := res.Find(ir.ValueID(id))
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
+			v := ir.ValueID(id)
+			if got, want := g.IsKilled(v), oracle.IsKilled(v); got != want {
+				t.Fatalf("%s: %s: %v in Resource_killed: %s=%v pairwise=%v",
+					stage, f.Name, f.VStr(v), g.Engine, got, want)
 			}
 		}
-		return out
 	}
-	check := func(stage string) {
-		rs := roots()
-		for _, r := range rs {
-			kd, kp := gD.KilledSet(r), gP.KilledSet(r)
-			if !kd.Equal(kp) {
-				t.Fatalf("%s: %s: Resource_killed(%v) diverges:\n dominance %v\n pairwise  %v",
-					stage, f.Name, f.VStr(r), kd.Elems(), kp.Elems())
+	agree := func(stage string, res *pin.Resources) {
+		gD, gP := graph(res, interference.EngineDominance), graph(res, interference.EnginePairwise)
+		sameKilled(stage, gD, gP)
+		seen := make(map[ir.ValueID]bool)
+		var rs []ir.ValueID
+		for id := 0; id < f.NumValues(); id++ {
+			if r := res.Find(ir.ValueID(id)); !seen[r] {
+				seen[r] = true
+				rs = append(rs, r)
 			}
 		}
 		for i := 0; i < len(rs); i++ {
@@ -67,37 +72,31 @@ func crossCheckEngines(t *testing.T, f *ir.Func, mode interference.Mode) {
 		}
 	}
 
-	check("initial")
-
-	// Merge a handful of non-interfering φ-affine classes — the same
-	// unions the coalescer's residual sweep would perform — and
-	// re-check on the grown classes.
-	merges := 0
-	for _, b := range f.Blocks() {
-		for _, phi := range b.Phis() {
-			for _, u := range phi.Uses() {
-				a, x := res.Find(u.Val), res.Find(phi.Def(0))
-				if a == x {
-					continue
-				}
-				vd, vp := gD.Interfere(a, x), gP.Interfere(a, x)
-				if vd != vp {
-					t.Fatalf("merge probe: %s: Resource_interfere(%v, %v): dominance=%v pairwise=%v",
-						f.Name, a, x, vd, vp)
-				}
-				if vd {
-					continue
-				}
-				if _, err := res.Union(a, x); err == nil {
-					merges++
-				}
-				if merges >= 8 {
-					break
+	agree("initial", newResources())
+	for _, engine := range []interference.Engine{interference.EngineDominance, interference.EnginePairwise} {
+		res := newResources()
+		g := graph(res, engine)
+		for _, b := range f.Blocks() {
+			for _, phi := range b.Phis() {
+				for _, u := range phi.Uses() {
+					a, x := res.Find(u.Val), res.Find(phi.Def(0))
+					if a == x {
+						continue
+					}
+					interferes := graph(res, interference.EnginePairwise).Interfere(a, x)
+					if merged := g.Merge(a, x); merged == interferes {
+						t.Fatalf("%s merge: %s: Merge(%v, %v)=%v but pairwise Resource_interfere=%v",
+							engine, f.Name, f.VStr(a), f.VStr(x), merged, interferes)
+					}
+					if !interferes {
+						sameKilled(fmt.Sprintf("%s merge %v+%v", engine, f.VStr(a), f.VStr(x)),
+							g, graph(res, interference.EnginePairwise))
+					}
 				}
 			}
 		}
+		agree(fmt.Sprintf("after %s merges", engine), res)
 	}
-	check("after merges")
 }
 
 // pinnedRand generates a random structured program, converts it to SSA

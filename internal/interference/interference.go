@@ -61,7 +61,7 @@ type Counters struct {
 	ResourceKilled    int64
 	ResourceInterfere int64
 	// KilledMemoHits and InterfereMemoHits count resource-level verdicts
-	// served from the generation-keyed memo without recomputation.
+	// served from the per-class memo without recomputation.
 	KilledMemoHits    int64
 	InterfereMemoHits int64
 	// LiveQueryHits/Misses/VarRecomputes report the traffic this analysis
@@ -110,7 +110,8 @@ type Analysis struct {
 	// Sparse snapshots replace the old per-def dense bitsets: queries are
 	// a binary search, construction is amortized over the block, and the
 	// footprint is the live-set size rather than O(|V|) words per def.
-	laSnap  map[*ir.Instr][]int32
+	// laSnap is indexed by InstrID.
+	laSnap  [][]int32
 	laBuilt []bool // block ID -> snapshots built
 	laPool  bitset.Pool
 
@@ -142,7 +143,7 @@ func New(f *ir.Func, live *liveness.Info, dom *cfg.DomTree, mode Mode) *Analysis
 		mode:     mode,
 		defs:     make([]*ir.Instr, f.NumValues()),
 		defIdx:   make([]int, f.NumValues()),
-		laSnap:   make(map[*ir.Instr][]int32),
+		laSnap:   make([][]int32, f.NumInstrSlots()),
 		laBuilt:  make([]bool, f.NumBlocks()),
 		liveBase: live.QueryStats(),
 	}
@@ -196,7 +197,7 @@ func (a *Analysis) liveAfterHas(def *ir.Instr, id ir.ValueID) bool {
 	} else {
 		a.c.LiveAfterHits++
 	}
-	return sparseHas(a.laSnap[def], int(id))
+	return sparseHas(a.laSnap[def.ID()], int(id))
 }
 
 // buildBlockLiveAfter walks b backward once from its exit-live set,
@@ -224,7 +225,7 @@ func (a *Analysis) buildBlockLiveAfter(b *ir.Block) {
 		if snapshot {
 			snap := make([]int32, 0, cur.Len())
 			cur.ForEach(func(id int) { snap = append(snap, int32(id)) })
-			a.laSnap[in] = snap
+			a.laSnap[in.ID()] = snap
 		}
 		for _, d := range in.Defs() {
 			cur.Remove(int(d.Val))

@@ -33,6 +33,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"unicode/utf8"
 )
 
 // WireSchemaB1 identifies the binary arena encoding.
@@ -171,8 +172,22 @@ func (r *breader) count(size int) int {
 	return int(n)
 }
 
+// str reads a length-prefixed string. It rejects bytes that are not
+// valid UTF-8: the JSON schemas cannot carry them, so a name holding them
+// would print differently once re-encoded.
 func (r *breader) str() string {
-	return string(r.take(r.count(1)))
+	b := r.take(r.count(1))
+	if utf8.Valid(b) {
+		return string(b)
+	}
+	for i := 0; ; {
+		c, n := utf8.DecodeRune(b[i:])
+		if c == utf8.RuneError && n == 1 {
+			r.fail("invalid UTF-8 in string at byte %d", r.off-len(b)+i)
+			return ""
+		}
+		i += n
+	}
 }
 
 func (r *breader) i32s() []int32 {

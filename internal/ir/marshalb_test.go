@@ -2,6 +2,8 @@ package ir_test
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"outofssa/internal/ir"
@@ -69,6 +71,17 @@ func TestBinaryRejects(t *testing.T) {
 	}
 	if _, err := ir.Unmarshal(bad); err == nil {
 		t.Error("hostile element count decoded without error")
+	}
+
+	// A name byte that is not UTF-8: the JSON schemas could not carry it,
+	// so the decoder refuses it and names where it sits.
+	bad = append([]byte{}, doc...)
+	nameOff := len(ir.WireSchemaB1) + 1 + 4 + 4 + 4
+	bad[nameOff] = 0xFF
+	if _, err := ir.Unmarshal(bad); err == nil {
+		t.Error("name with invalid UTF-8 decoded without error")
+	} else if want := fmt.Sprintf("byte %d", nameOff); !strings.Contains(err.Error(), want) {
+		t.Errorf("invalid UTF-8 error %q does not name %s", err, want)
 	}
 
 	// Flip every single byte in turn: each flip must either fail to

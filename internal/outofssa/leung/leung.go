@@ -80,19 +80,12 @@ func Translate(f *ir.Func) (*Stats, error) {
 
 	// ---- Mark phase: which variables are killed within their resource?
 	killed := make(map[ir.ValueID]bool)
-	seenRoot := make(map[ir.ValueID]bool)
 	numVals := f.NumValues()
 	for id := 0; id < numVals; id++ {
 		v := ir.ValueID(id)
-		if f.IsPhys(v) {
-			continue
+		if !f.IsPhys(v) && rg.IsKilled(v) {
+			killed[v] = true
 		}
-		root := res.Find(v)
-		if seenRoot[root] {
-			continue
-		}
-		seenRoot[root] = true
-		rg.KilledSet(root).ForEach(func(id int) { killed[ir.ValueID(id)] = true })
 	}
 
 	// Only killed variables with at least one use need a repair variable.

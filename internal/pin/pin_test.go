@@ -76,7 +76,8 @@ func TestMembersSorted(t *testing.T) {
 }
 
 // TestMembersAllocatesNothing pins that Members of a multi-member class
-// returns the class's own sorted list, without copying or sorting.
+// returns the class's own sorted list, without copying or sorting, and
+// that a singleton's list allocates nothing either.
 func TestMembersAllocatesNothing(t *testing.T) {
 	f := ir.NewFunc("m")
 	res, _ := pin.NewResources(f)
@@ -89,6 +90,13 @@ func TestMembersAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { res.Members(vs[0]) }); n != 0 {
 		t.Fatalf("Members allocates %.1f times per call, want 0", n)
+	}
+	w := f.NewValue("w") // admitted after the Resources was built
+	if got := res.Members(w); len(got) != 1 || got[0] != w {
+		t.Fatalf("singleton members = %v, want [%v]", got, w)
+	}
+	if n := testing.AllocsPerRun(100, func() { res.Members(w) }); n != 0 {
+		t.Fatalf("singleton Members allocates %.1f times per call, want 0", n)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // model under random operation sequences, including the physical-root
 // invariants and exact, sorted membership. It also holds on to a
 // Members slice taken before each Union: the union must not write into
-// it.
+// it. Changed must move only for the root of a class a Union grew, to
+// that Union's generation.
 func TestResourcesQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,6 +49,11 @@ func TestResourcesQuick(t *testing.T) {
 			pa, pb := classPhys(model[a]), classPhys(model[b])
 			before := res.Members(a)
 			kept := slices.Clone(before)
+			changed := make(map[ir.ValueID]uint64) // root -> Changed before the op
+			for _, v := range vals {
+				r := res.Find(v)
+				changed[r] = res.Changed(r)
+			}
 			_, err := res.Union(a, b)
 			if !slices.Equal(before, kept) {
 				return false // Union wrote into a slice Members returned
@@ -56,13 +62,25 @@ func TestResourcesQuick(t *testing.T) {
 			if wantErr != (err != nil) {
 				return false
 			}
-			if err == nil {
+			grown := ir.NoValue // the root of the class this op grew, if any
+			if err == nil && model[a] != model[b] {
+				grown = res.Find(a)
 				// Merge in the model.
 				ca, cb := model[a], model[b]
 				for v, c := range model {
 					if c == cb {
 						model[v] = ca
 					}
+				}
+			}
+			for _, v := range vals {
+				r := res.Find(v)
+				want := changed[r]
+				if r == grown {
+					want = res.Gen()
+				}
+				if res.Changed(r) != want {
+					return false // Changed moved for a class no Union grew
 				}
 			}
 			// Invariants after every op.

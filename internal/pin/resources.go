@@ -25,19 +25,29 @@ type Resources struct {
 	parent  []ir.ValueID
 	rank    []int
 	members map[ir.ValueID][]ir.ValueID // root -> member values, ascending ID order
+	ids     []ir.ValueID                // ids[v] == v: backs the singleton lists
 
-	// gen counts class-changing operations (successful Unions). Resource-
-	// level interference verdicts are memoized against it: a verdict
-	// recorded at generation g stays valid exactly until the next merge,
-	// since Union is the only operation that changes any class's member
-	// set (new values admitted by grow start as singletons and cannot
-	// retroactively change an existing class).
-	gen uint64
+	// gen counts class-changing operations (successful Unions), and
+	// changed records, per root, the generation of the last Union that
+	// grew its class. Union is the only operation that changes any
+	// class's member set (new values admitted by grow start as singletons
+	// and cannot retroactively change an existing class), so a
+	// resource-level verdict about some roots recorded at generation g
+	// stays valid while Changed of each of them is at most g: merging two
+	// other classes leaves it alone.
+	gen     uint64
+	changed []uint64
 }
 
 // Gen returns the class-mutation generation counter. Two calls returning
 // the same value guarantee no class was merged in between.
 func (r *Resources) Gen() uint64 { return r.gen }
+
+// Changed returns the generation of the last Union that grew root's
+// class, or 0 if none has. root must be a representative (a Find
+// result): the class of a value that is no longer one has been merged
+// away.
+func (r *Resources) Changed(root ir.ValueID) uint64 { return r.changed[root] }
 
 // Func returns the function whose values the classes partition.
 func (r *Resources) Func() *ir.Func { return r.fn }
@@ -51,9 +61,12 @@ func NewResources(f *ir.Func) (*Resources, error) {
 		parent:  make([]ir.ValueID, f.NumValues()),
 		rank:    make([]int, f.NumValues()),
 		members: make(map[ir.ValueID][]ir.ValueID),
+		changed: make([]uint64, f.NumValues()),
+		ids:     make([]ir.ValueID, f.NumValues()),
 	}
 	for i := range r.parent {
 		r.parent[i] = ir.ValueID(i)
+		r.ids[i] = ir.ValueID(i)
 	}
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
@@ -76,6 +89,8 @@ func (r *Resources) grow(id ir.ValueID) {
 	for len(r.parent) <= int(id) {
 		r.parent = append(r.parent, ir.ValueID(len(r.parent)))
 		r.rank = append(r.rank, 0)
+		r.changed = append(r.changed, 0)
+		r.ids = append(r.ids, ir.ValueID(len(r.ids)))
 	}
 }
 
@@ -123,6 +138,7 @@ func (r *Resources) Union(a, b ir.ValueID) (ir.ValueID, error) {
 	r.members[ra] = ir.MergeIDs(r.classOf(ra), r.classOf(rb))
 	delete(r.members, rb)
 	r.gen++
+	r.changed[ra] = r.gen
 	return ra, nil
 }
 
@@ -136,12 +152,13 @@ func (r *Resources) Members(v ir.ValueID) []ir.ValueID {
 	return r.classOf(r.Find(v))
 }
 
-// classOf returns root's member list; a singleton has none stored.
+// classOf returns root's member list; a singleton has none stored, and
+// its one-element list is a window on ids.
 func (r *Resources) classOf(root ir.ValueID) []ir.ValueID {
 	if m := r.members[root]; m != nil {
 		return m
 	}
-	return []ir.ValueID{root}
+	return r.ids[root : root+1 : root+1]
 }
 
 // IsPhysResource reports whether v's resource contains a dedicated

@@ -360,6 +360,19 @@ func TestB1Negotiation(t *testing.T) {
 	if hr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated b1 body: status %d, want 400", hr.StatusCode)
 	}
+
+	// So must a name that is not valid UTF-8: no JSON response could
+	// echo the bytes that were compiled.
+	bad := append([]byte{}, b1...)
+	bad[bytes.Index(bad, []byte(f.Name))] = 0xFF
+	hr, err = http.Post(hs.URL+"/compile", "application/octet-stream", bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("b1 body with invalid UTF-8 name: status %d, want 400", hr.StatusCode)
+	}
 }
 
 // TestMixedSchemaDrive runs the workload generator's full schema
