@@ -1,9 +1,11 @@
 // Parallel batch driver: run many independent pipeline jobs across
 // shared-nothing shards. The unit of parallelism is one function run —
 // each job builds (typically snapshots) its own *ir.Func inside the
-// worker that executes it, so no IR, analysis memo, or Result is ever
-// shared between goroutines. Only the package-level analysis cache
-// counters are touched concurrently, and those are atomic.
+// worker that executes it, so no mutable IR, analysis memo, or Result
+// is ever shared between goroutines. What jobs do share is read-only:
+// the frozen masters they snapshot and a converted master's ssa.Info.
+// Only the package-level analysis cache counters are touched
+// concurrently, and those are atomic.
 //
 // Sharding: the job list is split into one contiguous range per
 // worker, each with its own claim cursor and its own staging area for
@@ -33,6 +35,7 @@ import (
 	"outofssa/internal/ir"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
+	"outofssa/internal/ssa"
 )
 
 // Job is one unit of batch work: a function to build and the
@@ -47,14 +50,18 @@ type Job struct {
 	Config Config
 	// Experiment labels trace events, as in WithExperiment.
 	Experiment string
+	// SSA, when non-nil, says Build returns a snapshot of a function
+	// BuildSSA already converted, and is the Info that conversion
+	// returned: the job runs as Run(f, Config, WithSSAInfo(SSA)) and
+	// skips SSA construction. Jobs of one master share its Info, so it
+	// must stay read-only.
+	SSA *ssa.Info
 }
 
 // JobResult is the outcome of one Job, in the same order RunBatch
-// received the jobs.
+// received the jobs: Run's return values. The function the job ran on
+// is not kept, so each becomes garbage as soon as its job ends.
 type JobResult struct {
-	// Func is the function the job built and the pipeline mutated.
-	Func *ir.Func
-	// Result and Err are Run's return values for the job.
 	Result *Result
 	Err    error
 }
@@ -313,19 +320,21 @@ func runJob(ctx context.Context, j *Job, out *JobResult, tr obs.Tracer, bm *batc
 		}
 		return
 	}
+	// One Run call serves both paths, its options applied directly:
+	// WithExperiment, WithTracer and WithContext always, WithMetrics on
+	// the metered path, and WithSSAInfo for a converted master.
+	rc := runConfig{tracer: tr, exp: j.Experiment, ctx: ctx, info: j.SSA, inSSA: j.SSA != nil}
+	var t0 time.Time
+	if bm != nil {
+		bm.queue.Dec()
+		bm.inflight.Inc()
+		t0 = time.Now()
+		rc.metrics = bm.reg
+	}
+	out.Result, out.Err = rc.run(j.Build(), j.Config)
 	if bm == nil {
-		f := j.Build()
-		out.Func = f
-		out.Result, out.Err = Run(f, j.Config, WithExperiment(j.Experiment), WithTracer(tr), WithContext(ctx))
 		return
 	}
-	bm.queue.Dec()
-	bm.inflight.Inc()
-	t0 := time.Now()
-	f := j.Build()
-	out.Func = f
-	out.Result, out.Err = Run(f, j.Config,
-		WithExperiment(j.Experiment), WithTracer(tr), WithMetrics(bm.reg), WithContext(ctx))
 	wall := time.Since(t0).Nanoseconds()
 	bm.inflight.Dec()
 	if stage != nil {

@@ -5,29 +5,38 @@ import (
 	"fmt"
 	"testing"
 
+	"outofssa/internal/coalesce"
 	"outofssa/internal/faultinject"
+	"outofssa/internal/interference"
 	"outofssa/internal/ir"
 	"outofssa/internal/obs"
+	"outofssa/internal/obs/metrics"
 	"outofssa/internal/pipeline"
+	"outofssa/internal/ssa"
 	"outofssa/internal/testprog"
+	"outofssa/internal/workload"
 )
 
 // batchJobs builds a job matrix large enough to keep 8 workers busy:
-// every testprog function under every named experiment.
-func batchJobs() []pipeline.Job {
+// every testprog function under every named experiment. Each job
+// keeps the function it builds at its own index of the returned
+// slice, for comparing final IR once the batch has run.
+func batchJobs() ([]pipeline.Job, []*ir.Func) {
+	names := pipeline.Presets()
+	funcs := make([]*ir.Func, len(names)*len(testprog.All()))
 	var jobs []pipeline.Job
-	for _, name := range pipeline.Presets() {
+	for _, name := range names {
 		conf, _ := pipeline.Preset(name)
 		for _, f := range testprog.All() {
-			f := f
+			f, i := f, len(jobs)
 			jobs = append(jobs, pipeline.Job{
-				Build:      func() *ir.Func { return f.Clone() },
+				Build:      func() *ir.Func { funcs[i] = f.Clone(); return funcs[i] },
 				Config:     conf,
 				Experiment: name,
 			})
 		}
 	}
-	return jobs
+	return jobs, funcs
 }
 
 // flatten renders a recorded trace stream with its measurement fields
@@ -57,9 +66,11 @@ func flatten(rec *obs.Recorder) []string {
 // identical to the serial run of the same jobs.
 func TestRunBatchDeterministic(t *testing.T) {
 	serialRec, parRec := &obs.Recorder{}, &obs.Recorder{}
-	serial := pipeline.RunBatch(batchJobs(),
+	serialJobs, serialFuncs := batchJobs()
+	serial := pipeline.RunBatch(serialJobs,
 		pipeline.WithParallelism(1), pipeline.WithBatchTracer(serialRec))
-	par := pipeline.RunBatch(batchJobs(),
+	parJobs, parFuncs := batchJobs()
+	par := pipeline.RunBatch(parJobs,
 		pipeline.WithParallelism(8), pipeline.WithBatchTracer(parRec))
 
 	if len(serial) != len(par) {
@@ -81,7 +92,7 @@ func TestRunBatchDeterministic(t *testing.T) {
 				s.Result.WeightedMoves, p.Result.WeightedMoves,
 				s.Result.Instrs, p.Result.Instrs)
 		}
-		if s.Func.String() != p.Func.String() {
+		if serialFuncs[i].String() != parFuncs[i].String() {
 			t.Fatalf("job %d: final IR diverges", i)
 		}
 	}
@@ -94,6 +105,109 @@ func TestRunBatchDeterministic(t *testing.T) {
 		if sLines[i] != pLines[i] {
 			t.Fatalf("trace streams diverge at line %d:\nserial:   %s\nparallel: %s",
 				i, sLines[i], pLines[i])
+		}
+	}
+}
+
+// TestRunBatchFromSSAMasters: a job that snapshots a master BuildSSA
+// converted once (Job.SSA) ends exactly where pipeline.Run ends on a
+// fresh copy of the pre-SSA function — same printed IR, moves,
+// weighted moves and instruction count — under every preset and the
+// four Table 5 variants, serially and on the worker pool, plain and
+// checked. Batch metrics take a separate path through the batch
+// driver, so each combination runs with and without them.
+func TestRunBatchFromSSAMasters(t *testing.T) {
+	type column struct {
+		exp  string
+		conf pipeline.Config
+	}
+	var cols []column
+	for _, name := range pipeline.Presets() {
+		conf, _ := pipeline.Preset(name)
+		cols = append(cols, column{name, conf})
+	}
+	for _, v := range []struct {
+		name string
+		opt  coalesce.Options
+	}{
+		{"base", coalesce.Options{}},
+		{"depth", coalesce.Options{DepthConstraint: true}},
+		{"opt", coalesce.Options{Mode: interference.Optimistic}},
+		{"pess", coalesce.Options{Mode: interference.Pessimistic}},
+	} {
+		conf, _ := pipeline.Preset(pipeline.ExpLphiABIC)
+		conf.Coalesce = v.opt
+		cols = append(cols, column{pipeline.ExpLphiABIC + "/" + v.name, conf})
+	}
+
+	type outcome struct {
+		ir            string
+		moves, instrs int
+		weighted      int64
+	}
+	var masters []*ir.Func
+	var infos []*ssa.Info
+	var want []outcome // in job order: column-major, as stats lays out a row
+	var fresh []*ir.Func
+	for _, suite := range []*workload.Suite{workload.Examples(), workload.VALcc1()} {
+		for _, f := range suite.Funcs {
+			fresh = append(fresh, f.Clone())
+			info, err := pipeline.BuildSSA(f)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", suite.Name, f.Name, err)
+			}
+			f.Freeze()
+			masters, infos = append(masters, f), append(infos, info)
+		}
+	}
+	for _, col := range cols {
+		for _, pre := range fresh {
+			f := pre.Clone()
+			res, err := pipeline.Run(f, col.conf)
+			if err != nil {
+				t.Fatalf("%s/%s: Run: %v", col.exp, f.Name, err)
+			}
+			want = append(want, outcome{f.String(), res.Moves, res.Instrs, res.WeightedMoves})
+		}
+	}
+
+	for _, parallel := range []int{1, 4} {
+		for _, checked := range []bool{false, true} {
+			for _, metered := range []bool{false, true} {
+				name := fmt.Sprintf("parallel=%d/verify=%v/metrics=%v", parallel, checked, metered)
+				t.Run(name, func(t *testing.T) {
+					funcs := make([]*ir.Func, len(want))
+					var jobs []pipeline.Job
+					for _, col := range cols {
+						conf := col.conf
+						conf.Verify = checked
+						for mi, m := range masters {
+							i, m := len(jobs), m
+							jobs = append(jobs, pipeline.Job{
+								Build:      func() *ir.Func { funcs[i] = m.Snapshot(); return funcs[i] },
+								Config:     conf,
+								Experiment: col.exp,
+								SSA:        infos[mi],
+							})
+						}
+					}
+					opts := []pipeline.BatchOption{pipeline.WithParallelism(parallel)}
+					if metered {
+						opts = append(opts, pipeline.WithBatchMetrics(metrics.New()))
+					}
+					for i, res := range pipeline.RunBatch(jobs, opts...) {
+						if res.Err != nil {
+							t.Fatalf("job %d (%s/%s): %v", i, jobs[i].Experiment, funcs[i].Name, res.Err)
+						}
+						got := outcome{funcs[i].String(), res.Result.Moves, res.Result.Instrs, res.Result.WeightedMoves}
+						if got != want[i] {
+							t.Fatalf("job %d (%s/%s) diverges from pipeline.Run: moves %d/%d weighted %d/%d instrs %d/%d\ngot:\n%s\nwant:\n%s",
+								i, jobs[i].Experiment, funcs[i].Name, got.moves, want[i].moves,
+								got.weighted, want[i].weighted, got.instrs, want[i].instrs, got.ir, want[i].ir)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -178,25 +178,29 @@ func TestRunBatchCtxCancel(t *testing.T) {
 // RunBatch — identical results, no cancellation machinery engaged.
 func TestRunBatchCtxBackground(t *testing.T) {
 	conf := ctxTestConfig(t)
-	mk := func() []pipeline.Job {
+	// mk's jobs keep the functions they build, to compare final IR.
+	mk := func() ([]pipeline.Job, []*ir.Func) {
 		jobs := make([]pipeline.Job, 8)
+		funcs := make([]*ir.Func, len(jobs))
 		for i := range jobs {
-			seed := int64(i)
+			seed, i := int64(i), i
 			jobs[i] = pipeline.Job{
-				Build:      func() *ir.Func { return ctxTestFunc(seed) },
+				Build:      func() *ir.Func { funcs[i] = ctxTestFunc(seed); return funcs[i] },
 				Config:     conf,
 				Experiment: pipeline.ExpLphiABIC,
 			}
 		}
-		return jobs
+		return jobs, funcs
 	}
-	a := pipeline.RunBatch(mk(), pipeline.WithParallelism(4))
-	b := pipeline.RunBatchCtx(context.Background(), mk(), pipeline.WithParallelism(4))
+	aJobs, aFuncs := mk()
+	a := pipeline.RunBatch(aJobs, pipeline.WithParallelism(4))
+	bJobs, bFuncs := mk()
+	b := pipeline.RunBatchCtx(context.Background(), bJobs, pipeline.WithParallelism(4))
 	for i := range a {
 		if a[i].Err != nil || b[i].Err != nil {
 			t.Fatalf("job %d: errors %v / %v", i, a[i].Err, b[i].Err)
 		}
-		if a[i].Func.String() != b[i].Func.String() {
+		if aFuncs[i].String() != bFuncs[i].String() {
 			t.Fatalf("job %d: RunBatch and RunBatchCtx disagree", i)
 		}
 	}

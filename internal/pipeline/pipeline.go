@@ -197,20 +197,38 @@ func Run(f *ir.Func, conf Config, opts ...Option) (*Result, error) {
 	for _, o := range opts {
 		o(&rc)
 	}
+	return rc.run(f, conf)
+}
+
+// run is Run with its options already applied.
+func (rc *runConfig) run(f *ir.Func, conf Config) (*Result, error) {
 	info := rc.info
 	if !rc.inSSA {
 		var err error
-		info, err = ssa.Build(f)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: SSA construction: %w", err)
-		}
-		if err := ssa.Verify(f); err != nil {
-			return nil, fmt.Errorf("pipeline: after SSA construction: %v", err)
+		if info, err = BuildSSA(f); err != nil {
+			return nil, err
 		}
 	} else if info == nil {
 		info = ssa.EmptyInfo()
 	}
-	return runSSA(f, info, conf, &rc)
+	return runSSA(f, info, conf, rc)
+}
+
+// BuildSSA converts the pre-SSA function f to pruned SSA form in place
+// and verifies the result: the construction Run starts with. The Info
+// it returns is what WithSSAInfo takes, so one conversion can feed
+// many runs, each on its own Snapshot of the converted f. The
+// configuration plays no part in construction, and it emits no trace
+// event or metric.
+func BuildSSA(f *ir.Func) (*ssa.Info, error) {
+	info, err := ssa.Build(f)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: SSA construction: %w", err)
+	}
+	if err := ssa.Verify(f); err != nil {
+		return nil, fmt.Errorf("pipeline: after SSA construction: %v", err)
+	}
+	return info, nil
 }
 
 // runSSA is the pipeline body: the pass composition applied to a

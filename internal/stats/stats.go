@@ -15,6 +15,7 @@ import (
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
 	"outofssa/internal/pipeline"
+	"outofssa/internal/ssa"
 	"outofssa/internal/workload"
 )
 
@@ -59,12 +60,51 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// suiteBuilders returns the five suites in the paper's order.
-func suiteBuilders() []func() *workload.Suite {
-	return []func() *workload.Suite{
-		workload.VALcc1, workload.VALcc2, workload.Examples,
-		workload.LAILarge, workload.SPECint,
+// suiteBuilders are the five suites in the paper's order, one table
+// row each.
+var suiteBuilders = [...]func() *workload.Suite{
+	workload.VALcc1, workload.VALcc2, workload.Examples,
+	workload.LAILarge, workload.SPECint,
+}
+
+// ssaSuite is one suite as the jobs of a table call read it: every
+// function converted to SSA form in place (pipeline.BuildSSA) and
+// frozen, beside the construction Info its jobs share read-only.
+type ssaSuite struct {
+	*workload.Suite
+	infos []*ssa.Info
+}
+
+// suites holds the rows of one table call, TableN or AllTables. Every
+// column of every table in the call snapshots the same masters, and
+// nothing here outlives the call.
+type suites [len(suiteBuilders)]*ssaSuite
+
+// row returns suite i, building and converting it on the calling
+// goroutine the first time a table needs it. Construction does not
+// depend on the configuration, so one conversion serves every column.
+// A done Context converts nothing.
+func (ss *suites) row(i int) (*ssaSuite, error) {
+	if ss[i] != nil {
+		return ss[i], nil
 	}
+	if Context != nil {
+		if err := Context.Err(); err != nil {
+			return nil, err
+		}
+	}
+	s := &ssaSuite{Suite: suiteBuilders[i]()}
+	s.infos = make([]*ssa.Info, len(s.Funcs))
+	for fi, f := range s.Funcs {
+		info, err := pipeline.BuildSSA(f)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", s.Name, f.Name, err)
+		}
+		f.Freeze() // masters are immutable for the call; jobs snapshot them
+		s.infos[fi] = info
+	}
+	ss[i] = s
+	return s, nil
 }
 
 // Checked, when true, runs every table experiment in checked mode
@@ -74,16 +114,17 @@ func suiteBuilders() []func() *workload.Suite {
 var Checked bool
 
 // Parallel bounds the worker pool the tables run their pipeline jobs
-// on: 1 (the default is whatever pipeline.RunBatch defaults to when 0 —
-// GOMAXPROCS) serializes, n > 1 uses n workers. The unit of work is one
-// (suite function × column) pipeline run; every job clones its function
-// from the suite master, so results and trace streams are identical at
-// any setting. ssabench -parallel sets this.
+// on. The default, 1, runs them serially; n > 1 uses n workers, and 0
+// uses GOMAXPROCS, as pipeline.WithParallelism does. The unit of work
+// is one (suite function × column) pipeline run on its own snapshot of
+// the function's SSA master, so results and trace streams are
+// identical at any setting. ssabench -parallel sets this.
 var Parallel = 1
 
 // Context, when non-nil, bounds every table batch: once it is done,
-// queued pipeline jobs are skipped and in-flight ones stop at their
-// next pass boundary, surfacing as a table error wrapping ctx.Err().
+// no further suite is converted, queued pipeline jobs are skipped and
+// in-flight ones stop at their next pass boundary, surfacing as a
+// table error wrapping ctx.Err().
 // ssabench sets this from its signal context so an interrupt stops the
 // worker pool instead of finishing all tables. Nil means uncancellable.
 var Context context.Context
@@ -115,14 +156,15 @@ func presetCol(col string) (colSpec, error) {
 }
 
 // buildTable runs every (suite, column) cell as a batch of per-function
-// pipeline jobs. Each suite is built once per row as a master; every
-// job snapshots its function from the frozen master inside the worker
-// that runs it. ir.Snapshot preserves IDs and ordering exactly as
-// Clone did, so a snapshotted run is indistinguishable from one on a
-// freshly built suite — but the per-job copy is O(arena chunks) up
-// front and slabs privatize lazily, only when the job's first pass
-// actually writes them.
-func buildTable(title, note string, cols []string, tr obs.Tracer, spec func(col string) (colSpec, error)) (*Table, error) {
+// pipeline jobs. Every job snapshots its function from the suite's
+// frozen SSA master inside the worker that runs it, and starts the
+// pipeline after SSA construction (pipeline.Job.SSA). ir.Snapshot
+// preserves IDs and ordering exactly, and construction yields the same
+// function under every configuration, so a job is indistinguishable
+// from a run that converts a freshly built function itself — but the
+// per-job copy is O(arena chunks) up front and slabs privatize lazily,
+// only when the job's first pass actually writes them.
+func (ss *suites) buildTable(title, note string, cols []string, tr obs.Tracer, spec func(col string) (colSpec, error)) (*Table, error) {
 	t := &Table{Title: title, Note: note, Columns: cols}
 	specs := make([]colSpec, len(cols))
 	for i, c := range cols {
@@ -134,27 +176,28 @@ func buildTable(title, note string, cols []string, tr obs.Tracer, spec func(col 
 		specs[i] = sp
 	}
 
-	// One batch per row keeps the live heap bounded: a row's master
-	// suite, clones and results all become garbage before the next row
-	// starts. Batches run (and replay their traces) in row order, and
-	// jobs within a batch are laid out in (column, function) order — the
-	// exact iteration order of the old serial driver — so the rendered
-	// tables and the trace stream are byte-identical at any parallelism.
-	for _, build := range suiteBuilders() {
-		master := build()
-		for _, f := range master.Funcs {
-			f.Freeze() // masters are immutable for the row; jobs snapshot them
+	// One batch per row: a row's jobs, their snapshots and results all
+	// become garbage before the next row starts. Batches run (and
+	// replay their traces) in row order, and jobs within a batch are
+	// laid out in (column, function) order — the exact iteration order
+	// of the old serial driver — so the rendered tables and the trace
+	// stream are byte-identical at any parallelism.
+	for si := range ss {
+		suite, err := ss.row(si)
+		if err != nil {
+			return nil, err
 		}
-		row := Row{Benchmark: master.Name, Cells: make([]int64, len(cols))}
-		var jobs []pipeline.Job
+		row := Row{Benchmark: suite.Name, Cells: make([]int64, len(cols))}
+		jobs := make([]pipeline.Job, 0, len(cols)*len(suite.Funcs))
 		for ci := range cols {
 			sp := specs[ci]
-			for _, f := range master.Funcs {
+			for fi, f := range suite.Funcs {
 				f := f
 				jobs = append(jobs, pipeline.Job{
 					Build:      func() *ir.Func { return f.Snapshot() },
 					Config:     sp.conf,
 					Experiment: sp.exp,
+					SSA:        suite.infos[fi],
 				})
 			}
 		}
@@ -166,21 +209,17 @@ func buildTable(title, note string, cols []string, tr obs.Tracer, spec func(col 
 			pipeline.WithParallelism(Parallel),
 			pipeline.WithBatchTracer(tr),
 			pipeline.WithBatchMetrics(Metrics))
-		for i := range results {
-			res := &results[i]
-			ci := i / len(master.Funcs)
+		for i, res := range results {
+			ci := i / len(suite.Funcs)
 			if res.Err != nil {
-				// Name the suite function, not res.Func: a job the
-				// cancelled batch never started has none.
-				fn := master.Funcs[i%len(master.Funcs)]
-				return nil, fmt.Errorf("%s/%s: %w", master.Name, fn.Name, res.Err)
+				fn := suite.Funcs[i%len(suite.Funcs)]
+				return nil, fmt.Errorf("%s/%s: %w", suite.Name, fn.Name, res.Err)
 			}
 			if specs[ci].weighted {
 				row.Cells[ci] += res.Result.WeightedMoves
 			} else {
 				row.Cells[ci] += int64(res.Result.Moves)
 			}
-			*res = pipeline.JobResult{} // release the final IR promptly
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -239,8 +278,10 @@ func Table2() (*Table, error) { return Table2Traced(nil) }
 
 // Table2Traced is Table2 with a pipeline tracer attached to every run
 // (nil for none); events are labelled with the experiment name.
-func Table2Traced(tr obs.Tracer) (*Table, error) {
-	return buildTable(
+func Table2Traced(tr obs.Tracer) (*Table, error) { return new(suites).table2(tr) }
+
+func (ss *suites) table2(tr obs.Tracer) (*Table, error) {
+	return ss.buildTable(
 		"Table 2: move instruction count with no ABI constraint",
 		"deltas relative to Lphi+C",
 		[]string{pipeline.ExpLphiC, pipeline.ExpC2, pipeline.ExpSphiC},
@@ -252,8 +293,10 @@ func Table2Traced(tr obs.Tracer) (*Table, error) {
 func Table3() (*Table, error) { return Table3Traced(nil) }
 
 // Table3Traced is Table3 with a pipeline tracer attached.
-func Table3Traced(tr obs.Tracer) (*Table, error) {
-	return buildTable(
+func Table3Traced(tr obs.Tracer) (*Table, error) { return new(suites).table3(tr) }
+
+func (ss *suites) table3(tr obs.Tracer) (*Table, error) {
+	return ss.buildTable(
 		"Table 3: move instruction count with renaming constraints",
 		"deltas relative to Lphi,ABI+C",
 		[]string{pipeline.ExpLphiABIC, pipeline.ExpSphiLABIC, pipeline.ExpLABIC, pipeline.ExpC3},
@@ -266,8 +309,10 @@ func Table3Traced(tr obs.Tracer) (*Table, error) {
 func Table4() (*Table, error) { return Table4Traced(nil) }
 
 // Table4Traced is Table4 with a pipeline tracer attached.
-func Table4Traced(tr obs.Tracer) (*Table, error) {
-	return buildTable(
+func Table4Traced(tr obs.Tracer) (*Table, error) { return new(suites).table4(tr) }
+
+func (ss *suites) table4(tr obs.Tracer) (*Table, error) {
+	return ss.buildTable(
 		"Table 4: order of magnitude (no aggressive coalescing)",
 		"Sphi adds naive ABI moves; LABI adds naive phi moves; deltas vs Lphi,ABI",
 		[]string{pipeline.ExpLphiABI, pipeline.ExpSphi, pipeline.ExpLABI},
@@ -280,7 +325,9 @@ func Table5() (*Table, error) { return Table5Traced(nil) }
 
 // Table5Traced is Table5 with a pipeline tracer attached; events are
 // labelled "Lphi,ABI+C/<variant>".
-func Table5Traced(tr obs.Tracer) (*Table, error) {
+func Table5Traced(tr obs.Tracer) (*Table, error) { return new(suites).table5(tr) }
+
+func (ss *suites) table5(tr obs.Tracer) (*Table, error) {
 	variants := []struct {
 		name string
 		opt  coalesce.Options
@@ -294,7 +341,7 @@ func Table5Traced(tr obs.Tracer) (*Table, error) {
 	for i, v := range variants {
 		cols[i] = v.name
 	}
-	return buildTable(
+	return ss.buildTable(
 		"Table 5: weighted (5^depth) move count, variants of the algorithm",
 		"full pipeline Lphi,ABI+C with the pinning-phi variant swapped",
 		cols,
@@ -317,13 +364,16 @@ func Table5Traced(tr obs.Tracer) (*Table, error) {
 func AllTables() ([]*Table, error) { return AllTablesTraced(nil) }
 
 // AllTablesTraced runs Tables 2-5 in order with a pipeline tracer
-// attached to every experiment run.
+// attached to every experiment run. The four tables share one set of
+// converted suites, so each suite function goes through SSA
+// construction once per call, not once per column.
 func AllTablesTraced(tr obs.Tracer) ([]*Table, error) {
 	var out []*Table
-	for _, fn := range []func(obs.Tracer) (*Table, error){
-		Table2Traced, Table3Traced, Table4Traced, Table5Traced,
+	ss := new(suites)
+	for _, table := range []func(*suites, obs.Tracer) (*Table, error){
+		(*suites).table2, (*suites).table3, (*suites).table4, (*suites).table5,
 	} {
-		t, err := fn(tr)
+		t, err := table(ss, tr)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"outofssa/internal/analysis"
 	"outofssa/internal/stats"
 )
 
@@ -92,8 +93,9 @@ func TestTablesGolden(t *testing.T) {
 }
 
 // TestCancelledTableReturnsCause: a table run whose context is already
-// done stops without building any job and returns an error wrapping
-// the context's cause, serially and on the worker pool.
+// done stops without converting any suite or building any job and
+// returns an error wrapping the context's cause, serially and on the
+// worker pool.
 func TestCancelledTableReturnsCause(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -103,8 +105,12 @@ func TestCancelledTableReturnsCause(t *testing.T) {
 	stats.Context = ctx
 	for _, parallel := range []int{1, 2} {
 		stats.Parallel = parallel
+		analysis.ResetStats()
 		if _, err := stats.Table2(); !errors.Is(err, context.Canceled) {
 			t.Errorf("Parallel %d: err = %v, want one wrapping context.Canceled", parallel, err)
+		}
+		if s := analysis.Stats(); s.DominatorsRequests != 0 {
+			t.Errorf("Parallel %d: %d dominator requests, want none: a cancelled run converted a suite", parallel, s.DominatorsRequests)
 		}
 	}
 }
