@@ -363,106 +363,6 @@ func BenchmarkRegisterPressure(b *testing.B) {
 	}
 }
 
-// benchEngines is the subbenchmark axis of the resource-engine
-// comparison: the O(k²) pairwise oracle versus the dominance-ordered
-// sweep (both produce identical verdicts; engines_test.go proves it).
-var benchEngines = []interference.Engine{interference.EnginePairwise, interference.EngineDominance}
-
-// BenchmarkInterferenceQueries isolates the resource-level query engines
-// on the raw Resource_killed / Resource_interfere workload: for every
-// function of the suite, a fresh ResourceGraph (empty memos) answers
-// IsKilled for every value (one Resource_killed computation per class)
-// plus Interfere over a root-pair sample. This is the hot path Program_pinning and the Leung mark phase
-// sit on; BENCH_interference.json records a committed run.
-func BenchmarkInterferenceQueries(b *testing.B) {
-	for _, engine := range benchEngines {
-		for _, name := range []string{"VALcc1", "LAI_Large", "SPECint"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, name), func(b *testing.B) {
-				b.StopTimer()
-				funcs := ssaSuite(b, name, true)
-				type prep struct {
-					an    *interference.Analysis
-					res   *pin.Resources
-					roots []ir.ValueID
-					nv    int
-				}
-				var ps []prep
-				for _, f := range funcs {
-					cfg.SplitCriticalEdges(f)
-					res, err := pin.NewResources(f)
-					if err != nil {
-						b.Fatal(err)
-					}
-					an := interference.New(f, liveness.Compute(f), cfg.Dominators(f), interference.Exact)
-					seen := make(map[ir.ValueID]bool)
-					var roots []ir.ValueID
-					for id := 0; id < f.NumValues(); id++ {
-						if r := res.Find(ir.ValueID(id)); !seen[r] {
-							seen[r] = true
-							roots = append(roots, r)
-						}
-					}
-					ps = append(ps, prep{an, res, roots, f.NumValues()})
-				}
-				b.StartTimer()
-				verdicts := 0
-				for i := 0; i < b.N; i++ {
-					for _, p := range ps {
-						g := interference.NewResourceGraph(p.an, p.res)
-						g.Engine = engine
-						for id := 0; id < p.nv; id++ {
-							if g.IsKilled(ir.ValueID(id)) {
-								verdicts++
-							}
-						}
-						step := len(p.roots)/48 + 1
-						for x := 0; x < len(p.roots); x += step {
-							for y := x + 1; y < len(p.roots); y += step {
-								if g.Interfere(p.roots[x], p.roots[y]) {
-									verdicts++
-								}
-							}
-						}
-					}
-				}
-				if verdicts < 0 {
-					b.Fatal("impossible")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkInterferencePinning measures the end-to-end effect of the
-// engine on the two passes that consume it: Program_pinning (φ-affinity
-// coalescing, Algorithm 3) followed by the Leung out-of-pinned-SSA
-// translation.
-func BenchmarkInterferencePinning(b *testing.B) {
-	for _, engine := range benchEngines {
-		for _, name := range []string{"VALcc1", "LAI_Large", "SPECint"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, name), func(b *testing.B) {
-				prev := interference.DefaultEngine
-				interference.DefaultEngine = engine
-				defer func() { interference.DefaultEngine = prev }()
-				b.StopTimer()
-				for i := 0; i < b.N; i++ {
-					funcs := ssaSuite(b, name, true)
-					b.StartTimer()
-					for _, f := range funcs {
-						if _, err := coalesce.ProgramPinning(f, coalesce.Options{}); err != nil {
-							b.Fatal(err)
-						}
-						if _, err := leung.Translate(f); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkInterferenceModes measures the analysis-cost side of the
 // Table 5 ablation: exact per-point liveness versus the optimistic and
 // pessimistic block-level approximations (Algorithm 4).
@@ -519,7 +419,7 @@ func BenchmarkInterferenceModes(b *testing.B) {
 // pipeline they come from the analysis cache (78% reuse on Table 2), so
 // their cost is not attributable to the liveness engine.
 func BenchmarkLivenessEngines(b *testing.B) {
-	for _, engine := range []liveness.Engine{liveness.EngineIterative, liveness.EngineQuery} {
+	for _, engine := range []string{"iterative", "query"} {
 		for _, name := range []string{"VALcc1", "LAI_Large", "SPECint"} {
 			b.Run(fmt.Sprintf("%s/%s", engine, name), func(b *testing.B) {
 				b.StopTimer()
@@ -533,7 +433,7 @@ func BenchmarkLivenessEngines(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for fi, f := range funcs {
 						var l *liveness.Info
-						if engine == liveness.EngineQuery {
+						if engine == "query" {
 							l = liveness.NewQuery(f, doms[fi])
 						} else {
 							l = liveness.Compute(f)
@@ -610,9 +510,7 @@ func BenchmarkSnapshot(b *testing.B) {
 // through the shared-nothing batch driver with copy-on-write job
 // builds: the Table 2 job matrix over the full workload, snapshotting
 // every job from a frozen master. funcs/sec is reported as a custom
-// metric; `ssabench -bench-throughput` records a committed run of the
-// same shape (plus the read-only analyze phase) in
-// BENCH_throughput.json.
+// metric; perfbench/ is the repository's benchmark.
 func BenchmarkBatchThroughput(b *testing.B) {
 	exps := []string{pipeline.ExpLphiC, pipeline.ExpC2, pipeline.ExpSphiC}
 	var masters []*ir.Func

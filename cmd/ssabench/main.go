@@ -23,20 +23,12 @@
 //	ssabench -metrics-addr localhost:0   # serve /metrics (Prometheus text)
 //	                                     # and /debug/pprof while running
 //
-// and as the harness for the resource-interference engines:
+// The reference engines render the tables in tests, not here:
 //
-//	ssabench -interference-engine=pairwise   # force the O(k²) oracle engine
-//	ssabench -bench-interference             # time both engines on a table
-//	                                         # workload and check the outputs
-//	                                         # are byte-identical
+//	go test -run TestTablesUnderPairwiseOracle ./internal/interference/
+//	go test -run TestTablesUnderIterativeOracle ./internal/liveness/
 //
-// and for the liveness engines:
-//
-//	ssabench -liveness-engine=iterative      # force the fixed-point oracle
-//	ssabench -bench-liveness                 # time both liveness engines on a
-//	                                         # table workload, check the
-//	                                         # outputs byte-identical, and
-//	                                         # report query/recompute counters
+// and perfbench/ is the repository's benchmark.
 //
 // The JSONL event schema is documented in DESIGN.md; `go tool pprof`
 // reads the profiles.
@@ -51,13 +43,9 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
-	"time"
 
 	"outofssa/internal/analysis"
-	"outofssa/internal/interference"
-	"outofssa/internal/liveness"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
 	"outofssa/internal/ssa"
@@ -73,14 +61,6 @@ func main() {
 	cacheStats := flag.Bool("cache-stats", false, "print analysis cache counters (requests/computes/reuses) to stderr at exit")
 	traceJSON := flag.String("trace-json", "", "write per-pass trace events as JSONL to `file`")
 	traceCounters := flag.Bool("trace-counters", false, "print per-pass counters (interference query volume, memo hits, merges) summed over every run to stderr at exit")
-	engineName := flag.String("interference-engine", "", "resource-interference engine: dominance (default) or pairwise (the O(k²) oracle)")
-	benchInterference := flag.Bool("bench-interference", false, "time the selected table workload (default: table 2) under both interference engines, check byte-identical output, and report the speedup")
-	livenessEngineName := flag.String("liveness-engine", "", "liveness engine: query (default) or iterative (the fixed-point oracle)")
-	benchLiveness := flag.Bool("bench-liveness", false, "time the selected table workload (default: table 2) under both liveness engines, check byte-identical output, and report the speedup plus query/recompute counters")
-	benchThroughput := flag.Bool("bench-throughput", false, "measure whole-pipeline functions/sec at parallel=1/2/4/8 over a mixed compile+analyze workload and record it with the copy-on-write counter deltas")
-	throughputOut := flag.String("throughput-out", "BENCH_throughput.json", "write the -bench-throughput report to `file`")
-	benchPersist := flag.Bool("bench-persist", false, "measure the b1-vs-v2 wire codec over the Table 2 corpus and a laocd cold-vs-warm restart cycle on a persistent cache store")
-	persistOut := flag.String("persist-out", "BENCH_persist.json", "write the -bench-persist report to `file`")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile to `file` at exit")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, histograms, host stamp) to `file` at exit; cmd/perfgate compares these")
@@ -101,26 +81,6 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	stats.Context = ctx
-
-	switch *engineName {
-	case "":
-	case "dominance":
-		interference.DefaultEngine = interference.EngineDominance
-	case "pairwise":
-		interference.DefaultEngine = interference.EnginePairwise
-	default:
-		fail(fmt.Errorf("unknown -interference-engine %q (have: dominance, pairwise)", *engineName))
-	}
-
-	switch *livenessEngineName {
-	case "":
-	case "query":
-		liveness.DefaultEngine = liveness.EngineQuery
-	case "iterative":
-		liveness.DefaultEngine = liveness.EngineIterative
-	default:
-		fail(fmt.Errorf("unknown -liveness-engine %q (have: query, iterative)", *livenessEngineName))
-	}
 
 	if *list {
 		for _, s := range workload.All() {
@@ -217,31 +177,6 @@ func main() {
 		}
 	}
 
-	if *benchThroughput {
-		if err := runBenchThroughput(*throughputOut); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *benchPersist {
-		if err := runBenchPersist(*persistOut); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *benchInterference {
-		if err := runBenchInterference(*table); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *benchLiveness {
-		if err := runBenchLiveness(*table); err != nil {
-			fail(err)
-		}
-		return
-	}
-
 	run := func(fn func(obs.Tracer) (*stats.Table, error)) {
 		t, err := fn(tracer)
 		if err != nil {
@@ -296,196 +231,4 @@ func (c *counterSum) dump(w io.Writer) {
 	for _, k := range obs.SortedKeys(c.sums) {
 		fmt.Fprintf(w, "counter %-55s %12d\n", k, c.sums[k])
 	}
-}
-
-// sumSuffix totals the counters whose key ends in suffix — e.g. every
-// pass's ".Interference.KillQueries".
-func (c *counterSum) sumSuffix(suffix string) int64 {
-	var t int64
-	for k, v := range c.sums {
-		if strings.HasSuffix(k, suffix) {
-			t += v
-		}
-	}
-	return t
-}
-
-// tableRunners maps table numbers to their traced regenerators (Table 1
-// is a static workload census — no pipeline runs, nothing to time).
-var tableRunners = map[int]func(obs.Tracer) (*stats.Table, error){
-	2: stats.Table2Traced,
-	3: stats.Table3Traced,
-	4: stats.Table4Traced,
-	5: stats.Table5Traced,
-}
-
-// runBenchInterference times the selected table workload under the
-// pairwise oracle engine and the dominance sweep engine, requires their
-// table outputs to be byte-identical (exit 1 otherwise — this is the
-// correctness gate the CI bench-smoke job relies on), and reports the
-// wall-clock ratio plus the interference counter totals per engine.
-func runBenchInterference(table int) error {
-	if table == 0 {
-		table = 2
-	}
-	run, ok := tableRunners[table]
-	if !ok {
-		return fmt.Errorf("-bench-interference needs a pipeline table (2-5), got %d", table)
-	}
-	fmt.Printf("host: %s\n", obs.HostInfo())
-	const reps = 3
-	type result struct {
-		best   time.Duration
-		all    []time.Duration
-		output string
-		cs     *counterSum
-	}
-	prev := interference.DefaultEngine
-	defer func() { interference.DefaultEngine = prev }()
-
-	engines := []interference.Engine{interference.EnginePairwise, interference.EngineDominance}
-	results := make(map[interference.Engine]*result, len(engines))
-	for _, e := range engines {
-		interference.DefaultEngine = e
-		r := &result{}
-		for i := 0; i < reps; i++ {
-			cs := newCounterSum()
-			start := time.Now()
-			t, err := run(cs)
-			d := time.Since(start)
-			if err != nil {
-				return fmt.Errorf("engine %s: %v", e, err)
-			}
-			r.all = append(r.all, d)
-			if r.best == 0 || d < r.best {
-				r.best = d
-			}
-			if i == 0 {
-				r.output, r.cs = t.String(), cs
-			} else if t.String() != r.output {
-				return fmt.Errorf("engine %s: table %d output differs between repetitions", e, table)
-			}
-		}
-		results[e] = r
-		fmt.Printf("engine %-9s table %d: best %v of", e, table, r.best.Round(time.Millisecond))
-		for _, d := range r.all {
-			fmt.Printf(" %v", d.Round(time.Millisecond))
-		}
-		fmt.Println()
-		for _, suffix := range []string{
-			"Interference.KillQueries", "Interference.ResourceKilled",
-			"Interference.ResourceInterfere", "Interference.KilledMemoHits",
-			"Interference.InterfereMemoHits",
-		} {
-			fmt.Printf("  %-32s %12d\n", suffix, r.cs.sumSuffix(suffix))
-		}
-	}
-
-	rp, rd := results[interference.EnginePairwise], results[interference.EngineDominance]
-	if rp.output != rd.output {
-		return fmt.Errorf("table %d output DIVERGES between engines — correctness bug", table)
-	}
-	fmt.Printf("outputs: byte-identical\nspeedup (pairwise/dominance, best-of-%d wall): %.2fx\n",
-		reps, float64(rp.best)/float64(rd.best))
-	return nil
-}
-
-// runBenchLiveness times the selected table workload under the
-// iterative fixed-point engine and the query engine, requires their
-// table outputs to be byte-identical (the CI engine-agreement gate),
-// and reports the wall-clock ratio, the per-pass liveness query
-// counters, and the analysis-cache build/revalidation deltas per
-// engine.
-func runBenchLiveness(table int) error {
-	if table == 0 {
-		table = 2
-	}
-	run, ok := tableRunners[table]
-	if !ok {
-		return fmt.Errorf("-bench-liveness needs a pipeline table (2-5), got %d", table)
-	}
-	fmt.Printf("host: %s\n", obs.HostInfo())
-	// Five repetitions, engines interleaved (iterative, query,
-	// iterative, ...) with a forced GC before each timed sample: the
-	// engines differ by a few percent of the whole-pipeline wall, so
-	// back-to-back per-engine batches would fold machine drift and
-	// leftover heap into the comparison.
-	const reps = 5
-	type result struct {
-		best   time.Duration
-		all    []time.Duration
-		output string
-		cs     *counterSum
-		// Analysis-cache deltas of the first repetition: how many times
-		// a liveness request rebuilt the whole Info vs revalidated it.
-		computes, fullBuilds, revals, kept, dropped uint64
-	}
-	prev := liveness.DefaultEngine
-	defer func() { liveness.DefaultEngine = prev }()
-
-	engines := []liveness.Engine{liveness.EngineIterative, liveness.EngineQuery}
-	results := make(map[liveness.Engine]*result, len(engines))
-	for _, e := range engines {
-		results[e] = &result{}
-	}
-	for i := 0; i < reps; i++ {
-		for _, e := range engines {
-			liveness.DefaultEngine = e
-			r := results[e]
-			cs := newCounterSum()
-			before := analysis.Stats()
-			runtime.GC()
-			start := time.Now()
-			t, err := run(cs)
-			d := time.Since(start)
-			if err != nil {
-				return fmt.Errorf("engine %s: %v", e, err)
-			}
-			r.all = append(r.all, d)
-			if r.best == 0 || d < r.best {
-				r.best = d
-			}
-			if i == 0 {
-				after := analysis.Stats()
-				r.output, r.cs = t.String(), cs
-				r.computes = after.LivenessComputes - before.LivenessComputes
-				r.fullBuilds = after.LivenessFullBuilds - before.LivenessFullBuilds
-				r.revals = after.LivenessRevalidations - before.LivenessRevalidations
-				r.kept = after.LivenessVarsKept - before.LivenessVarsKept
-				r.dropped = after.LivenessVarsInvalidated - before.LivenessVarsInvalidated
-			} else if t.String() != r.output {
-				return fmt.Errorf("engine %s: table %d output differs between repetitions", e, table)
-			}
-		}
-	}
-	for _, e := range engines {
-		r := results[e]
-		fmt.Printf("engine %-9s table %d: best %v of", e, table, r.best.Round(time.Millisecond))
-		for _, d := range r.all {
-			fmt.Printf(" %v", d.Round(time.Millisecond))
-		}
-		fmt.Println()
-		fmt.Printf("  %-32s %12d\n  %-32s %12d (%d var walks kept, %d invalidated)\n",
-			"liveness full Info builds", r.fullBuilds,
-			"liveness revalidations", r.revals, r.kept, r.dropped)
-		for _, suffix := range []string{
-			"Interference.LiveQueryHits", "Interference.LiveQueryMisses",
-			"Interference.LiveVarRecomputes",
-		} {
-			fmt.Printf("  %-32s %12d\n", suffix, r.cs.sumSuffix(suffix))
-		}
-	}
-
-	ri, rq := results[liveness.EngineIterative], results[liveness.EngineQuery]
-	if ri.output != rq.output {
-		return fmt.Errorf("table %d output DIVERGES between liveness engines — correctness bug", table)
-	}
-	if ri.computes > 0 && rq.fullBuilds > 0 {
-		fmt.Printf("full-Info recomputations: %d iterative -> %d query (%.1f%% reduction)\n",
-			ri.computes, rq.fullBuilds,
-			100*(1-float64(rq.fullBuilds)/float64(ri.computes)))
-	}
-	fmt.Printf("outputs: byte-identical\nspeedup (iterative/query, best-of-%d wall): %.2fx\n",
-		reps, float64(ri.best)/float64(rq.best))
-	return nil
 }

@@ -2,8 +2,8 @@
 // the function's mutation generation counter (ir.Func.Generation).
 //
 // Passes request an analysis — analysis.Liveness(f) instead of
-// liveness.Compute(f) — and get the memoized result back as long as the
-// function has not changed since it was computed. Every mutator in
+// liveness.NewQuery(f, dom) — and get the memoized result back as long
+// as the function has not changed since it was computed. Every mutator in
 // package ir bumps the generation inside the arena accessors — operand
 // rewrites included, since SetDefVal/SetUseVal are the only way to
 // write an operand (the contract is spelled out in DESIGN.md §8 and
@@ -53,12 +53,11 @@ type memo struct {
 }
 
 // liveEntry is one published liveness result: the Info plus the
-// generation pair and engine it was computed under. Entries are
-// immutable after publication; revalidation publishes a fresh entry.
+// generation pair it was computed under. Entries are immutable after
+// publication; revalidation publishes a fresh entry.
 type liveEntry struct {
 	gen    uint64
 	cfgGen uint64
-	engine liveness.Engine
 	info   *liveness.Info
 }
 
@@ -82,9 +81,9 @@ type CacheStats struct {
 	LivenessComputes uint64
 	LivenessReused   uint64
 
-	// A liveness compute is either a full build (iterative fixed point,
-	// or a from-scratch query-engine construction) or an incremental
-	// revalidation of a query-engine Info after a code-only mutation:
+	// A liveness compute is either a full build (a from-scratch
+	// query-engine construction) or an incremental revalidation of a
+	// query-engine Info after a code-only mutation:
 	// LivenessComputes = LivenessFullBuilds + LivenessRevalidations.
 	// VarsKept/VarsInvalidated split the per-variable memos across all
 	// revalidations: kept walks cost nothing to reuse, invalidated ones
@@ -162,13 +161,12 @@ func ResetStats() {
 // if f changed since the last request. The returned Info is shared:
 // callers must treat it as read-only, and it describes f as of this
 // call — a later mutation of f makes it stale without invalidating the
-// pointer (exactly like calling liveness.Compute directly).
+// pointer (exactly like calling liveness.NewQuery directly).
 func Liveness(f *ir.Func) *liveness.Info {
 	m := memoOf(f)
 	gen := f.Generation()
-	eng := liveness.DefaultEngine
 	cLiveRequests.Inc()
-	if e := m.live.Load(); e != nil && e.gen == gen && e.engine == eng {
+	if e := m.live.Load(); e != nil && e.gen == gen {
 		cLiveReused.Inc()
 		return e.info
 	}
@@ -176,31 +174,25 @@ func Liveness(f *ir.Func) *liveness.Info {
 	defer m.liveMu.Unlock()
 	// Double-check under the single-flight lock: a racing reader may have
 	// computed and published the entry while we waited.
-	if e := m.live.Load(); e != nil && e.gen == gen && e.engine == eng {
+	if e := m.live.Load(); e != nil && e.gen == gen {
 		cLiveReused.Inc()
 		return e.info
 	}
 	cLiveComputes.Inc()
-	ne := &liveEntry{gen: gen, engine: eng}
-	if eng == liveness.EngineQuery {
-		ne.cfgGen = f.CFGGeneration()
-		if e := m.live.Load(); e != nil && e.engine == eng && e.cfgGen == ne.cfgGen && e.info.Incremental() {
-			// Code-only mutation under an unchanged CFG: revalidate the
-			// per-variable summaries and keep every walk whose summary is
-			// unchanged instead of rebuilding the whole engine. Only an
-			// exclusive owner can get here (a mutation happened), so
-			// recycling the old entry's storage is safe.
-			live, kept, dropped := e.info.Revalidate()
-			ne.info = live
-			cLiveReval.Inc()
-			cLiveVarsKept.Add(int64(kept))
-			cLiveVarsInval.Add(int64(dropped))
-		} else {
-			ne.info = liveness.NewQuery(f, Dominators(f))
-			cLiveFull.Inc()
-		}
+	ne := &liveEntry{gen: gen, cfgGen: f.CFGGeneration()}
+	if e := m.live.Load(); e != nil && e.cfgGen == ne.cfgGen && e.info.Incremental() {
+		// Code-only mutation under an unchanged CFG: revalidate the
+		// per-variable summaries and keep every walk whose summary is
+		// unchanged instead of rebuilding the whole engine. Only an
+		// exclusive owner can get here (a mutation happened), so
+		// recycling the old entry's storage is safe.
+		live, kept, dropped := e.info.Revalidate()
+		ne.info = live
+		cLiveReval.Inc()
+		cLiveVarsKept.Add(int64(kept))
+		cLiveVarsInval.Add(int64(dropped))
 	} else {
-		ne.info = liveness.Compute(f)
+		ne.info = liveness.NewQuery(f, Dominators(f))
 		cLiveFull.Inc()
 	}
 	if f.SharedRead() {

@@ -201,8 +201,8 @@ func TestStaleVarLivenessCaught(t *testing.T) {
 	ssa.MustBuild(f)
 
 	stale := analysis.Liveness(f)
-	if stale.Engine() != liveness.EngineQuery {
-		t.Fatalf("default liveness engine is %v, want query", stale.Engine())
+	if !stale.Incremental() {
+		t.Fatal("the cache built an Info without per-variable memos, want a lazy query Info")
 	}
 	// Force the per-variable walks to be memoized before the corruption
 	// lands, so the stale answers below come from the old memos.

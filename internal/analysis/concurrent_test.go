@@ -10,6 +10,8 @@ import (
 	"outofssa/internal/liveness"
 	"outofssa/internal/ssa"
 	"outofssa/internal/testprog"
+	"outofssa/internal/verify"
+	"outofssa/internal/workload"
 )
 
 // TestConcurrentReadersOneSnapshot is the -race proof for the
@@ -100,30 +102,39 @@ func TestConcurrentReadersOneSnapshot(t *testing.T) {
 	}
 }
 
-// TestReadOnlyPipelinePassZeroCopies pins the zero-copy claim at the
-// pipeline level: running only read-only work (verification, liveness,
-// census) on snapshots of a frozen master moves the laoc_ir_snapshots
-// counter but neither laoc_ir_cow_materializations nor
-// laoc_ir_cow_slab_copies.
+// TestReadOnlyPipelinePassZeroCopies pins the zero-copy claim on the
+// whole paper workload: one snapshot of each of the 228 SSA-form suite
+// masters runs only read-only work (SSA verification, liveness and
+// MAXLIVE, the move and φ censuses), which moves the laoc_ir_snapshots
+// counter by one per master but neither laoc_ir_cow_materializations
+// nor laoc_ir_cow_slab_copies.
 func TestReadOnlyPipelinePassZeroCopies(t *testing.T) {
-	master := testprog.SwapLoop()
-	ssa.MustBuild(master)
-	master.Freeze()
+	var masters []*ir.Func
+	for _, s := range workload.All() {
+		for _, f := range s.Funcs {
+			ssa.MustBuild(f)
+			f.Freeze()
+			masters = append(masters, f)
+		}
+	}
+	if len(masters) != 228 {
+		t.Fatalf("workload has %d functions, want 228", len(masters))
+	}
 
 	before := ir.Stats()
-	for i := 0; i < 10; i++ {
+	for _, master := range masters {
 		snap := master.Snapshot()
-		live := analysis.Liveness(snap)
-		dom := analysis.Dominators(snap)
-		_ = live
-		_ = dom
+		if err := verify.Func(snap, verify.StageSSA); err != nil {
+			t.Fatalf("%s: %v", master.Name, err)
+		}
+		_ = liveness.MaxLive(snap, analysis.Liveness(snap))
 		_ = snap.CountMoves()
 		_ = snap.CountPhis()
 		snap.Release()
 	}
 	d := ir.Stats()
-	if n := d.Snapshots - before.Snapshots; n != 10 {
-		t.Fatalf("snapshots counter moved by %d, want 10", n)
+	if n := d.Snapshots - before.Snapshots; n != 228 {
+		t.Fatalf("snapshots counter moved by %d, want 228", n)
 	}
 	if n := d.COWMaterializations - before.COWMaterializations; n != 0 {
 		t.Fatalf("read-only passes materialized %d snapshots, want 0", n)

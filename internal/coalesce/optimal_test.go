@@ -19,7 +19,7 @@ type slot struct{ def, arg ir.ValueID }
 
 // collectSlots gathers the coalescable φ slots of f (arguments not
 // already killed within their resource).
-func collectSlots(f *ir.Func, rg *interference.ResourceGraph, res *pin.Resources) []slot {
+func collectSlots(f *ir.Func, rg *interference.ResourceGraph) []slot {
 	var out []slot
 	for _, b := range f.Blocks() {
 		for _, phi := range b.Phis() {
@@ -27,7 +27,7 @@ func collectSlots(f *ir.Func, rg *interference.ResourceGraph, res *pin.Resources
 				if u.Val == phi.Def(0) {
 					continue
 				}
-				if rg.Killed(res.Find(u.Val))[u.Val] {
+				if rg.IsKilled(u.Val) {
 					continue
 				}
 				out = append(out, slot{phi.Def(0), u.Val})
@@ -59,7 +59,7 @@ func gainOf(f *ir.Func, an *interference.Analysis, slots []slot, subset uint) in
 	}
 	gain := 0
 	for _, s := range slots {
-		if res.Find(s.arg) == res.Find(s.def) && !rg.Killed(res.Find(s.def))[s.arg] {
+		if res.Find(s.arg) == res.Find(s.def) && !rg.IsKilled(s.arg) {
 			gain++
 		}
 	}
@@ -96,7 +96,7 @@ func TestGreedyVsOptimal(t *testing.T) {
 		live := liveness.Compute(f)
 		an := interference.New(f, live, cfg.Dominators(f), interference.Exact)
 		rg := interference.NewResourceGraph(an, res)
-		slots := collectSlots(f, rg, res)
+		slots := collectSlots(f, rg)
 		if len(slots) == 0 || len(slots) > 14 {
 			continue // trivial, or 2^n too large for exhaustion
 		}

@@ -10,34 +10,11 @@ import (
 	"outofssa/internal/pin"
 )
 
-// Engine selects the Resource_killed / Resource_interfere implementation.
-type Engine int
-
-const (
-	// EngineDominance (the default) answers resource-level queries with a
-	// dominance-ordered stack sweep over the class's definition points
-	// (Budimlić-style dominance forest): O(k log k) for the sort plus a
-	// walk of the current dominance chain, instead of the O(k²) pairwise
-	// Kills expansion. Classes at or below sweepCutoff virtual members
-	// dispatch to the pairwise expansion, which is faster at tiny k.
-	// Results are bit-for-bit identical to EnginePairwise either way;
-	// engines_test.go cross-checks them on the fuzz corpus.
-	EngineDominance Engine = iota
-	// EnginePairwise is the original O(k²) expansion, kept as the oracle
-	// for cross-checking and for `ssabench -interference-engine=pairwise`.
-	EnginePairwise
-)
-
-func (e Engine) String() string {
-	if e == EnginePairwise {
-		return "pairwise"
-	}
-	return "dominance"
-}
-
-// DefaultEngine is the engine NewResourceGraph installs; ssabench's
-// -interference-engine flag overrides it process-wide.
-var DefaultEngine = EngineDominance
+// pairwiseOracle makes NewResourceGraph build graphs that answer every
+// query with the pairwise expansion — the direct O(k²) lifting the
+// dominance sweep must agree with bit for bit — instead of the sweep.
+// Only the package's tests set it (export_test.go).
+var pairwiseOracle bool
 
 // ResourceGraph lifts variable interference to resources (§3.3). It
 // consults pin.Resources for membership, so queries remain correct as
@@ -46,14 +23,15 @@ var DefaultEngine = EngineDominance
 // roots, stay valid until a Union grows one of those classes
 // (pin.Resources.Changed), so merging two other classes evicts nothing,
 // and Merge keeps the merged class's marks valid without recomputing
-// them.
+// them. Queries run the dominance-ordered sweep; classes at or below
+// sweepCutoff take the pairwise expansion, which is cheaper there.
 type ResourceGraph struct {
 	An  *Analysis
 	Res *pin.Resources
 
-	// Engine selects the query implementation; both produce identical
-	// verdicts.
-	Engine Engine
+	// pairwise answers every query with the pairwise expansion instead
+	// of the dominance sweep (pairwiseOracle); verdicts are identical.
+	pairwise bool
 
 	// sites are the pinned-use clobber points of the function (φ uses
 	// excluded — those are Class 2), grouped by pinned value: the sites
@@ -93,7 +71,7 @@ func NewResourceGraph(an *Analysis, res *pin.Resources) *ResourceGraph {
 	g := &ResourceGraph{
 		An:            an,
 		Res:           res,
-		Engine:        DefaultEngine,
+		pairwise:      pairwiseOracle,
 		siteOff:       make([]int32, nv+1),
 		killed:        bitset.New(nv),
 		killedAt:      make([]uint64, nv),
@@ -135,19 +113,6 @@ func (g *ResourceGraph) IsKilled(v ir.ValueID) bool {
 	return g.killed.Has(int(v))
 }
 
-// Killed returns the Resource_killed set of v's resource as a map.
-func (g *ResourceGraph) Killed(v ir.ValueID) map[ir.ValueID]bool {
-	root := g.Res.Find(v)
-	g.ensureKilled(root)
-	killed := make(map[ir.ValueID]bool)
-	for _, m := range g.Res.Members(root) {
-		if g.killed.Has(int(m)) {
-			killed[m] = true
-		}
-	}
-	return killed
-}
-
 // ensureKilled makes root's killed marks valid, recomputing them unless
 // no Union has grown the class since they were last computed.
 func (g *ResourceGraph) ensureKilled(root ir.ValueID) {
@@ -160,7 +125,7 @@ func (g *ResourceGraph) ensureKilled(root ir.ValueID) {
 	for _, m := range members {
 		g.killed.Remove(int(m))
 	}
-	if g.Engine == EnginePairwise {
+	if g.pairwise {
 		g.killedPairwise(members)
 	} else {
 		g.killedSweep(members)
@@ -192,7 +157,7 @@ func (g *ResourceGraph) Interfere(a, b ir.ValueID) bool {
 	g.ensureKilled(rb)
 	ma, mb := g.Res.Members(ra), g.Res.Members(rb)
 	var v bool
-	if g.Engine == EnginePairwise {
+	if g.pairwise {
 		v = g.interferePairwise(ma, mb)
 	} else {
 		v = g.interfereSweep(ma, mb)

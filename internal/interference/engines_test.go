@@ -2,6 +2,8 @@ package interference_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"outofssa/internal/cfg"
@@ -10,6 +12,7 @@ import (
 	"outofssa/internal/liveness"
 	"outofssa/internal/pin"
 	"outofssa/internal/ssa"
+	"outofssa/internal/stats"
 	"outofssa/internal/testprog"
 )
 
@@ -35,23 +38,22 @@ func crossCheckEngines(t *testing.T, f *ir.Func, mode interference.Mode) {
 		}
 		return res
 	}
-	graph := func(res *pin.Resources, engine interference.Engine) *interference.ResourceGraph {
-		g := interference.NewResourceGraph(an, res)
-		g.Engine = engine
-		return g
+	graph := func(res *pin.Resources, engine string) *interference.ResourceGraph {
+		defer interference.SetPairwiseOracle(engine == "pairwise")()
+		return interference.NewResourceGraph(an, res)
 	}
-	sameKilled := func(stage string, g, oracle *interference.ResourceGraph) {
+	sameKilled := func(stage, engine string, g, oracle *interference.ResourceGraph) {
 		for id := 0; id < f.NumValues(); id++ {
 			v := ir.ValueID(id)
 			if got, want := g.IsKilled(v), oracle.IsKilled(v); got != want {
 				t.Fatalf("%s: %s: %v in Resource_killed: %s=%v pairwise=%v",
-					stage, f.Name, f.VStr(v), g.Engine, got, want)
+					stage, f.Name, f.VStr(v), engine, got, want)
 			}
 		}
 	}
 	agree := func(stage string, res *pin.Resources) {
-		gD, gP := graph(res, interference.EngineDominance), graph(res, interference.EnginePairwise)
-		sameKilled(stage, gD, gP)
+		gD, gP := graph(res, "dominance"), graph(res, "pairwise")
+		sameKilled(stage, "dominance", gD, gP)
 		seen := make(map[ir.ValueID]bool)
 		var rs []ir.ValueID
 		for id := 0; id < f.NumValues(); id++ {
@@ -73,7 +75,7 @@ func crossCheckEngines(t *testing.T, f *ir.Func, mode interference.Mode) {
 	}
 
 	agree("initial", newResources())
-	for _, engine := range []interference.Engine{interference.EngineDominance, interference.EnginePairwise} {
+	for _, engine := range []string{"dominance", "pairwise"} {
 		res := newResources()
 		g := graph(res, engine)
 		for _, b := range f.Blocks() {
@@ -83,14 +85,14 @@ func crossCheckEngines(t *testing.T, f *ir.Func, mode interference.Mode) {
 					if a == x {
 						continue
 					}
-					interferes := graph(res, interference.EnginePairwise).Interfere(a, x)
+					interferes := graph(res, "pairwise").Interfere(a, x)
 					if merged := g.Merge(a, x); merged == interferes {
 						t.Fatalf("%s merge: %s: Merge(%v, %v)=%v but pairwise Resource_interfere=%v",
 							engine, f.Name, f.VStr(a), f.VStr(x), merged, interferes)
 					}
 					if !interferes {
 						sameKilled(fmt.Sprintf("%s merge %v+%v", engine, f.VStr(a), f.VStr(x)),
-							g, graph(res, interference.EnginePairwise))
+							engine, g, graph(res, "pairwise"))
 					}
 				}
 			}
@@ -144,6 +146,32 @@ func TestEnginesAgreeOnSuites(t *testing.T) {
 			}
 			crossCheckEngines(t, f, mode)
 		}
+	}
+}
+
+// TestTablesUnderPairwiseOracle renders Tables 2–5 with every
+// ResourceGraph answering pairwise and requires the committed rendering
+// byte for byte: the whole paper workload, in all three interference
+// modes (Table 5 runs the optimistic and pessimistic ones), must come
+// out of the O(k²) reference exactly as it comes out of the dominance
+// sweep. It must not run in parallel with other tests of the package.
+func TestTablesUnderPairwiseOracle(t *testing.T) {
+	want, err := os.ReadFile("../stats/testdata/tables_2_5.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer interference.SetPairwiseOracle(true)()
+	ts, err := stats.AllTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, tb := range ts {
+		b.WriteString(tb.String())
+		b.WriteString("\n")
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("tables under the pairwise oracle differ from stats/testdata/tables_2_5.txt\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

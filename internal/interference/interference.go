@@ -65,8 +65,8 @@ type Counters struct {
 	KilledMemoHits    int64
 	InterfereMemoHits int64
 	// LiveQueryHits/Misses/VarRecomputes report the traffic this analysis
-	// drove into the query-based liveness engine (zero under the
-	// iterative engine): memo-served point/set queries, queries that had
+	// drove into the query-based liveness engine (zero when liveness is
+	// the iterative fixed point, liveness.Compute): memo-served point/set queries, queries that had
 	// to compute first, and the per-variable walks actually executed.
 	LiveQueryHits     int64
 	LiveQueryMisses   int64
@@ -387,4 +387,4 @@ func (s PinSite) kills(an *Analysis, m ir.ValueID) bool {
 // The resource-level lifting of these queries — Resource_killed and
 // Resource_interfere over pin.Resources classes — lives in engine.go,
 // which provides both the original pairwise expansion and the
-// dominance-ordered sweep engine.
+// dominance-ordered sweep.

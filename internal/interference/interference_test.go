@@ -313,11 +313,10 @@ func TestResourceKilledWithinClass(t *testing.T) {
 	res.Union(a, b) // force them together despite the interference
 	an := analyze(f, interference.Exact)
 	rg := interference.NewResourceGraph(an, res)
-	killed := rg.Killed(a)
-	if !killed[a] {
+	if !rg.IsKilled(a) {
 		t.Fatal("a must be killed within the merged resource (b's def clobbers it)")
 	}
-	if killed[b] {
+	if rg.IsKilled(b) {
 		t.Fatal("b is the last writer; not killed")
 	}
 }
@@ -343,8 +342,7 @@ func TestPinSiteKills(t *testing.T) {
 	}
 	an := analyze(f, interference.Exact)
 	rg := interference.NewResourceGraph(an, res)
-	killed := rg.Killed(p)
-	if !killed[p] {
+	if !rg.IsKilled(p) {
 		t.Fatal("p must be killed by the pinned use of arg in R2")
 	}
 }

@@ -54,27 +54,11 @@ import (
 	"outofssa/internal/ir"
 )
 
-// Engine selects the liveness implementation behind Info.
-type Engine int
-
-const (
-	// EngineQuery (the default) is the per-variable query engine above.
-	EngineQuery Engine = iota
-	// EngineIterative is the original global fixed point (Compute), kept
-	// as the differential oracle and for `ssabench -liveness-engine`.
-	EngineIterative
-)
-
-func (e Engine) String() string {
-	if e == EngineIterative {
-		return "iterative"
-	}
-	return "query"
-}
-
-// DefaultEngine is the engine analysis.Liveness builds; ssabench's
-// -liveness-engine flag overrides it process-wide.
-var DefaultEngine = EngineQuery
+// iterativeOracle makes NewQuery return the iterative fixed point
+// (Compute) instead of a query Info, so every analysis.Liveness cache
+// miss runs the reference the query engine must match. Only the
+// package's tests set it (export_test.go).
+var iterativeOracle bool
 
 // QueryStats counts the query engine's traffic on one Info. Zero for
 // iterative Infos. Hits are queries answered from an existing memo (or
@@ -277,8 +261,12 @@ type queryState struct {
 
 // NewQuery builds a query-engine Info for f. dom must be the dominator
 // tree of f's current CFG (analysis.Liveness passes its memoized one,
-// keyed on the CFG generation).
+// keyed on the CFG generation). Under the iterative oracle it returns
+// Compute(f) instead.
 func NewQuery(f *ir.Func, dom *cfg.DomTree) *Info {
+	if iterativeOracle {
+		return Compute(f)
+	}
 	q := &queryState{
 		fn:  f,
 		dom: dom,
@@ -306,14 +294,6 @@ func NewQuery(f *ir.Func, dom *cfg.DomTree) *Info {
 	q.walks = make([]varWalk, q.nv)
 	q.buildIndex()
 	return &Info{fn: f, q: q}
-}
-
-// Engine reports which implementation backs this Info.
-func (l *Info) Engine() Engine {
-	if l.q != nil {
-		return EngineQuery
-	}
-	return EngineIterative
 }
 
 // QueryStats returns the engine counters of a query Info (zero for the
@@ -362,7 +342,7 @@ func (l *Info) Freeze() {
 // walk depends only on (summary, CFG), so the surviving memos stay
 // exact. It returns a fresh Info wrapper sharing the engine state plus
 // the number of walks kept and dropped. Panics on iterative Infos
-// (callers gate on Engine()).
+// (callers gate on Incremental()).
 //
 // Revalidation recycles storage: the dense block sets handed out by
 // LiveInSet and friends before the call, and the walks of invalidated

@@ -2,6 +2,8 @@ package liveness_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"outofssa/internal/cfg"
@@ -10,6 +12,7 @@ import (
 	"outofssa/internal/pin"
 	"outofssa/internal/pipeline"
 	"outofssa/internal/ssa"
+	"outofssa/internal/stats"
 	"outofssa/internal/testprog"
 )
 
@@ -275,44 +278,69 @@ func TestRevalidateAfterCodeMutation(t *testing.T) {
 	}
 }
 
-// TestPipelineAgreesAcrossEngines runs the full pipeline over random
-// programs under both liveness engines, verify off and on, and requires
-// identical final code and move counts — the end-to-end form of the
-// agreement property (the verifier itself consumes liveness, so checked
-// mode exercises extra query paths).
+// TestPipelineAgreesAcrossEngines runs the full Sφ+C pipeline (ssaopt,
+// Sreedhar's CSSA conversion, +C) over random programs under both
+// liveness engines, verify off and on, and requires identical final
+// code and move counts — the end-to-end form of the agreement property
+// (the verifier itself consumes liveness, so checked mode exercises
+// extra query paths).
 func TestPipelineAgreesAcrossEngines(t *testing.T) {
-	prev := liveness.DefaultEngine
-	defer func() { liveness.DefaultEngine = prev }()
-
-	conf := pipeline.Configs["sreedhar+c"]
+	conf, err := pipeline.Preset(pipeline.ExpSphiC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		code  string
+		moves int
+	}
+	run := func(seed int64, iterative, verify bool) outcome {
+		defer liveness.SetIterativeOracle(iterative)()
+		g := testprog.Rand(seed, testprog.DefaultRandOptions())
+		c := conf
+		c.Verify = verify
+		res, err := pipeline.Run(g, c)
+		if err != nil {
+			t.Fatalf("seed %d iterative %v verify %v: %v", seed, iterative, verify, err)
+		}
+		return outcome{code: g.String(), moves: res.Moves}
+	}
 	for seed := int64(0); seed < 10; seed++ {
-		type outcome struct {
-			code  string
-			moves int
-		}
-		var results [2][2]outcome // engine × verify
-		for ei, eng := range []liveness.Engine{liveness.EngineIterative, liveness.EngineQuery} {
-			for vi, verify := range []bool{false, true} {
-				liveness.DefaultEngine = eng
-				g := testprog.Rand(seed, testprog.DefaultRandOptions())
-				c := conf
-				c.Verify = verify
-				res, err := pipeline.Run(g, c)
-				if err != nil {
-					t.Fatalf("seed %d engine %v verify %v: %v", seed, eng, verify, err)
-				}
-				results[ei][vi] = outcome{code: g.String(), moves: res.Moves}
-			}
-		}
-		want := results[0][0]
-		for ei := 0; ei < 2; ei++ {
-			for vi := 0; vi < 2; vi++ {
-				if results[ei][vi] != want {
-					t.Fatalf("seed %d: pipeline output diverges (engine idx %d, verify %v): moves %d vs %d",
-						seed, ei, vi == 1, results[ei][vi].moves, want.moves)
+		want := run(seed, true, false)
+		for _, iterative := range []bool{true, false} {
+			for _, verify := range []bool{false, true} {
+				if got := run(seed, iterative, verify); got != want {
+					t.Fatalf("seed %d: pipeline output diverges (iterative %v, verify %v): moves %d vs %d",
+						seed, iterative, verify, got.moves, want.moves)
 				}
 			}
 		}
+	}
+}
+
+// TestTablesUnderIterativeOracle renders Tables 2–5 with every
+// analysis.Liveness cache miss solved by the iterative fixed point and
+// requires the committed rendering byte for byte: the whole paper
+// workload must come out of the reference engine exactly as it comes
+// out of the query engine. stats builds fresh suites per call, so no
+// Info built by the query engine is served from the cache. It must not
+// run in parallel with other tests of the package.
+func TestTablesUnderIterativeOracle(t *testing.T) {
+	want, err := os.ReadFile("../stats/testdata/tables_2_5.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer liveness.SetIterativeOracle(true)()
+	ts, err := stats.AllTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, tb := range ts {
+		b.WriteString(tb.String())
+		b.WriteString("\n")
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("tables under the iterative oracle differ from stats/testdata/tables_2_5.txt\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

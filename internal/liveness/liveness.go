@@ -37,12 +37,14 @@ type Info struct {
 	q *queryState
 }
 
-// Compute runs the backward dataflow to a fixed point. The per-block
-// sets come from two slab allocations (one for the three escaping
-// families, one for the transient gen/kill), and the iteration reuses a
-// single scratch set instead of allocating a candidate live-in per block
-// per pass — Compute runs once per analysis-cache miss per batch cell,
-// so its malloc count is visible in the serial driver overhead.
+// Compute runs the backward dataflow to a fixed point. It is the
+// reference the query engine must match bit for bit: analysis.Liveness
+// never runs it on a cache miss, except under the package tests'
+// iterative oracle, where TestTablesUnderIterativeOracle renders every
+// table through it. The per-block sets come from two slab allocations
+// (one for the three escaping families, one for the transient
+// gen/kill), and the iteration reuses a single scratch set instead of
+// allocating a candidate live-in per block per pass.
 func Compute(f *ir.Func) *Info {
 	nb := f.NumBlocks()
 	nv := f.NumValues()
