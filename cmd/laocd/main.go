@@ -1,10 +1,12 @@
-// Command laocd is the out-of-SSA translation daemon: the long-running
-// compilation service the ROADMAP promised on top of the repo's
-// checked pipeline, worker pool and metrics registry. It accepts LAI
-// source or laoc-ir-v1 documents over HTTP and answers with the
-// translated function — see internal/server for the robustness layer
-// (deadlines, admission control, circuit breaker, checksummed result
-// cache) and README "Running as a service" for the endpoints.
+// Command laocd is the out-of-SSA translation daemon: a long-running
+// compilation service on top of the repository's checked pipeline,
+// worker pool and metrics registry. It accepts LAI source or an IR
+// document in any wire schema over HTTP — laoc-ir-v2 or laoc-ir-v1
+// JSON, or binary laoc-ir-b1, posted raw as the whole body or base64'd
+// in the JSON "ir" field — and answers with the translated function.
+// See internal/server for the robustness layer (deadlines, admission
+// control, circuit breaker, checksummed result cache) and README
+// "Running as a service" for the endpoints.
 //
 // Server mode (the default):
 //

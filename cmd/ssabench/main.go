@@ -16,19 +16,19 @@
 //	ssabench -trace-json trace.jsonl     # per-pass events for every run
 //	ssabench -cpuprofile cpu.pprof       # CPU profile of the regeneration
 //	ssabench -memprofile mem.pprof       # heap profile at exit
-//	ssabench -trace-counters             # summed per-pass counters at exit
 //	ssabench -metrics-out metrics.json   # registry snapshot (counters,
-//	                                     # histograms, host stamp) at exit —
-//	                                     # the format cmd/perfgate compares
+//	                                     # histograms, host stamp) at exit
 //	ssabench -metrics-addr localhost:0   # serve /metrics (Prometheus text)
 //	                                     # and /debug/pprof while running
 //
-// The reference engines render the tables in tests, not here:
+// The reference engines render the tables in tests, not here, and so
+// does the golden of every deterministic counter:
 //
 //	go test -run TestTablesUnderPairwiseOracle ./internal/interference/
 //	go test -run TestTablesUnderIterativeOracle ./internal/liveness/
+//	go test -run TestCountersGolden ./internal/stats/
 //
-// and perfbench/ is the repository's benchmark.
+// perfbench/ is the repository's benchmark.
 //
 // The JSONL event schema is documented in DESIGN.md; `go tool pprof`
 // reads the profiles.
@@ -38,14 +38,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
 
-	"outofssa/internal/analysis"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
 	"outofssa/internal/ssa"
@@ -58,12 +56,10 @@ func main() {
 	list := flag.Bool("list", false, "list the workload suites and exit")
 	verifyMode := flag.Bool("verify", false, "checked mode: re-verify IR invariants after every pass of every run")
 	parallel := flag.Int("parallel", 1, "worker pool size for pipeline runs; 0 means GOMAXPROCS (output is identical at any setting)")
-	cacheStats := flag.Bool("cache-stats", false, "print analysis cache counters (requests/computes/reuses) to stderr at exit")
 	traceJSON := flag.String("trace-json", "", "write per-pass trace events as JSONL to `file`")
-	traceCounters := flag.Bool("trace-counters", false, "print per-pass counters (interference query volume, memo hits, merges) summed over every run to stderr at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile to `file` at exit")
-	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, histograms, host stamp) to `file` at exit; cmd/perfgate compares these")
+	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, histograms, host stamp) to `file` at exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /metrics.json and /debug/pprof on `host:port` while the run is in flight")
 	flag.Parse()
 
@@ -123,18 +119,6 @@ func main() {
 		}()
 	}
 
-	if *cacheStats {
-		defer func() {
-			cs := analysis.Stats()
-			fmt.Fprintf(os.Stderr, "analysis cache: liveness %d requests, %d computes, %d reused; dominators %d requests, %d computes, %d reused\n",
-				cs.LivenessRequests, cs.LivenessComputes, cs.LivenessReused,
-				cs.DominatorsRequests, cs.DominatorsComputes, cs.DominatorsReused)
-			fmt.Fprintf(os.Stderr, "liveness engine: %d full builds, %d revalidations (%d var walks kept, %d invalidated)\n",
-				cs.LivenessFullBuilds, cs.LivenessRevalidations,
-				cs.LivenessVarsKept, cs.LivenessVarsInvalidated)
-		}()
-	}
-
 	var tracer obs.Tracer
 	if *traceJSON != "" {
 		w, err := os.Create(*traceJSON)
@@ -143,11 +127,6 @@ func main() {
 		}
 		defer w.Close()
 		tracer = obs.NewJSONL(w)
-	}
-	if *traceCounters {
-		cs := newCounterSum()
-		defer cs.dump(os.Stderr)
-		tracer = obs.Multi(tracer, cs)
 	}
 
 	if *metricsOut != "" || *metricsAddr != "" {
@@ -208,27 +187,5 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "ssabench: no table %d (have 1-5)\n", *table)
 		os.Exit(2)
-	}
-}
-
-// counterSum is a Tracer that accumulates every per-pass counter across
-// all runs, giving a whole-workload view of the interference query
-// volume (the per-event values are in the JSONL trace).
-type counterSum struct{ sums map[string]int64 }
-
-func newCounterSum() *counterSum { return &counterSum{sums: make(map[string]int64)} }
-
-func (c *counterSum) RunStart(string, string, obs.IRStat)      {}
-func (c *counterSum) PassStart(string, string, string)         {}
-func (c *counterSum) RunEnd(string, string, obs.IRStat, int64) {}
-func (c *counterSum) PassEnd(ev *obs.Event) {
-	for _, ctr := range ev.Counters {
-		c.sums[ev.Pass+"."+ctr.Name] += ctr.Value
-	}
-}
-
-func (c *counterSum) dump(w io.Writer) {
-	for _, k := range obs.SortedKeys(c.sums) {
-		fmt.Fprintf(w, "counter %-55s %12d\n", k, c.sums[k])
 	}
 }

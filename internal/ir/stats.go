@@ -5,9 +5,10 @@ import "sync/atomic"
 // Package-wide slab-operation counters. ir sits below the metrics
 // registry in the import graph (obs depends on ir), so the counters are
 // plain atomics here; internal/pipeline bridges them into the
-// laoc_ir_* metric families via CounterFunc, where the CI perfgate
-// asserts over them. All counters are monotonic and deterministic for
-// a fixed serial workload.
+// laoc_ir_* metric families via CounterFunc. All counters are
+// monotonic and deterministic for a fixed serial workload; the counter
+// golden (TestCountersGolden in internal/stats) pins their change over
+// the table runs.
 var (
 	statClones          atomic.Int64
 	statCloneSlabAllocs atomic.Int64
@@ -45,7 +46,7 @@ type SlabStats struct {
 	// COWSlabCopies counts the individual deferred slab copies; so
 	// Snapshots − COWMaterializations is the number of copies the lazy
 	// path elided outright, and COWMaterializations/Snapshots is the
-	// copies-materialized ratio the scaling-smoke gate asserts on.
+	// copies-materialized ratio.
 	// COWAdoptions counts mutations that found themselves the family's
 	// last reader and took ownership of the shared storage with no copy
 	// at all.

@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // Counter is one pass-specific counter of an Event. Name is the field
 // path inside the pass's Stats struct ("Merges",
 // "Interference.KillQueries"); trace sinks render it under the pass as
@@ -11,18 +9,4 @@ import "sort"
 type Counter struct {
 	Name  string
 	Value int64
-}
-
-// SortedKeys returns the keys of a counter map in sorted order. Every
-// human- or machine-readable emission of a counter map (the ssabench
-// -trace-counters dump) ranges over this instead of the map directly,
-// so repeated runs produce byte-identical output regardless of map
-// iteration order.
-func SortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -10,8 +9,7 @@ import (
 
 // Host is the machine identity stamped into benchmark outputs and
 // metrics snapshots — the same fields BENCH_*.json record by hand. Perf
-// numbers without a host are noise; cmd/perfgate also uses Host
-// equality to decide whether wall-clock comparisons are meaningful.
+// numbers without a host are noise.
 type Host struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -41,17 +39,6 @@ func HostInfo() Host {
 	})
 	return hostInfo
 }
-
-// String renders the one-line stamp the ssabench -bench-* harnesses
-// print above their measurements.
-func (h Host) String() string {
-	return fmt.Sprintf("goos=%s goarch=%s cpu=%q cores=%d gomaxprocs=%d",
-		h.GOOS, h.GOARCH, h.CPU, h.Cores, h.GOMAXPROCS)
-}
-
-// Equal reports whether two hosts are the same machine shape — the
-// precondition for comparing wall-clock numbers across snapshots.
-func (h Host) Equal(o Host) bool { return h == o }
 
 func cpuModel() string {
 	data, err := os.ReadFile("/proc/cpuinfo")

@@ -86,8 +86,9 @@ func (h *Histogram) Observe(v int64) {
 
 // SetDeterministic marks the histogram as a distribution of a
 // deterministic quantity: identical serial runs produce identical
-// count, sum, min, max and buckets, so cmd/perfgate may compare all of
-// them exactly instead of only the observation count.
+// count, sum, min, max and buckets, so a golden may pin all of them
+// instead of only the observation count (TestCountersGolden pins
+// MAXLIVE's sum, min and max).
 func (h *Histogram) SetDeterministic() {
 	if h != nil {
 		atomic.StoreInt32(&h.det, 1)
@@ -172,7 +173,7 @@ type HistogramSnap struct {
 	// Count and Sum total the observations; Min and Max bound them
 	// exactly (both 0 when Count is 0).
 	Count, Sum, Min, Max int64
-	// Deterministic mirrors SetDeterministic for the perf gate.
+	// Deterministic mirrors SetDeterministic.
 	Deterministic bool
 	// Buckets are the non-empty cells in ascending bound order; Le is
 	// the inclusive upper bound, Count the (non-cumulative) cell count.

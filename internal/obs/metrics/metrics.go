@@ -1,8 +1,8 @@
 // Package metrics is the typed metrics substrate of the repository: a
 // low-overhead registry of atomic counters, gauges and log-linear
 // histograms with cheap static labels, a deterministic snapshot API,
-// and exposition writers (Prometheus text format, JSON) ready for the
-// laocd service roadmap item.
+// and the exposition writers (Prometheus text format, JSON) that laocd
+// and the CLIs serve.
 //
 // Design constraints, in order:
 //
@@ -17,7 +17,8 @@
 //   - Snapshots are deterministic. Snapshot sorts by (name, labels), so
 //     two runs of the same serial workload produce byte-identical
 //     exposition for every deterministic metric, which is what lets
-//     cmd/perfgate diff a run against a committed baseline.
+//     TestCountersGolden (internal/stats) pin the table runs' counters
+//     against committed text.
 //
 // The naming schema (DESIGN.md): `laoc_<subsystem>_<name>` with unit
 // suffixes (`_total` for counters, `_ns`/`_bytes` for histograms) and
@@ -183,9 +184,9 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // Histogram returns the histogram cell for (name, labels). Same
 // contract as Counter. Histograms are log-linear (see histogram.go) and
 // mergeable; by default they are marked non-deterministic (wall times,
-// allocation volumes), which tells cmd/perfgate to compare only their
-// observation counts. Use SetDeterministic for histograms over
-// deterministic quantities (e.g. MAXLIVE).
+// allocation volumes), so only their observation counts repeat from
+// run to run. Use SetDeterministic for histograms over deterministic
+// quantities (e.g. MAXLIVE).
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil

@@ -10,8 +10,8 @@ import (
 )
 
 // FileSnapshot is the JSON snapshot schema — what `ssabench
-// -metrics-out` writes, what the committed perf baseline
-// (BENCH_metrics_baseline.json) contains, and what cmd/perfgate diffs.
+// -metrics-out` and laocd's /metrics.json write, and what
+// `cmd/perfgate -assert` reads.
 // The schema is append-only like the JSONL trace schema: consumers must
 // tolerate new keys. Everything is emitted in sorted order and carries
 // no timestamps, so the deterministic subset (counters, deterministic
@@ -102,7 +102,7 @@ func (s *Snapshot) File(host obs.Host) *FileSnapshot {
 }
 
 // WriteJSON writes the snapshot in the file schema, indented for
-// readability (the baseline is committed to git and reviewed in diffs).
+// readability.
 func WriteJSON(w io.Writer, s *Snapshot, host obs.Host) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -8,7 +8,9 @@
 // translation on a pre-pipeline snapshot and cross-checks the result
 // against the snapshot with the ir.Exec oracle, so one misbehaving
 // optimization cannot take down a batch run — it costs moves, not
-// correctness.
+// correctness. A function that fails before any pass runs is bad
+// input, not a bad pass: that failure is an *InputError, and the
+// fallback does not retry it.
 package pipeline
 
 import (
@@ -48,6 +50,19 @@ func (e *PassError) Error() string {
 }
 
 func (e *PassError) Unwrap() error { return e.Cause }
+
+// InputError reports that the function a run was given is not legal
+// input: SSA construction rejected it (BuildSSA), or the checked entry
+// verification did (the "<input>" pseudo-pass). That is the caller's
+// fault, not a pass's, and the fallback never retries it: it would
+// verify the same function at the same stage and fail again. Err is
+// the failure itself, a *PassError for "<input>"; Error and errors.As
+// see through to it.
+type InputError struct{ Err error }
+
+func (e *InputError) Error() string { return e.Err.Error() }
+
+func (e *InputError) Unwrap() error { return e.Err }
 
 // PanicError wraps a panic recovered from a pass body.
 type PanicError struct {

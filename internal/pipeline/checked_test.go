@@ -2,10 +2,12 @@ package pipeline_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"outofssa/internal/faultinject"
 	"outofssa/internal/ir"
+	"outofssa/internal/lai"
 	"outofssa/internal/obs"
 	"outofssa/internal/pipeline"
 	"outofssa/internal/testprog"
@@ -232,5 +234,39 @@ func TestFallbackUnusedOnCleanRuns(t *testing.T) {
 		if plain.String() != guarded.String() || rp.Moves != rg.Moves {
 			t.Fatalf("seed %d: guarded run changed the code", seed)
 		}
+	}
+}
+
+// TestInvalidInputSkipsFallback: an entry-state failure is the
+// caller's, so it comes back as an *InputError and the fallback does
+// not retry it. A use pair pinned to one register (Fig. 4 case 2)
+// fails the checked entry verification, reported against "<input>";
+// a φ in a pre-SSA entry block fails SSA construction.
+func TestInvalidInputSkipsFallback(t *testing.T) {
+	conf := pipeline.Configs[pipeline.ExpLphiABIC]
+	conf.Verify, conf.Fallback = true, true
+
+	f, err := lai.Parse(".func badpins\n.input A:R0, B:R2\nentry:\n    add X^R1, A^R1, B^R1\n    ret X\n.endfunc\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pipeline.Run(f, conf)
+	var invalid *pipeline.InputError
+	var pe *pipeline.PassError
+	if !errors.As(err, &invalid) || !errors.As(err, &pe) || pe.Pass != "<input>" {
+		t.Fatalf("bad pins: got %v, want an *InputError for pass <input>", err)
+	}
+	if strings.Contains(err.Error(), "fallback") {
+		t.Fatalf("bad pins: the fallback retried an invalid input: %v", err)
+	}
+
+	bld := ir.NewBuilder("entryphi")
+	a, p := bld.Val("a"), bld.Val("p")
+	bld.Block("entry")
+	bld.Input(a)
+	bld.Phi(p, a)
+	bld.Output(p)
+	if _, err := pipeline.Run(bld.Fn, conf); !errors.As(err, &invalid) {
+		t.Fatalf("entry φ: got %v, want an *InputError", err)
 	}
 }

@@ -34,11 +34,12 @@ const (
 	// MetricPassCounters mirrors every pass counter ("<pass>.<Name>" in
 	// trace events) onto the registry as {pass=...,counter=...}. The
 	// registry records the very event a tracer receives, so registry
-	// totals match `-trace-counters` totals by construction.
+	// totals match the trace events' counter totals by construction.
 	MetricPassCounters = "laoc_pipeline_pass_counters_total"
 	// MetricMaxLive is the derived per-function MAXLIVE distribution
 	// (register pressure), computed post-pipeline via the query
-	// liveness engine. Deterministic: perfgate compares it exactly.
+	// liveness engine. Deterministic: the counter golden
+	// (TestCountersGolden in internal/stats) pins its sum, min and max.
 	MetricMaxLive = "laoc_liveness_maxlive"
 
 	// Batch driver metrics (RunBatch).
@@ -52,8 +53,7 @@ const (
 	// graph); init below bridges them onto metrics.Default via
 	// CounterFunc, so they show up in -metrics-out / laocd exposition
 	// without double bookkeeping. laoc_ir_clone_slab_allocs_total /
-	// laoc_ir_clones_total is the observed allocations-per-clone ratio
-	// the bench-smoke CI gate asserts on.
+	// laoc_ir_clones_total is the observed allocations-per-clone ratio.
 	MetricIRClones          = "laoc_ir_clones_total"
 	MetricIRCloneSlabAllocs = "laoc_ir_clone_slab_allocs_total"
 	MetricIRRestores        = "laoc_ir_restores_total"
@@ -62,9 +62,10 @@ const (
 
 	// Copy-on-write snapshot metrics. laoc_ir_cow_materializations_total
 	// / laoc_ir_snapshots_total is the copies-materialized ratio — the
-	// fraction of snapshots that ever had to privatize storage. The
-	// scaling-smoke CI gate asserts a ceiling on it for the mixed
-	// throughput workload; read-only fan-outs keep it at zero.
+	// fraction of snapshots that ever had to privatize storage. Every
+	// table job mutates its snapshot, so the counter golden holds the
+	// table runs at exactly one materialization per snapshot; read-only
+	// fan-outs keep it at zero (TestReadOnlyPipelinePassZeroCopies).
 	MetricIRSnapshots          = "laoc_ir_snapshots_total"
 	MetricIRSnapshotSlabAllocs = "laoc_ir_snapshot_slab_allocs_total"
 	MetricIRCOWMaterialized    = "laoc_ir_cow_materializations_total"

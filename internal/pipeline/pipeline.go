@@ -7,6 +7,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -75,7 +76,7 @@ type Config struct {
 	// checked-mode violation) through the naive out-of-SSA translation
 	// on a pre-pipeline snapshot, cross-checked with the ir.Exec oracle;
 	// the Result then has FellBack set and FallbackFrom recording the
-	// original failure.
+	// original failure. An *InputError is never retried.
 	Fallback bool
 	// FaultHook, when non-nil, runs after each pass body (before
 	// checked-mode verification) with the pass name and the function —
@@ -219,14 +220,14 @@ func (rc *runConfig) run(f *ir.Func, conf Config) (*Result, error) {
 // it returns is what WithSSAInfo takes, so one conversion can feed
 // many runs, each on its own Snapshot of the converted f. The
 // configuration plays no part in construction, and it emits no trace
-// event or metric.
+// event or metric. Its failures are *InputError values.
 func BuildSSA(f *ir.Func) (*ssa.Info, error) {
 	info, err := ssa.Build(f)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: SSA construction: %w", err)
+		return nil, &InputError{fmt.Errorf("pipeline: SSA construction: %w", err)}
 	}
 	if err := ssa.Verify(f); err != nil {
-		return nil, fmt.Errorf("pipeline: after SSA construction: %v", err)
+		return nil, &InputError{fmt.Errorf("pipeline: after SSA construction: %v", err)}
 	}
 	return info, nil
 }
@@ -261,7 +262,8 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 	opts := runOpts{verify: conf.Verify, faultHook: conf.FaultHook, metrics: reg,
 		ctx: rc.ctx, execBudget: rc.execBudget}
 	if err := runPasses(f, exp, conf.passes(f, info, r), tr, opts); err != nil {
-		if backup == nil {
+		var invalid *InputError
+		if backup == nil || errors.As(err, &invalid) {
 			return nil, err
 		}
 		// Graceful degradation: discard whatever the failed run left in f
@@ -459,13 +461,14 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 // numbers, fit for serial diagnostics but not for the serving path.
 // Every pass failure — its own error, a contained panic, or a
 // checked-mode violation — surfaces as a *PassError; in checked mode
-// the entry state is verified too, reported against the pseudo-pass
-// "<input>". Verifier time is charged to the pass it checks.
+// the entry state is verified too, and a violation there is an
+// *InputError wrapping a *PassError for the pseudo-pass "<input>".
+// Verifier time is charged to the pass it checks.
 func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) error {
 	if opts.verify && len(ps) > 0 {
 		if err := verify.Func(f, opts.entryStage); err != nil {
-			return &PassError{Func: f.Name, Config: exp, Pass: "<input>",
-				Cause: err, Snapshot: obs.Snapshot(f)}
+			return &InputError{&PassError{Func: f.Name, Config: exp, Pass: "<input>",
+				Cause: err, Snapshot: obs.Snapshot(f)}}
 		}
 	}
 	reg := opts.metrics

@@ -10,7 +10,7 @@ import "outofssa/internal/obs/metrics"
 const (
 	// MetricRequests counts every /compile request accepted for
 	// processing, labelled by final outcome kind ("ok", "parse",
-	// "shed", "deadline", "draining", "compile").
+	// "invalid", "shed", "deadline", "draining", "compile").
 	MetricRequests = "laocd_requests_total"
 	// MetricShed counts requests rejected with 429 because the
 	// admission queue was full.

@@ -3,9 +3,12 @@
 // the robustness layer a long-running daemon needs. One request = one
 // function compiled by pipeline.Run in checked+fallback mode, so a
 // malformed or hostile input costs at most its own request: parse
-// errors are 400s, pass panics are contained and fall back to the
-// naive translation, verifier rejections likewise, and everything else
-// is bounded by a per-request deadline propagated into the pass runner.
+// errors are 400s, and so is input that SSA construction or the entry
+// verification rejects (kind "invalid", e.g. pins that break the
+// paper's Fig. 4 rules), which never feeds the breaker. Pass panics
+// are contained and fall back to the naive translation, verifier
+// rejections likewise, and everything else is bounded by a per-request
+// deadline propagated into the pass runner.
 //
 // Around that core:
 //
@@ -315,7 +318,7 @@ type compileResponse struct {
 
 // requestKinds are the outcome kinds that label laocd_requests_total:
 // "ok" and every httpError kind.
-var requestKinds = []string{"ok", "parse", "shed", "deadline", "draining", "compile"}
+var requestKinds = []string{"ok", "parse", "invalid", "shed", "deadline", "draining", "compile"}
 
 // httpError is the typed failure a request can end in. Kind is stable
 // (it labels laocd_requests_total) and maps to the status code.
@@ -327,6 +330,12 @@ type httpError struct {
 
 func errParse(err error) *httpError {
 	return &httpError{Kind: "parse", Message: err.Error(), status: http.StatusBadRequest}
+}
+
+// errInvalid answers input that decoded but is not legal pipeline
+// input (a *pipeline.InputError): the client's error, not a pass's.
+func errInvalid(err error) *httpError {
+	return &httpError{Kind: "invalid", Message: err.Error(), status: http.StatusBadRequest}
 }
 
 func errShed() *httpError {
@@ -638,14 +647,22 @@ func (s *Server) runTask(t *task) {
 		pipeline.WithMetrics(s.reg))
 
 	// Breaker feedback: attribute failures to the failing pass. Context
-	// cancellation is the client's fault, not a corruption class.
+	// cancellation and invalid input are the client's fault, not a
+	// corruption class: they feed no class, and a probe they hold ends
+	// without a verdict.
 	failClass := ""
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		var invalid *pipeline.InputError
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			t.herr = errDeadline(err)
+		case errors.As(err, &invalid):
+			t.herr = errInvalid(err)
+		}
+		if t.herr != nil {
 			if probeClass != "" {
 				s.breaker.probeAbort(probeClass)
 			}
-			t.herr = errDeadline(err)
 			return
 		}
 		failClass = passClass(err)

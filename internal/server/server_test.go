@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -426,6 +427,87 @@ func TestBreakerProbeNeverServedFromCache(t *testing.T) {
 	}
 	if got := counterValue(reg, MetricBreakerProbes); got != 1 {
 		t.Fatalf("breaker probes = %d, want 1", got)
+	}
+}
+
+// srcBadPins pins both uses of one instruction to R1, which the
+// paper's Fig. 4 rules out (case 2): the input is illegal, whatever
+// the passes do.
+const srcBadPins = `
+.func badpins%d
+.input A:R0, B:R2
+entry:
+    add     X^R1, A^R1, B^R1
+    ret     X
+.endfunc
+`
+
+// TestInvalidInputNeverTripsBreaker is the regression test for client
+// input tripping the breaker for every client: requests whose input
+// fails the entry check are the client's fault. They get a 400
+// "invalid", feed no breaker class, and the valid requests after them
+// compile with the full pipeline. An invalid request that wins a
+// half-open probe gives it back without a verdict.
+func TestInvalidInputNeverTripsBreaker(t *testing.T) {
+	clk := newFakeClock()
+	_, hs, reg := startServer(t, Config{
+		AllowDebug:       true,
+		BreakerThreshold: 5,
+		BreakerWindow:    time.Minute,
+		BreakerCooldown:  5 * time.Second,
+		now:              clk.now,
+	})
+	for i := 0; i < 6; i++ {
+		rep := postCompile(t, hs.URL, compileRequest{LAI: fmt.Sprintf(srcBadPins, i)})
+		if rep.status != http.StatusBadRequest || rep.errK != "invalid" {
+			t.Fatalf("invalid request %d: status=%d kind=%q, want 400/invalid", i, rep.status, rep.errK)
+		}
+	}
+	for i, seed := range []int64{41, 42, 43, 44} {
+		doc, err := ir.Marshal(testprog.Rand(seed, testprog.DefaultRandOptions()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := postCompile(t, hs.URL, compileRequest{IR: doc})
+		if rep.status != http.StatusOK || rep.resp.Degraded {
+			t.Fatalf("valid request %d after the invalid ones: status=%d degraded=%v, want the full pipeline", i, rep.status, rep.resp.Degraded)
+		}
+	}
+	if got := counterValue(reg, MetricBreakerTrips); got != 0 {
+		t.Fatalf("breaker trips = %d, want 0", got)
+	}
+	if got := reg.Counter(MetricRequests, metrics.L("kind", "invalid")).Value(); got != 6 {
+		t.Fatalf("invalid requests = %d, want 6", got)
+	}
+
+	// Trip a class with injected pass panics, let it cool down, and send
+	// an invalid request first: it takes the probe and must give it back,
+	// so the next valid request probes and closes the class.
+	for i := 0; i < 5; i++ {
+		rep := postCompile(t, hs.URL, compileRequest{LAI: srcSimple, Debug: &debugRequest{PanicPass: "pinning-sp"}})
+		if rep.status != http.StatusOK || !rep.resp.FellBack {
+			t.Fatalf("faulted request %d: status=%d fellBack=%v", i, rep.status, rep.resp.FellBack)
+		}
+	}
+	if got := counterValue(reg, MetricBreakerTrips); got != 1 {
+		t.Fatalf("breaker trips = %d, want 1", got)
+	}
+	clk.advance(6 * time.Second)
+	if rep := postCompile(t, hs.URL, compileRequest{LAI: fmt.Sprintf(srcBadPins, 6)}); rep.status != http.StatusBadRequest || rep.errK != "invalid" {
+		t.Fatalf("invalid probe: status=%d kind=%q, want 400/invalid", rep.status, rep.errK)
+	}
+	if got := counterValue(reg, MetricBreakerProbes); got != 0 {
+		t.Fatalf("breaker probes = %d after the invalid request, want 0", got)
+	}
+	doc, err := ir.Marshal(testprog.Rand(45, testprog.DefaultRandOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := postCompile(t, hs.URL, compileRequest{IR: doc}); rep.status != http.StatusOK || rep.resp.Degraded {
+		t.Fatalf("probe after the invalid request: status=%d degraded=%v, want the full pipeline", rep.status, rep.resp.Degraded)
+	}
+	if got := reg.Counter(MetricBreakerProbes, metrics.L("result", "ok")).Value(); got != 1 {
+		t.Fatalf("successful probes = %d, want 1", got)
 	}
 }
 

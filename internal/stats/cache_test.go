@@ -25,12 +25,12 @@ func TestDominatorCacheReuseOnTable2(t *testing.T) {
 	}
 	domRate := float64(s.DominatorsReused) / float64(s.DominatorsRequests)
 	liveRate := float64(s.LivenessReused) / float64(s.LivenessRequests)
-	// Measured 66.1% dominator reuse (2524/3820) and 25.6% liveness
-	// reuse (797/3108); pinned with headroom for workload drift, which
-	// on liveness is thin. Each suite function is converted to SSA once
-	// per call, and every job then computes both analyses once on its
-	// cold snapshot, so the reuse counted here is reuse across a job's
-	// passes. The sreedhar conversion checks the mutation generation
+	// Measured 66.1% dominator reuse (2524/3820) and 39.1% liveness
+	// reuse (1481/3792); TestCountersGolden pins those counts exactly
+	// (testdata/counters_t2.txt), and the floors here leave headroom.
+	// Each suite function is converted to SSA once per call, and every
+	// job then computes both analyses once on its cold snapshot, so the
+	// reuse counted here is reuse across a job's passes. The sreedhar conversion checks the mutation generation
 	// itself instead of issuing a cache-hit request per φ, so the
 	// remaining requests are the ones other passes genuinely make.
 	if domRate < 0.65 {
