@@ -29,18 +29,18 @@ func fuzzCorpus() []*ir.Func {
 }
 
 // deepEqual checks full observable equivalence of two functions: the
-// printed form, the exact v2 arena encoding (bit-exact down to span
+// printed form, the exact b1 arena encoding (bit-exact down to span
 // offsets), and execution behaviour.
 func deepEqual(t *testing.T, tag string, want, got *ir.Func) {
 	t.Helper()
 	if want.String() != got.String() {
 		t.Fatalf("%s: printed form differs:\n--- want\n%s\n--- got\n%s", tag, want, got)
 	}
-	wb, err := ir.Marshal(want)
+	wb, err := ir.MarshalBinary(want)
 	if err != nil {
 		t.Fatalf("%s: marshal want: %v", tag, err)
 	}
-	gb, err := ir.Marshal(got)
+	gb, err := ir.MarshalBinary(got)
 	if err != nil {
 		t.Fatalf("%s: marshal got: %v", tag, err)
 	}

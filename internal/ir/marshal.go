@@ -1,36 +1,29 @@
-// Wire codec for functions: Marshal/Unmarshal serialize an ir.Func to a
-// self-contained JSON document and back. The encoding is exact — value
-// IDs, value names, block order, predecessor/successor order (which the
-// φ argument convention depends on), pins, immediates and callees all
-// round-trip — so a decoded function is indistinguishable from a Clone
-// of the original: running the pipeline on either produces byte-identical
-// output. That exactness is what lets the laocd service accept raw IR
-// over the wire and still honor the Tables 1-5 byte-identity gate, and
-// what makes content hashes of the encoding stable cache keys.
+// Wire codec for functions: MarshalV1/MarshalBinary serialize an
+// ir.Func to a self-contained document and Unmarshal reads it back. The
+// encoding is exact — value IDs, value names, block order,
+// predecessor/successor order (which the φ argument convention depends
+// on), pins, immediates and callees all round-trip — so a decoded
+// function is indistinguishable from a Clone of the original: running
+// the pipeline on either produces byte-identical output. That exactness
+// is what lets the laocd service accept raw IR over the wire and still
+// honor the Tables 1-5 byte-identity gate, and what makes content hashes
+// of the encoding stable cache keys.
 //
-// Three schemas coexist:
+// Two schemas exist, one readable and one binary:
 //
 //   - "laoc-ir-v1" walks the CFG and emits one JSON object per block and
-//     instruction. It predates the SoA re-platform and is kept, reader
-//     and writer, for wire compatibility with old clients.
-//   - "laoc-ir-v2" is the arena fast path: it encodes the function's
-//     slabs directly — value table, operand slab, code slab, instruction
-//     and block arenas — as flat integer arrays. Because the slabs are
-//     position-independent handle arrays, encoding is a few slice dumps
-//     and decoding reconstructs the arenas verbatim, so a v2 round trip
-//     is bit-exact down to span offsets (Clone-equivalent by memcmp, not
-//     just semantically).
-//   - "laoc-ir-b1" is the binary rendering of the same arena document:
-//     a magic/version/target-shape header followed by little-endian
-//     length-prefixed dumps of the value table and slabs (see
-//     marshalb.go). It shares v2's extract and build paths, so it
-//     inherits the same exact-round-trip guarantee at a fraction of the
-//     decode cost; it is also the on-disk record payload of
+//     instruction: the human-readable form.
+//   - "laoc-ir-b1" dumps the function's slabs — value table, operand
+//     slab, code slab, instruction and block arenas — behind a
+//     magic/version/target-shape header (see marshalb.go). Because the
+//     slabs are position-independent handle arrays, decoding
+//     reconstructs the arenas verbatim, so a b1 round trip is bit-exact
+//     down to span offsets (Clone-equivalent by memcmp, not just
+//     semantically). It is also the on-disk record payload of
 //     internal/cachestore.
 //
-// Marshal emits v2, MarshalBinary emits b1; Unmarshal auto-detects all
-// three (binary by magic prefix, JSON by schema tag). The laocd server
-// negotiates per-request (see internal/server).
+// Unmarshal reads both: b1 by its magic prefix, anything else as v1
+// JSON, whose schema tag must then say so.
 //
 // Both formats tie values to the function's own Target: the physical
 // register prefix of the value table (R0..R15, P0..P7, SP — created by
@@ -57,11 +50,8 @@ type wireFunc struct {
 	Blocks []wireBlock `json:"blocks"`
 }
 
-// WireSchemaV1 identifies the legacy per-instruction function encoding.
+// WireSchemaV1 identifies the per-instruction JSON function encoding.
 const WireSchemaV1 = "laoc-ir-v1"
-
-// WireSchemaV2 identifies the arena (structure-of-arrays) encoding.
-const WireSchemaV2 = "laoc-ir-v2"
 
 type wireValue struct {
 	Name string `json:"n"`
@@ -89,48 +79,6 @@ type wireInstr struct {
 	Callee string   `json:"callee,omitempty"`
 }
 
-// wireFuncV2 is the v2 top-level JSON document: the arenas, verbatim.
-type wireFuncV2 struct {
-	Schema string `json:"schema"`
-	Name   string `json:"name"`
-	// NPhys is the length of the physical-register value prefix; must
-	// match the decoder's target shape.
-	NPhys int `json:"nphys"`
-	// VNames are the names of the virtual values (IDs NPhys and up); the
-	// physical prefix is implied by the target.
-	VNames []string `json:"vnames"`
-	// Ops is the operand slab: alternating value handle and biased pin
-	// (0 = unpinned, else pin+1), two entries per operand.
-	Ops []int32 `json:"ops,omitempty"`
-	// Code is the instruction-list slab: instruction handles, with -1 in
-	// unused capacity slots.
-	Code []int32 `json:"code,omitempty"`
-	// Instrs is the instruction arena, 7 numbers per slot:
-	// op, block, defOff, defLen, useOff, useLen, imm.
-	Instrs []int64 `json:"instrs,omitempty"`
-	// Callees carries the sparse callee strings: pairs of arena slot and
-	// name, in slot order.
-	Callees []wireCallee `json:"callees,omitempty"`
-	// Blocks is the block arena in handle order.
-	Blocks []wireBlockV2 `json:"blocks"`
-	// Order is the live block layout (entry first) as block handles.
-	Order []int32 `json:"order"`
-}
-
-type wireCallee struct {
-	Slot int32  `json:"i"`
-	Name string `json:"n"`
-}
-
-type wireBlockV2 struct {
-	Name    string  `json:"name"`
-	Depth   int     `json:"depth,omitempty"`
-	CodeOff int32   `json:"co"`
-	CodeLen int32   `json:"cl"`
-	Preds   []int32 `json:"preds,omitempty"`
-	Succs   []int32 `json:"succs,omitempty"`
-}
-
 // opByName inverts opNames for decoding.
 var opByName = func() map[string]Op {
 	m := make(map[string]Op, opCount)
@@ -142,86 +90,9 @@ var opByName = func() map[string]Op {
 	return m
 }()
 
-// Marshal encodes f into the current wire format (v2, the arena fast
-// path). The encoding is deterministic: the same function state always
-// yields the same bytes, so hashes of the output are stable content
-// keys. Use MarshalV1 when the peer only speaks the legacy schema.
-func Marshal(f *Func) ([]byte, error) { return MarshalV2(f) }
-
-// MarshalV2 encodes f's arenas directly (schema "laoc-ir-v2").
-func MarshalV2(f *Func) ([]byte, error) {
-	statMarshalsV2.Add(1)
-	w, err := extractArenas(f)
-	if err != nil {
-		return nil, err
-	}
-	w.Schema = WireSchemaV2
-	return json.Marshal(w)
-}
-
-// extractArenas dumps f's slabs into the shared arena document that
-// both the v2 (JSON) and b1 (binary) encoders render. The Schema field
-// is left for the caller.
-func extractArenas(f *Func) (*wireFuncV2, error) {
-	nphys := 0
-	for nphys < len(f.vals) && f.vals[nphys].kind == Physical {
-		nphys++
-	}
-	for i := nphys; i < len(f.vals); i++ {
-		if f.vals[i].kind == Physical {
-			return nil, fmt.Errorf("ir: marshal %s: physical value %q outside the target prefix", f.Name, f.vals[i].name)
-		}
-		if f.vals[i].name == "" {
-			return nil, fmt.Errorf("ir: marshal %s: value %d has no name", f.Name, i)
-		}
-	}
-	w := wireFuncV2{Name: f.Name, NPhys: nphys}
-	w.VNames = make([]string, 0, len(f.vals)-nphys)
-	for i := nphys; i < len(f.vals); i++ {
-		w.VNames = append(w.VNames, f.vals[i].name)
-	}
-	w.Ops = make([]int32, 0, 2*len(f.ops))
-	for _, o := range f.ops {
-		w.Ops = append(w.Ops, int32(o.Val), int32(o.pin))
-	}
-	w.Code = make([]int32, len(f.code))
-	for i, id := range f.code {
-		w.Code[i] = int32(id)
-	}
-	w.Instrs = make([]int64, 0, 7*int(f.numInstrs))
-	for id := int32(0); id < f.numInstrs; id++ {
-		in := &f.instrChunks[id>>instrChunkShift][id&instrChunkMask]
-		w.Instrs = append(w.Instrs,
-			int64(in.op), int64(in.blk),
-			int64(in.defOff), int64(in.defLen),
-			int64(in.useOff), int64(in.useLen),
-			in.Imm)
-		if in.Callee != "" {
-			w.Callees = append(w.Callees, wireCallee{Slot: id, Name: in.Callee})
-		}
-	}
-	w.Blocks = make([]wireBlockV2, f.numBlocks)
-	for id := int32(0); id < f.numBlocks; id++ {
-		b := &f.blockChunks[id>>blockChunkShift][id&blockChunkMask]
-		wb := wireBlockV2{Name: b.Name, Depth: b.LoopDepth, CodeOff: b.codeOff, CodeLen: b.codeLen}
-		for _, p := range b.preds {
-			wb.Preds = append(wb.Preds, int32(p))
-		}
-		for _, s := range b.succs {
-			wb.Succs = append(wb.Succs, int32(s))
-		}
-		w.Blocks[id] = wb
-	}
-	w.Order = make([]int32, len(f.blockList))
-	for i, b := range f.blockList {
-		w.Order[i] = int32(b.ID)
-	}
-	return &w, nil
-}
-
-// MarshalV1 encodes f in the legacy schema, for peers that have not
-// adopted v2. The bytes are identical to what the pre-SoA Marshal
-// produced for the same function.
+// MarshalV1 encodes f in the v1 JSON schema. The encoding is
+// deterministic: the same function state always yields the same bytes,
+// so hashes of the output are stable content keys.
 func MarshalV1(f *Func) ([]byte, error) {
 	statMarshalsV1.Add(1)
 	w := wireFunc{Schema: WireSchemaV1, Name: f.Name}
@@ -283,214 +154,27 @@ func MarshalV1(f *Func) ([]byte, error) {
 	return json.Marshal(&w)
 }
 
-// wireSchema is the minimal probe used to dispatch on the schema tag.
-type wireSchema struct {
-	Schema string `json:"schema"`
-}
-
-// Unmarshal decodes a function from the wire format, accepting the b1
-// binary schema (detected by its magic prefix), the v2 arena schema and
-// the legacy v1 schema. The result owns a fresh Target; the document's
-// physical-register prefix must match the target shape exactly.
+// Unmarshal decodes a function from the wire format: the b1 binary
+// schema when data starts with its magic, else the v1 JSON schema. The
+// result owns a fresh Target; the document's physical-register prefix
+// must match the target shape exactly.
 func Unmarshal(data []byte) (*Func, error) {
 	if IsBinary(data) {
 		statUnmarshalsB1.Add(1)
 		return unmarshalB1(data)
 	}
-	var probe wireSchema
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("ir: unmarshal: %v", err)
-	}
-	switch probe.Schema {
-	case WireSchemaV2:
-		statUnmarshalsV2.Add(1)
-		return unmarshalV2(data)
-	case WireSchemaV1:
-		statUnmarshalsV1.Add(1)
-		return unmarshalV1(data)
-	default:
-		return nil, fmt.Errorf("ir: unmarshal: unknown schema %q (want %q, %q or %q)", probe.Schema, WireSchemaB1, WireSchemaV2, WireSchemaV1)
-	}
-}
-
-// DetectSchema reports which wire schema data carries ("" when it is
-// none of them). It inspects only the prefix/tag, not whole-document
-// validity.
-func DetectSchema(data []byte) string {
-	if IsBinary(data) {
-		return WireSchemaB1
-	}
-	var probe wireSchema
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return ""
-	}
-	switch probe.Schema {
-	case WireSchemaV2, WireSchemaV1:
-		return probe.Schema
-	}
-	return ""
-}
-
-func unmarshalV2(data []byte) (*Func, error) {
-	var w wireFuncV2
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("ir: unmarshal: %v", err)
-	}
-	return buildArenas(&w)
-}
-
-// buildArenas reconstructs a function from the shared arena document,
-// validating every handle, span and edge before trusting it and
-// finishing with a full structural Verify. Both the v2 and b1 decoders
-// end here, so the two schemas cannot diverge in what they accept or
-// in the function they build.
-func buildArenas(w *wireFuncV2) (*Func, error) {
-	if w.Name == "" {
-		return nil, fmt.Errorf("ir: unmarshal: function has no name")
-	}
-	f := NewFunc(w.Name)
-	if w.NPhys != len(f.vals) {
-		return nil, fmt.Errorf("ir: unmarshal %s: document has %d target registers, target expects %d", w.Name, w.NPhys, len(f.vals))
-	}
-	for _, n := range w.VNames {
-		if n == "" {
-			return nil, fmt.Errorf("ir: unmarshal %s: value has no name", w.Name)
-		}
-		f.newValue(n, Virtual)
-	}
-	nv := int32(len(f.vals))
-
-	if len(w.Ops)%2 != 0 {
-		return nil, fmt.Errorf("ir: unmarshal %s: odd operand slab length %d", w.Name, len(w.Ops))
-	}
-	f.ops = make([]Operand, len(w.Ops)/2)
-	for i := range f.ops {
-		val, pin := w.Ops[2*i], w.Ops[2*i+1]
-		if val < 0 || val >= nv {
-			return nil, fmt.Errorf("ir: unmarshal %s: operand value %d out of range", w.Name, val)
-		}
-		if pin < 0 || pin > nv {
-			return nil, fmt.Errorf("ir: unmarshal %s: operand pin %d out of range", w.Name, pin)
-		}
-		f.ops[i] = Operand{Val: ValueID(val), pin: ValueID(pin)}
-	}
-
-	if len(w.Instrs)%7 != 0 {
-		return nil, fmt.Errorf("ir: unmarshal %s: instruction arena length %d not a multiple of 7", w.Name, len(w.Instrs))
-	}
-	nInstr := int32(len(w.Instrs) / 7)
-	nBlock := int32(len(w.Blocks))
-
-	f.code = make([]InstrID, len(w.Code))
-	for i, id := range w.Code {
-		if id != int32(NoInstr) && (id < 0 || id >= nInstr) {
-			return nil, fmt.Errorf("ir: unmarshal %s: code slab entry %d out of range", w.Name, id)
-		}
-		f.code[i] = InstrID(id)
-	}
-
-	nOps := int32(len(f.ops))
-	for i := int32(0); i < nInstr; i++ {
-		rec := w.Instrs[7*i : 7*i+7]
-		op := rec[0]
-		if op < 0 || op >= int64(opCount) {
-			return nil, fmt.Errorf("ir: unmarshal %s: unknown opcode %d", w.Name, op)
-		}
-		blk := rec[1]
-		if blk != int64(NoBlock) && (blk < 0 || blk >= int64(nBlock)) {
-			return nil, fmt.Errorf("ir: unmarshal %s: instruction block %d out of range", w.Name, blk)
-		}
-		span := func(off, n int64) error {
-			if off < 0 || n < 0 || off+n > int64(nOps) {
-				return fmt.Errorf("ir: unmarshal %s: operand span [%d,+%d) out of range", w.Name, off, n)
-			}
-			return nil
-		}
-		if err := span(rec[2], rec[3]); err != nil {
-			return nil, err
-		}
-		if err := span(rec[4], rec[5]); err != nil {
-			return nil, err
-		}
-		in := f.allocInstr()
-		in.op = Op(op)
-		in.blk = BlockID(blk)
-		in.defOff, in.defLen = int32(rec[2]), int32(rec[3])
-		in.useOff, in.useLen = int32(rec[4]), int32(rec[5])
-		in.Imm = rec[6]
-	}
-	for _, c := range w.Callees {
-		if c.Slot < 0 || c.Slot >= nInstr {
-			return nil, fmt.Errorf("ir: unmarshal %s: callee slot %d out of range", w.Name, c.Slot)
-		}
-		f.Instr(InstrID(c.Slot)).Callee = c.Name
-	}
-
-	nCode := int32(len(f.code))
-	for i, wb := range w.Blocks {
-		b := f.NewBlock(wb.Name)
-		if wb.Name == "" {
-			return nil, fmt.Errorf("ir: unmarshal %s: block %d has no name", w.Name, i)
-		}
-		b.LoopDepth = wb.Depth
-		if wb.CodeOff < 0 || wb.CodeLen < 0 || wb.CodeOff+wb.CodeLen > nCode {
-			return nil, fmt.Errorf("ir: unmarshal %s: block %q code span [%d,+%d) out of range", w.Name, wb.Name, wb.CodeOff, wb.CodeLen)
-		}
-		for j := wb.CodeOff; j < wb.CodeOff+wb.CodeLen; j++ {
-			if f.code[j] == NoInstr {
-				return nil, fmt.Errorf("ir: unmarshal %s: block %q has a hole in its code span", w.Name, wb.Name)
-			}
-		}
-		b.codeOff, b.codeLen, b.codeCap = wb.CodeOff, wb.CodeLen, wb.CodeLen
-		edge := func(ids []int32) ([]BlockID, error) {
-			if len(ids) == 0 {
-				return nil, nil
-			}
-			out := make([]BlockID, len(ids))
-			for k, id := range ids {
-				if id < 0 || id >= int32(nBlock) {
-					return nil, fmt.Errorf("ir: unmarshal %s: block %q edge %d out of range", w.Name, wb.Name, id)
-				}
-				out[k] = BlockID(id)
-			}
-			return out, nil
-		}
-		var err error
-		if b.preds, err = edge(wb.Preds); err != nil {
-			return nil, err
-		}
-		if b.succs, err = edge(wb.Succs); err != nil {
-			return nil, err
-		}
-	}
-
-	if len(w.Order) == 0 {
-		return nil, fmt.Errorf("ir: unmarshal %s: function has no blocks", w.Name)
-	}
-	order := make([]BlockID, len(w.Order))
-	seen := make([]bool, nBlock)
-	for i, id := range w.Order {
-		if id < 0 || id >= int32(nBlock) {
-			return nil, fmt.Errorf("ir: unmarshal %s: layout block %d out of range", w.Name, id)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("ir: unmarshal %s: block %d appears twice in the layout", w.Name, id)
-		}
-		seen[id] = true
-		order[i] = BlockID(id)
-	}
-	f.SetBlockOrder(order)
-	if err := f.Verify(); err != nil {
-		return nil, fmt.Errorf("ir: unmarshal: %v", err)
-	}
-	return f, nil
-}
-
-func unmarshalV1(data []byte) (*Func, error) {
 	var w wireFunc
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("ir: unmarshal: %v", err)
 	}
+	if w.Schema != WireSchemaV1 {
+		return nil, fmt.Errorf("ir: unmarshal: unknown schema %q (want %q or %q)", w.Schema, WireSchemaV1, WireSchemaB1)
+	}
+	statUnmarshalsV1.Add(1)
+	return unmarshalV1(&w)
+}
+
+func unmarshalV1(w *wireFunc) (*Func, error) {
 	if w.Name == "" {
 		return nil, fmt.Errorf("ir: unmarshal: function has no name")
 	}

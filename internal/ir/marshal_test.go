@@ -2,6 +2,7 @@ package ir_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"outofssa/internal/ir"
@@ -13,30 +14,13 @@ import (
 )
 
 // roundTrip marshals, unmarshals and re-marshals f through both wire
-// schemas, failing on any decode error or byte drift. The v1 document
-// must decode to the same function as the v2 one — the schemas are
+// schemas, failing on any decode error or byte drift. Each schema's
+// encoding must be a byte fixed point of its round trip, the b1 decode
+// must rebuild the original's arenas exactly, and the b1-decoded
+// function must re-encode to the original's v1 bytes — the schemas are
 // interchangeable on the wire.
-func roundTrip(t *testing.T, f *ir.Func) *ir.Func {
+func roundTrip(t *testing.T, f *ir.Func) {
 	t.Helper()
-	data, err := ir.Marshal(f)
-	if err != nil {
-		t.Fatalf("%s: Marshal: %v", f.Name, err)
-	}
-	g, err := ir.Unmarshal(data)
-	if err != nil {
-		t.Fatalf("%s: Unmarshal: %v", f.Name, err)
-	}
-	if got, want := g.String(), f.String(); got != want {
-		t.Fatalf("%s: decoded function prints differently:\n--- original\n%s\n--- decoded\n%s", f.Name, want, got)
-	}
-	data2, err := ir.Marshal(g)
-	if err != nil {
-		t.Fatalf("%s: re-Marshal: %v", f.Name, err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatalf("%s: v2 encoding is not a fixed point of the round trip", f.Name)
-	}
-
 	v1, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatalf("%s: MarshalV1: %v", f.Name, err)
@@ -60,8 +44,8 @@ func roundTrip(t *testing.T, f *ir.Func) *ir.Func {
 	if err != nil {
 		t.Fatalf("%s: MarshalBinary: %v", f.Name, err)
 	}
-	if !ir.IsBinary(b1) || ir.DetectSchema(b1) != ir.WireSchemaB1 {
-		t.Fatalf("%s: b1 document not detected as binary", f.Name)
+	if !ir.IsBinary(b1) || ir.IsBinary(v1) {
+		t.Fatalf("%s: IsBinary misclassifies the b1 or v1 document", f.Name)
 	}
 	gb, err := ir.Unmarshal(b1)
 	if err != nil {
@@ -84,16 +68,14 @@ func roundTrip(t *testing.T, f *ir.Func) *ir.Func {
 		t.Fatalf("%s: b1 encoding is not a fixed point of the round trip", f.Name)
 	}
 	// Cross-schema: the b1-decoded function must re-encode to the very
-	// same v2 bytes as the original — the schemas are views of one
-	// arena document.
-	vx, err := ir.Marshal(gb)
+	// same v1 bytes as the original.
+	vx, err := ir.MarshalV1(gb)
 	if err != nil {
-		t.Fatalf("%s: Marshal(b1-decoded): %v", f.Name, err)
+		t.Fatalf("%s: MarshalV1(b1-decoded): %v", f.Name, err)
 	}
-	if !bytes.Equal(data, vx) {
-		t.Fatalf("%s: b1-decoded function re-encodes to different v2 bytes", f.Name)
+	if !bytes.Equal(v1, vx) {
+		t.Fatalf("%s: b1-decoded function re-encodes to different v1 bytes", f.Name)
 	}
-	return g
 }
 
 // TestMarshalRoundTripSuites round-trips every workload suite function,
@@ -119,7 +101,7 @@ func TestMarshalPipelineIdentity(t *testing.T) {
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		f := testprog.Rand(seed, testprog.RandOptions{MaxDepth: 4, Vars: 4, StmtsPerBlock: 4, Calls: true, Stack: true})
-		data, err := ir.Marshal(f)
+		data, err := ir.MarshalBinary(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,15 +122,11 @@ func TestMarshalPipelineIdentity(t *testing.T) {
 	}
 }
 
-// TestMarshalRejects pins the decoder's validation on both schemas: bad
-// schema tag, unknown op, out-of-range handle, and a corrupted arena
-// all fail loudly.
+// TestMarshalRejects pins the v1 decoder's validation: bad schema tag,
+// unknown op, out-of-range handle and an empty document all fail
+// loudly. A retired or foreign tag is named in the error.
 func TestMarshalRejects(t *testing.T) {
 	f, err := lai.Parse(".func f\n.input A:R0\nadd B, A, A\nret B\n.endfunc\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := ir.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +139,6 @@ func TestMarshalRejects(t *testing.T) {
 		doc      []byte
 		old, new string
 	}{
-		{"v2-schema", v2, `"laoc-ir-v2"`, `"laoc-ir-v9"`},
-		{"v2-op", v2, `"instrs":[34,`, `"instrs":[9934,`},
-		{"v2-operand", v2, `"ops":[25,`, `"ops":[9925,`},
 		{"v1-schema", v1, `"laoc-ir-v1"`, `"laoc-ir-v9"`},
 		{"v1-op", v1, `"add"`, `"frob"`},
 		{"v1-value-id", v1, `[[25,0]]`, `[[999,0]]`},
@@ -179,7 +154,14 @@ func TestMarshalRejects(t *testing.T) {
 	if _, err := ir.Unmarshal([]byte(`{"schema":"laoc-ir-v1","name":"f","values":[],"blocks":[]}`)); err == nil {
 		t.Error("empty v1 document decoded without error")
 	}
-	if _, err := ir.Unmarshal([]byte(`{"schema":"laoc-ir-v2","name":"f","nphys":25,"vnames":[],"blocks":[],"order":[]}`)); err == nil {
-		t.Error("empty v2 document decoded without error")
+	// The retired arena JSON schema, f as its last encoder wrote it: the
+	// error names the tag.
+	v2 := `{"schema":"laoc-ir-v2","name":"f","nphys":25,"vnames":["A","B"],"ops":[25,1,26,0,25,0,25,0,26,0],"code":[0,1,2],"instrs":[34,0,0,1,1,0,1,8,0,1,1,2,2,0,35,0,4,0,4,1,0],"blocks":[{"name":"entry","co":0,"cl":3}],"order":[0]}`
+	if _, err := ir.Unmarshal([]byte(v2)); err == nil || !strings.Contains(err.Error(), `"laoc-ir-v2"`) {
+		t.Errorf("v2 document: error %v does not name \"laoc-ir-v2\"", err)
+	}
+	// The base64'd b1 string the "ir" field once carried.
+	if _, err := ir.Unmarshal([]byte(`"bGFvYy1pci1iMQA="`)); err == nil {
+		t.Error("base64 string decoded without error")
 	}
 }

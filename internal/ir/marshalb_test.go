@@ -42,7 +42,7 @@ func TestBinaryRejects(t *testing.T) {
 		}
 		trunc := doc[:n]
 		if !ir.IsBinary(trunc) {
-			continue // magic itself truncated: falls through to the JSON probe
+			continue // magic itself truncated: falls through to the v1 decoder
 		}
 		if _, err := ir.Unmarshal(trunc); err == nil {
 			t.Fatalf("truncated document (%d of %d bytes) decoded without error", n, len(doc))
@@ -73,7 +73,7 @@ func TestBinaryRejects(t *testing.T) {
 		t.Error("hostile element count decoded without error")
 	}
 
-	// A name byte that is not UTF-8: the JSON schemas could not carry it,
+	// A name byte that is not UTF-8: the v1 schema could not carry it,
 	// so the decoder refuses it and names where it sits.
 	bad = append([]byte{}, doc...)
 	nameOff := len(ir.WireSchemaB1) + 1 + 4 + 4 + 4
@@ -123,52 +123,25 @@ func TestBinaryAppend(t *testing.T) {
 	}
 }
 
-// TestDetectSchema pins the negotiation helper on all three schemas
-// plus junk.
-func TestDetectSchema(t *testing.T) {
-	f := exampleFunc(t)
-	v2, _ := ir.Marshal(f)
-	v1, _ := ir.MarshalV1(f)
-	b1, _ := ir.MarshalBinary(f)
-	for _, tc := range []struct {
-		data []byte
-		want string
-	}{
-		{v2, ir.WireSchemaV2},
-		{v1, ir.WireSchemaV1},
-		{b1, ir.WireSchemaB1},
-		{[]byte(`{"schema":"laoc-ir-v9"}`), ""},
-		{[]byte("laoc-ir-b9\x00junk"), ""},
-		{[]byte("not even close"), ""},
-		{nil, ""},
-	} {
-		if got := ir.DetectSchema(tc.data); got != tc.want {
-			t.Errorf("DetectSchema(%.20q) = %q, want %q", tc.data, got, tc.want)
-		}
-	}
-}
-
 // FuzzWireRoundTrip feeds arbitrary bytes to Unmarshal; whenever they
-// decode, the function must re-encode in all three schemas, each
-// re-decode to the same print, and the arena schemas (v2, b1) must be
-// byte fixed points — the cross-decode discipline that keeps the
-// schemas interchangeable on the wire and on disk.
+// decode, the function must re-encode in both schemas, each re-decode
+// to the same print, b1 must be a byte fixed point, and the b1 decode
+// must rebuild the decoded function's arenas exactly — the cross-decode
+// discipline that keeps the schemas interchangeable on the wire and on
+// disk.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, s := range workload.All() {
-		fn := s.Funcs[0]
-		if v2, err := ir.Marshal(fn); err == nil {
-			f.Add(v2)
-		}
-		if v1, err := ir.MarshalV1(fn); err == nil {
-			f.Add(v1)
-		}
-		if b1, err := ir.MarshalBinary(fn); err == nil {
-			f.Add(b1)
-		}
-		g := fn.Clone()
+		g := s.Funcs[0].Clone()
 		ssa.MustBuild(g)
-		if b1, err := ir.MarshalBinary(g); err == nil {
-			f.Add(b1)
+		// Each suite's first function before and after SSA
+		// construction (φs, pins, generated names), in both schemas.
+		for _, fn := range []*ir.Func{s.Funcs[0], g} {
+			if v1, err := ir.MarshalV1(fn); err == nil {
+				f.Add(v1)
+			}
+			if b1, err := ir.MarshalBinary(fn); err == nil {
+				f.Add(b1)
+			}
 		}
 	}
 	f.Add([]byte("laoc-ir-b1\x00"))
@@ -178,10 +151,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			return
 		}
 		want := fn.String()
-		v2, err := ir.Marshal(fn)
-		if err != nil {
-			t.Fatalf("decoded function does not re-encode (v2): %v", err)
-		}
 		b1, err := ir.MarshalBinary(fn)
 		if err != nil {
 			t.Fatalf("decoded function does not re-encode (b1): %v", err)
@@ -190,7 +159,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded function does not re-encode (v1): %v", err)
 		}
-		for _, enc := range [][]byte{v2, b1, v1} {
+		for _, enc := range [][]byte{b1, v1} {
 			g, err := ir.Unmarshal(enc)
 			if err != nil {
 				t.Fatalf("re-encoded document does not decode: %v", err)
@@ -199,88 +168,63 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("cross-decode print drift:\n--- want\n%s\n--- got\n%s", want, g.String())
 			}
 		}
-		// Arena-schema byte fixed points (memcmp exactness).
-		g2, _ := ir.Unmarshal(v2)
-		if enc2, _ := ir.Marshal(g2); !bytes.Equal(enc2, v2) {
-			t.Fatal("v2 is not a byte fixed point")
-		}
+		// b1 exactness: a byte fixed point, and the arenas it rebuilds
+		// are the decoded function's own (memcmp-equivalent, like Clone).
 		gb, _ := ir.Unmarshal(b1)
 		if encb, _ := ir.MarshalBinary(gb); !bytes.Equal(encb, b1) {
 			t.Fatal("b1 is not a byte fixed point")
 		}
-		if gb.ArenaChecksum() != g2.ArenaChecksum() {
-			t.Fatal("v2 and b1 decode to different arena bytes")
+		if gb.ArenaChecksum() != fn.ArenaChecksum() {
+			t.Fatal("b1 round trip changed the arena bytes")
 		}
 	})
 }
 
-// BenchmarkWireCodec measures encode and decode for the v2 JSON and b1
+// BenchmarkWireCodec measures encode and decode for the v1 JSON and b1
 // binary schemas over the full Table-2 corpus (every workload suite
-// function) — the numbers behind BENCH_persist.json's codec section
-// and the "b1 decode ≥ 3× v2" acceptance bar.
+// function).
 func BenchmarkWireCodec(b *testing.B) {
 	var funcs []*ir.Func
 	for _, s := range workload.All() {
 		funcs = append(funcs, s.Funcs...)
 	}
-	var v2docs, b1docs [][]byte
-	for _, f := range funcs {
-		d2, err := ir.Marshal(f)
-		if err != nil {
-			b.Fatal(err)
+	schemas := []struct {
+		name    string
+		marshal func(*ir.Func) ([]byte, error)
+		docs    [][]byte
+		bytes   int64
+	}{{name: "v1", marshal: ir.MarshalV1}, {name: "b1", marshal: ir.MarshalBinary}}
+	for i := range schemas {
+		sc := &schemas[i]
+		for _, f := range funcs {
+			d, err := sc.marshal(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc.docs = append(sc.docs, d)
+			sc.bytes += int64(len(d))
 		}
-		d1, err := ir.MarshalBinary(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v2docs = append(v2docs, d2)
-		b1docs = append(b1docs, d1)
 	}
-	bytesOf := func(docs [][]byte) int64 {
-		var n int64
-		for _, d := range docs {
-			n += int64(len(d))
-		}
-		return n
+	for _, sc := range schemas {
+		b.Run("encode/"+sc.name, func(b *testing.B) {
+			b.SetBytes(sc.bytes)
+			for i := 0; i < b.N; i++ {
+				for _, f := range funcs {
+					if _, err := sc.marshal(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run("decode/"+sc.name, func(b *testing.B) {
+			b.SetBytes(sc.bytes)
+			for i := 0; i < b.N; i++ {
+				for _, d := range sc.docs {
+					if _, err := ir.Unmarshal(d); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
-	b.Run("encode/v2", func(b *testing.B) {
-		b.SetBytes(bytesOf(v2docs))
-		for i := 0; i < b.N; i++ {
-			for _, f := range funcs {
-				if _, err := ir.Marshal(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("encode/b1", func(b *testing.B) {
-		b.SetBytes(bytesOf(b1docs))
-		for i := 0; i < b.N; i++ {
-			for _, f := range funcs {
-				if _, err := ir.MarshalBinary(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("decode/v2", func(b *testing.B) {
-		b.SetBytes(bytesOf(v2docs))
-		for i := 0; i < b.N; i++ {
-			for _, d := range v2docs {
-				if _, err := ir.Unmarshal(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("decode/b1", func(b *testing.B) {
-		b.SetBytes(bytesOf(b1docs))
-		for i := 0; i < b.N; i++ {
-			for _, d := range b1docs {
-				if _, err := ir.Unmarshal(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }

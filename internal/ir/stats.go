@@ -20,10 +20,8 @@ var (
 	statCOWSlabCopies       atomic.Int64
 	statCOWAdoptions        atomic.Int64
 
-	statMarshalsV2   atomic.Int64
 	statMarshalsV1   atomic.Int64
 	statMarshalsB1   atomic.Int64
-	statUnmarshalsV2 atomic.Int64
 	statUnmarshalsV1 atomic.Int64
 	statUnmarshalsB1 atomic.Int64
 )
@@ -55,13 +53,10 @@ type SlabStats struct {
 	COWMaterializations int64
 	COWSlabCopies       int64
 	COWAdoptions        int64
-	// Marshal/Unmarshal counters split by wire schema; the v2 counters
-	// move on the arena JSON path, v1 on the legacy per-instruction walk,
-	// b1 on the binary arena fast path.
-	MarshalsV2   int64
+	// Marshal/Unmarshal counters split by wire schema: v1 moves on the
+	// per-instruction JSON walk, b1 on the binary arena dump.
 	MarshalsV1   int64
 	MarshalsB1   int64
-	UnmarshalsV2 int64
 	UnmarshalsV1 int64
 	UnmarshalsB1 int64
 }
@@ -77,10 +72,8 @@ func Stats() SlabStats {
 		COWMaterializations: statCOWMaterializations.Load(),
 		COWSlabCopies:       statCOWSlabCopies.Load(),
 		COWAdoptions:        statCOWAdoptions.Load(),
-		MarshalsV2:          statMarshalsV2.Load(),
 		MarshalsV1:          statMarshalsV1.Load(),
 		MarshalsB1:          statMarshalsB1.Load(),
-		UnmarshalsV2:        statUnmarshalsV2.Load(),
 		UnmarshalsV1:        statUnmarshalsV1.Load(),
 		UnmarshalsB1:        statUnmarshalsB1.Load(),
 	}

@@ -47,7 +47,7 @@ type valData struct {
 //
 // Operands are pure handle pairs — position-independent and pointer-free —
 // so the per-function operand slab can be copied verbatim by Clone and
-// encoded verbatim by the v2 wire format. The pin is stored biased by +1
+// encoded verbatim by the b1 wire format. The pin is stored biased by +1
 // so that the zero Operand is an unpinned use of R0: constructing
 // Operand{Val: v} is always safe, and pins can only be attached through
 // WithPin or the Instr pin mutators (which is how the no-generation-bump

@@ -32,8 +32,10 @@ func goldenRegistry() *Registry {
 }
 
 // TestPrometheusGolden pins the exposition byte-for-byte against
-// testdata/promtext.golden (regenerate with `go test -run Golden
-// -update ./internal/obs/metrics`).
+// testdata/promtext.golden (regenerate with `go test
+// ./internal/obs/metrics -run Golden -update`; the package goes before
+// -update, or go test hands it to the test binary and tests the root
+// package).
 func TestPrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, goldenRegistry().Snapshot()); err != nil {

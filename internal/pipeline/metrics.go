@@ -78,10 +78,8 @@ func init() {
 	d.CounterFunc(MetricIRClones, func() int64 { return ir.Stats().Clones })
 	d.CounterFunc(MetricIRCloneSlabAllocs, func() int64 { return ir.Stats().CloneSlabAllocs })
 	d.CounterFunc(MetricIRRestores, func() int64 { return ir.Stats().Restores })
-	d.CounterFunc(MetricIRMarshals, func() int64 { return ir.Stats().MarshalsV2 }, metrics.L("schema", "v2"))
 	d.CounterFunc(MetricIRMarshals, func() int64 { return ir.Stats().MarshalsV1 }, metrics.L("schema", "v1"))
 	d.CounterFunc(MetricIRMarshals, func() int64 { return ir.Stats().MarshalsB1 }, metrics.L("schema", "b1"))
-	d.CounterFunc(MetricIRUnmarshals, func() int64 { return ir.Stats().UnmarshalsV2 }, metrics.L("schema", "v2"))
 	d.CounterFunc(MetricIRUnmarshals, func() int64 { return ir.Stats().UnmarshalsV1 }, metrics.L("schema", "v1"))
 	d.CounterFunc(MetricIRUnmarshals, func() int64 { return ir.Stats().UnmarshalsB1 }, metrics.L("schema", "b1"))
 	d.CounterFunc(MetricIRSnapshots, func() int64 { return ir.Stats().Snapshots })
@@ -97,7 +95,7 @@ func init() {
 	d.SetHelp(MetricIRClones, "ir.Func.Clone calls (slab memcpy clones).")
 	d.SetHelp(MetricIRCloneSlabAllocs, "Heap allocations performed by Clone, summed; divide by laoc_ir_clones_total for the per-clone ratio (O(arena chunks)).")
 	d.SetHelp(MetricIRRestores, "ir.Func.RestoreFrom copy-backs (snapshot rollbacks).")
-	d.SetHelp(MetricIRMarshals, "IR documents encoded, by wire schema (v2 = arena fast path).")
+	d.SetHelp(MetricIRMarshals, "IR documents encoded, by wire schema (v1 = JSON, b1 = binary arena dump).")
 	d.SetHelp(MetricIRUnmarshals, "IR documents decoded, by wire schema.")
 }
 

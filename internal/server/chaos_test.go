@@ -56,7 +56,9 @@ func TestChaos(t *testing.T) {
 	// A per-pass debug sleep makes service time dominate, so the
 	// 32-way drive genuinely overruns the 4-worker/8-slot server and
 	// admission control has something to shed. (Real compiles of these
-	// programs are sub-millisecond — the workers would keep up.)
+	// programs are sub-millisecond — the workers would keep up.) The
+	// raw b1 half of the stream has no JSON envelope to carry the
+	// sleep, so it compiles at full speed between the sleepers.
 	for i := range reqs {
 		if reqs[i].Debug == nil {
 			reqs[i].Debug = &workload.ClientDebug{SleepMS: 5}
@@ -126,7 +128,7 @@ func TestChaos(t *testing.T) {
 		t.Fatal("breaker never tripped")
 	}
 	probeF := workload.SynthFuncs(1, 9000)[0]
-	doc, err := ir.Marshal(probeF)
+	doc, err := ir.MarshalV1(probeF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestChaos(t *testing.T) {
 		t.Fatalf("probe request: status %d", rep.status)
 	}
 	recoveredF := workload.SynthFuncs(1, 9001)[0]
-	doc2, err := ir.Marshal(recoveredF)
+	doc2, err := ir.MarshalV1(recoveredF)
 	if err != nil {
 		t.Fatal(err)
 	}

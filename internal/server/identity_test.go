@@ -14,13 +14,13 @@ import (
 
 // TestSuiteIdentityThroughServer keeps the Tables 1-5 byte-identity
 // gate honest across the network: compiling every stats-suite function
-// through the server path (raw-IR mode, all three wire schemas) must
-// yield exactly the output of pipeline.Run locally — cold, and again
-// warm from the verified cache. Posting the v1, v2 and binary b1
-// documents of one function exercises the schema negotiation: the
-// server dispatches on the document's schema (tag or magic) and all
-// must land on identical output. The server runs with persistence on,
-// so the identity gate also covers the write-behind path.
+// through the server path (raw-IR mode, both wire schemas) must yield
+// exactly the output of pipeline.Run locally — cold, and again warm
+// from the verified cache. Posting the v1 and binary b1 documents of
+// one function exercises the schema negotiation: the server dispatches
+// on the b1 magic and both must land on identical output. The server
+// runs with persistence on, so the identity gate also covers the
+// write-behind path.
 func TestSuiteIdentityThroughServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite identity run in -short mode")
@@ -42,7 +42,6 @@ func TestSuiteIdentityThroughServer(t *testing.T) {
 		workload.LAILarge(), workload.SPECint(),
 	}
 	type wantRec struct {
-		docV2  []byte
 		docV1  []byte
 		docB1  []byte
 		output string
@@ -51,10 +50,6 @@ func TestSuiteIdentityThroughServer(t *testing.T) {
 	var wants []wantRec
 	for _, suite := range suites {
 		for _, f := range suite.Funcs {
-			docV2, err := ir.Marshal(f)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", suite.Name, f.Name, err)
-			}
 			docV1, err := ir.MarshalV1(f)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", suite.Name, f.Name, err)
@@ -64,7 +59,7 @@ func TestSuiteIdentityThroughServer(t *testing.T) {
 				t.Fatalf("%s/%s: %v", suite.Name, f.Name, err)
 			}
 			out, res := localOutput(t, f.Clone(), s.conf.Experiment)
-			wants = append(wants, wantRec{docV2: docV2, docV1: docV1, docB1: docB1, output: out, moves: res.Moves})
+			wants = append(wants, wantRec{docV1: docV1, docB1: docB1, output: out, moves: res.Moves})
 		}
 	}
 
@@ -75,7 +70,7 @@ func TestSuiteIdentityThroughServer(t *testing.T) {
 	for _, p := range passes {
 		pass, wantCached := p.name, p.wantCached
 		for i, w := range wants {
-			for _, doc := range [][]byte{w.docV2, w.docV1, w.docB1} {
+			for _, doc := range [][]byte{w.docV1, w.docB1} {
 				var rep compileReply
 				if ir.IsBinary(doc) {
 					rep = postRawCompile(t, hs.URL, doc)
@@ -100,8 +95,8 @@ func TestSuiteIdentityThroughServer(t *testing.T) {
 			}
 		}
 	}
-	if hits := counterValue(reg, MetricCacheHits); hits != int64(3*len(wants)) {
-		t.Fatalf("cache hits = %d, want %d (one per warm request, all three schemas)", hits, 3*len(wants))
+	if hits := counterValue(reg, MetricCacheHits); hits != int64(2*len(wants)) {
+		t.Fatalf("cache hits = %d, want %d (one per warm request, both schemas)", hits, 2*len(wants))
 	}
 }
 

@@ -26,8 +26,9 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // TestSyntheticLoad100k drives 10⁵ synthetic compile requests through
 // the service — the remaining piece of the ROADMAP's load-scale item.
-// The stream cycles a bounded pool of distinct functions (the
-// laocd -drive -distinct shape), so a correct service answers it with:
+// The stream cycles a bounded pool of distinct functions as raw b1
+// bodies (the laocdrive -distinct shape), so a correct service answers
+// it with:
 //
 //   - every request 200 OK — no sheds, deadlines, or fallbacks;
 //   - zero result-cache poisonings (checksum verification never fires);
@@ -48,11 +49,14 @@ func TestSyntheticLoad100k(t *testing.T) {
 		distinct = 512
 	)
 	reg := metrics.New()
+	// Raw bodies carry no deadline, so the server's default is each
+	// request's budget.
 	s, err := New(Config{
-		Workers:      4,
-		QueueDepth:   64,
-		CacheEntries: 2 * distinct,
-		Metrics:      reg,
+		Workers:         4,
+		QueueDepth:      64,
+		DefaultDeadline: 10 * time.Second,
+		CacheEntries:    2 * distinct,
+		Metrics:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +71,7 @@ func TestSyntheticLoad100k(t *testing.T) {
 	}()
 
 	funcs := workload.SynthPool(n, distinct, 4242)
-	reqs, err := workload.PooledRequests(funcs, n, 30_000)
+	reqs, err := workload.PooledRequests(funcs, n)
 	if err != nil {
 		t.Fatal(err)
 	}

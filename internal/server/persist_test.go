@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -69,7 +67,7 @@ func TestWarmStartServesIdentical(t *testing.T) {
 	funcs := workload.SynthFuncs(24, 99)
 	docs := make([][]byte, len(funcs))
 	for i, f := range funcs {
-		doc, err := ir.Marshal(f)
+		doc, err := ir.MarshalV1(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +125,7 @@ func TestWarmStartServesIdentical(t *testing.T) {
 func TestWarmStartSkipsCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
 	f := testprog.Rand(7, testprog.DefaultRandOptions())
-	doc, err := ir.Marshal(f)
+	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +254,7 @@ func TestWarmStartSkipsOlderDecodeRecords(t *testing.T) {
 func TestWarmStartTornTail(t *testing.T) {
 	dir := t.TempDir()
 	f := testprog.Rand(11, testprog.DefaultRandOptions())
-	doc, err := ir.Marshal(f)
+	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +294,8 @@ func TestWarmStartTornTail(t *testing.T) {
 }
 
 // TestB1Negotiation pins the schema surface: the same function posted
-// as a raw binary body, as a base64'd "ir" field, and as a v2 JSON
-// document must compile to identical output; raw and base64 b1
-// normalize to the same cache key, so the second b1 shape is a hit.
+// as a raw binary body and as a v1 JSON document must compile to
+// identical output. The two are distinct content, so each decodes once.
 func TestB1Negotiation(t *testing.T) {
 	_, hs, reg := startServer(t, Config{})
 	f := testprog.Rand(3, testprog.DefaultRandOptions())
@@ -306,82 +303,52 @@ func TestB1Negotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ir.Marshal(f)
+	v1, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	hr, err := http.Post(hs.URL+"/compile", "application/octet-stream", bytes.NewReader(b1))
-	if err != nil {
-		t.Fatal(err)
+	raw := postRawCompile(t, hs.URL, b1)
+	if raw.status != http.StatusOK {
+		t.Fatalf("raw b1 body: status %d (%s)", raw.status, raw.errK)
 	}
-	var rawResp compileResponse
-	if hr.StatusCode != http.StatusOK {
-		t.Fatalf("raw b1 body: status %d", hr.StatusCode)
-	}
-	if err := json.NewDecoder(hr.Body).Decode(&rawResp); err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if rawResp.Cached {
+	if raw.resp.Cached {
 		t.Fatal("first b1 request reported cached")
 	}
-
-	quoted, _ := json.Marshal(base64.StdEncoding.EncodeToString(b1))
-	rep := postCompile(t, hs.URL, compileRequest{IR: quoted})
+	rep := postCompile(t, hs.URL, compileRequest{IR: v1})
 	if rep.status != http.StatusOK {
-		t.Fatalf("base64 b1: status %d (%s)", rep.status, rep.errK)
+		t.Fatalf("v1: status %d (%s)", rep.status, rep.errK)
 	}
-	if !rep.resp.Cached {
-		t.Fatal("base64 b1 of the same document missed the cache — raw and base64 must share keys")
-	}
-	if rep.resp.Output != rawResp.Output {
-		t.Fatal("base64 and raw b1 outputs differ")
-	}
-
-	rep = postCompile(t, hs.URL, compileRequest{IR: v2})
-	if rep.status != http.StatusOK {
-		t.Fatalf("v2: status %d (%s)", rep.status, rep.errK)
-	}
-	if rep.resp.Output != rawResp.Output {
-		t.Fatal("v2 and b1 outputs differ")
+	if rep.resp.Output != raw.resp.Output {
+		t.Fatal("v1 and b1 outputs differ")
 	}
 
 	if miss := counterValue(reg, MetricDecodeMisses); miss != 2 {
-		t.Fatalf("decode misses = %d, want 2 (one per distinct content: b1 bytes, v2 bytes)", miss)
+		t.Fatalf("decode misses = %d, want 2 (one per distinct content: b1 bytes, v1 bytes)", miss)
 	}
 
 	// A truncated binary body must be a 400, not a hang or a 500.
-	hr, err = http.Post(hs.URL+"/compile", "application/octet-stream", bytes.NewReader(b1[:len(b1)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("truncated b1 body: status %d, want 400", hr.StatusCode)
+	if rep := postRawCompile(t, hs.URL, b1[:len(b1)-3]); rep.status != http.StatusBadRequest {
+		t.Fatalf("truncated b1 body: status %d, want 400", rep.status)
 	}
 
 	// So must a name that is not valid UTF-8: no JSON response could
 	// echo the bytes that were compiled.
 	bad := append([]byte{}, b1...)
 	bad[bytes.Index(bad, []byte(f.Name))] = 0xFF
-	hr, err = http.Post(hs.URL+"/compile", "application/octet-stream", bytes.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("b1 body with invalid UTF-8 name: status %d, want 400", hr.StatusCode)
+	if rep := postRawCompile(t, hs.URL, bad); rep.status != http.StatusBadRequest {
+		t.Fatalf("b1 body with invalid UTF-8 name: status %d, want 400", rep.status)
 	}
 }
 
-// TestMixedSchemaDrive runs the workload generator's full schema
-// rotation (v2, v1, base64 b1, raw b1) against one server: everything
-// compiles, and every response for the same source function is
-// byte-identical regardless of wire schema.
+// TestMixedSchemaDrive runs the workload generator's schema
+// alternation (v1 JSON at even indexes, raw b1 at odd ones) against one
+// server: everything compiles, and every response for the same source
+// function is byte-identical regardless of wire schema. The pool is odd,
+// so every function travels in both schemas.
 func TestMixedSchemaDrive(t *testing.T) {
 	s, _, _ := startServer(t, Config{Workers: 4, QueueDepth: 256})
-	const n, distinct = 64, 8
+	const n, distinct = 64, 7
 	funcs := workload.SynthPool(n, distinct, 321)
 	reqs, err := workload.MixedRequests(funcs, 10_000, 0, 0, 0)
 	if err != nil {

@@ -34,7 +34,6 @@ package server
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -280,16 +279,13 @@ func (s *Server) Handler() http.Handler {
 // --- request/response wire types -----------------------------------
 
 // compileRequest is the /compile body: exactly one of LAI (a single
-// function in LAI assembly) or IR (a laoc-ir document) must be set;
-// the schema tag in the document selects the decoder, so clients on
-// any wire version are served transparently. The IR field carries a
-// JSON document (v1/v2) directly, or a binary b1 document base64'd as
-// a JSON string. A request whose whole body starts with the b1 magic
-// skips JSON entirely — the body IS the IR, with deadline/debug at
-// their defaults. Raw and base64 b1 bodies normalize to the same
-// content bytes, so they share result-cache and singleflight keys. The
-// response is always the JSON compileResponse (rendered LAI text plus
-// counters), whatever the request schema.
+// function in LAI assembly) or IR (a laoc-ir-v1 JSON document) must be
+// set. A request whose whole body starts with the b1 magic skips JSON
+// entirely — the body IS the IR, with deadline and debug at their
+// defaults; such a client bounds its wait by closing the connection,
+// which cancels the request context. The response is always the JSON
+// compileResponse (rendered LAI text plus counters), whatever the
+// request schema.
 type compileRequest struct {
 	LAI        string          `json:"lai,omitempty"`
 	IR         json.RawMessage `json:"ir,omitempty"`
@@ -411,28 +407,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var content []byte
-	mode := "lai"
-	if req.LAI == "" {
-		content, mode = req.IR, "ir"
-		if len(content) > 0 && content[0] == '"' {
-			// A JSON-string IR field is a base64'd binary document:
-			// normalize to the raw bytes so it keys identically to the
-			// same document posted as a raw body.
-			var b64 string
-			if err := json.Unmarshal(content, &b64); err != nil {
-				s.finish(w, t0, nil, errParse(fmt.Errorf("ir field: %w", err)))
-				return
-			}
-			raw, err := base64.StdEncoding.DecodeString(b64)
-			if err != nil {
-				s.finish(w, t0, nil, errParse(fmt.Errorf("ir field: %w", err)))
-				return
-			}
-			content = raw
-		}
-	} else {
-		content = []byte(req.LAI)
+	content, mode := req.IR, "ir"
+	if req.LAI != "" {
+		content, mode = []byte(req.LAI), "lai"
 	}
 	key := contentKey(mode, content, s.conf.Experiment)
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -145,7 +146,7 @@ func TestCompileLAI(t *testing.T) {
 func TestCompileIR(t *testing.T) {
 	_, hs, _ := startServer(t, Config{})
 	f := testprog.Rand(11, testprog.DefaultRandOptions())
-	doc, err := ir.Marshal(f)
+	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +162,12 @@ func TestCompileIR(t *testing.T) {
 
 func TestCompileRejects(t *testing.T) {
 	_, hs, _ := startServer(t, Config{})
+	// The "ir" field takes a v1 document only: the retired arena JSON
+	// schema and a base64'd b1 string are both malformed.
+	b1, err := ir.MarshalBinary(testprog.Rand(11, testprog.DefaultRandOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		body any
@@ -170,6 +177,8 @@ func TestCompileRejects(t *testing.T) {
 		{"both", compileRequest{LAI: srcSimple, IR: json.RawMessage(`{}`)}, "parse"},
 		{"bad-lai", compileRequest{LAI: ".func broken\n"}, "parse"},
 		{"bad-ir", compileRequest{IR: json.RawMessage(`{"schema":"nope"}`)}, "parse"},
+		{"v2-ir", compileRequest{IR: json.RawMessage(`{"schema":"laoc-ir-v2","name":"f","nphys":25,"vnames":["A","B"],"ops":[25,1,26,0,25,0,25,0,26,0],"code":[0,1,2],"instrs":[34,0,0,1,1,0,1,8,0,1,1,2,2,0,35,0,4,0,4,1,0],"blocks":[{"name":"entry","co":0,"cl":3}],"order":[0]}`)}, "parse"},
+		{"base64-ir", compileRequest{IR: json.RawMessage(`"` + base64.StdEncoding.EncodeToString(b1) + `"`)}, "parse"},
 		{"debug-disabled", compileRequest{LAI: srcSimple, Debug: &debugRequest{SleepMS: 1}}, "parse"},
 	}
 	for _, tc := range cases {
@@ -355,7 +364,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	}
 	// While open (pre-cooldown), a clean request compiles degraded.
 	f := testprog.Rand(21, testprog.DefaultRandOptions())
-	doc, err := ir.Marshal(f)
+	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +379,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("probe after cooldown: %+v", probe.resp)
 	}
 	f2 := testprog.Rand(22, testprog.DefaultRandOptions())
-	doc2, err := ir.Marshal(f2)
+	doc2, err := ir.MarshalV1(f2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +425,7 @@ func TestBreakerProbeNeverServedFromCache(t *testing.T) {
 	}
 	for i, seed := range []int64{31, 32} {
 		clk.advance(time.Minute)
-		doc, err := ir.Marshal(testprog.Rand(seed, testprog.DefaultRandOptions()))
+		doc, err := ir.MarshalV1(testprog.Rand(seed, testprog.DefaultRandOptions()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +473,7 @@ func TestInvalidInputNeverTripsBreaker(t *testing.T) {
 		}
 	}
 	for i, seed := range []int64{41, 42, 43, 44} {
-		doc, err := ir.Marshal(testprog.Rand(seed, testprog.DefaultRandOptions()))
+		doc, err := ir.MarshalV1(testprog.Rand(seed, testprog.DefaultRandOptions()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,7 +508,7 @@ func TestInvalidInputNeverTripsBreaker(t *testing.T) {
 	if got := counterValue(reg, MetricBreakerProbes); got != 0 {
 		t.Fatalf("breaker probes = %d after the invalid request, want 0", got)
 	}
-	doc, err := ir.Marshal(testprog.Rand(45, testprog.DefaultRandOptions()))
+	doc, err := ir.MarshalV1(testprog.Rand(45, testprog.DefaultRandOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,12 @@
 // Client mode: drive a running laocd instance with generated work.
 // The same package that builds the paper's benchmark suites also
 // builds the request stream that exercises the daemon — the chaos test
-// and the CI smoke job both speak through Drive, so the load generator
+// and cmd/laocdrive both speak through Drive, so the load generator
 // and the service agree on exactly one wire format.
 package workload
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -49,26 +48,27 @@ func SynthPool(n, distinct int, seed int64) []*ir.Func {
 	return out
 }
 
-// PooledRequests builds n raw-IR ClientRequests over funcs (cycling
+// PooledRequests builds n raw-b1 ClientRequests over funcs (cycling
 // when n > len(funcs)), marshalling each distinct function exactly
-// once and sharing the encoded document across repeats — the request
+// once and sharing the encoded body across repeats — the request
 // stream for load tests where the marshal cost of the driver must not
-// dominate the service under test.
-func PooledRequests(funcs []*ir.Func, n, deadlineMS int) ([]ClientRequest, error) {
-	docs := make(map[*ir.Func]json.RawMessage, len(funcs))
+// dominate the service under test. Raw bodies carry no deadline, so
+// the server's default applies.
+func PooledRequests(funcs []*ir.Func, n int) ([]ClientRequest, error) {
+	docs := make(map[*ir.Func][]byte, len(funcs))
 	reqs := make([]ClientRequest, n)
 	for i := 0; i < n; i++ {
 		f := funcs[i%len(funcs)]
 		doc, ok := docs[f]
 		if !ok {
 			var err error
-			doc, err = ir.Marshal(f)
+			doc, err = ir.MarshalBinary(f)
 			if err != nil {
 				return nil, err
 			}
 			docs[f] = doc
 		}
-		reqs[i] = ClientRequest{IR: doc, DeadlineMS: deadlineMS}
+		reqs[i] = ClientRequest{RawBody: doc}
 	}
 	return reqs, nil
 }
@@ -76,7 +76,7 @@ func PooledRequests(funcs []*ir.Func, n, deadlineMS int) ([]ClientRequest, error
 // ClientRequest is one /compile body the driver will POST. The fields
 // mirror the server's wire schema; zero values are omitted. When
 // RawBody is set the request bypasses JSON entirely — Drive posts the
-// bytes verbatim (the server sniffs the b1 magic), so deadline and
+// b1 bytes verbatim (the server sniffs the magic), so deadline and
 // debug riders cannot travel with it.
 type ClientRequest struct {
 	LAI        string          `json:"lai,omitempty"`
@@ -92,15 +92,6 @@ type ClientDebug struct {
 	PanicPass string `json:"panic_pass,omitempty"`
 }
 
-// IRRequest builds a raw-IR ClientRequest for f (v2 JSON schema).
-func IRRequest(f *ir.Func, deadlineMS int) (ClientRequest, error) {
-	doc, err := ir.Marshal(f)
-	if err != nil {
-		return ClientRequest{}, err
-	}
-	return ClientRequest{IR: doc, DeadlineMS: deadlineMS}, nil
-}
-
 // V1Request builds an IR ClientRequest carrying the v1 JSON schema.
 func V1Request(f *ir.Func, deadlineMS int) (ClientRequest, error) {
 	doc, err := ir.MarshalV1(f)
@@ -110,24 +101,8 @@ func V1Request(f *ir.Func, deadlineMS int) (ClientRequest, error) {
 	return ClientRequest{IR: doc, DeadlineMS: deadlineMS}, nil
 }
 
-// B1Request builds an IR ClientRequest carrying the binary b1 schema
-// base64'd into the JSON "ir" field — the shape for clients that want
-// the binary codec but still need deadline/debug riders.
-func B1Request(f *ir.Func, deadlineMS int) (ClientRequest, error) {
-	doc, err := ir.MarshalBinary(f)
-	if err != nil {
-		return ClientRequest{}, err
-	}
-	quoted, err := json.Marshal(base64.StdEncoding.EncodeToString(doc))
-	if err != nil {
-		return ClientRequest{}, err
-	}
-	return ClientRequest{IR: quoted, DeadlineMS: deadlineMS}, nil
-}
-
 // B1RawRequest builds a whole-body binary request: the POST body is
-// the b1 document itself, no JSON envelope. The server normalizes raw
-// and base64 b1 to the same cache keys.
+// the b1 document itself, no JSON envelope.
 func B1RawRequest(f *ir.Func) (ClientRequest, error) {
 	doc, err := ir.MarshalBinary(f)
 	if err != nil {
@@ -283,56 +258,45 @@ func Drive(baseURL string, reqs []ClientRequest, opt DriveOptions, outcomes []in
 }
 
 // MixedRequests builds the smoke/chaos stream over funcs: mostly valid
-// IR compiles rotating through every wire schema, plus deterministic
-// sprinkles keyed on the request index — every malformedEvery-th
-// request is an unparseable body, every deadlineEvery-th carries a 1ms
-// deadline with a debug sleep (forced 504), and every faultEvery-th
-// carries an injected pass panic (the ISSUE's "1% injected
-// pass-panics" knob is faultEvery=100). Any knob ≤ 0 disables that
+// IR compiles alternating between the two wire schemas, plus
+// deterministic sprinkles keyed on the request index — every
+// malformedEvery-th request is an unparseable body, every
+// deadlineEvery-th carries a 1ms deadline with a debug sleep (forced
+// 504), and every faultEvery-th carries an injected pass panic
+// (faultEvery=100 faults 1% of the stream). Any knob ≤ 0 disables that
 // sprinkle. Debug-carrying requests require the server to run with
 // -allow-debug.
 //
-// The valid compiles rotate v2 JSON → v1 JSON → base64'd b1 → raw
-// binary b1 body by index, so one drive exercises the server's whole
-// schema negotiation surface. Sprinkle requests stay on JSON shapes
-// (debug riders cannot travel in a raw body).
+// The valid compiles send v1 JSON at even indexes and a raw binary b1
+// body at odd ones, so one drive exercises both decoders. Sprinkle
+// requests stay on JSON shapes (debug riders cannot travel in a raw
+// body).
 func MixedRequests(funcs []*ir.Func, deadlineMS, faultEvery, malformedEvery, deadlineEvery int) ([]ClientRequest, error) {
 	reqs := make([]ClientRequest, len(funcs))
 	for i, f := range funcs {
+		var r ClientRequest
+		var err error
 		switch {
 		case malformedEvery > 0 && i%malformedEvery == 1:
-			reqs[i] = ClientRequest{LAI: ".func broken\n"}
+			r = ClientRequest{LAI: ".func broken\n"}
 		case deadlineEvery > 0 && i%deadlineEvery == 2:
-			reqs[i] = ClientRequest{
+			r = ClientRequest{
 				LAI:        fmt.Sprintf(".func sleepy%d\n.input A:R0\nentry:\n    add B, A, A\n    ret B\n.endfunc\n", i),
 				DeadlineMS: 1,
 				Debug:      &ClientDebug{SleepMS: 100},
 			}
 		case faultEvery > 0 && i%faultEvery == 3%faultEvery:
-			r, err := IRRequest(f, deadlineMS)
-			if err != nil {
-				return nil, err
-			}
+			r, err = V1Request(f, deadlineMS)
 			r.Debug = &ClientDebug{PanicPass: "pinning-sp"}
-			reqs[i] = r
+		case i%2 == 0:
+			r, err = V1Request(f, deadlineMS)
 		default:
-			var r ClientRequest
-			var err error
-			switch i % 4 {
-			case 0:
-				r, err = IRRequest(f, deadlineMS)
-			case 1:
-				r, err = V1Request(f, deadlineMS)
-			case 2:
-				r, err = B1Request(f, deadlineMS)
-			default:
-				r, err = B1RawRequest(f)
-			}
-			if err != nil {
-				return nil, err
-			}
-			reqs[i] = r
+			r, err = B1RawRequest(f)
 		}
+		if err != nil {
+			return nil, err
+		}
+		reqs[i] = r
 	}
 	return reqs, nil
 }
