@@ -522,13 +522,12 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	}
 	jobs := make([]pipeline.Job, 0, len(masters)*len(exps))
 	for _, e := range exps {
+		p, err := pipeline.NewPlan(pipeline.Column{Config: pipeline.Configs[e], Experiment: e})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, f := range masters {
-			f := f
-			jobs = append(jobs, pipeline.Job{
-				Build:      func() *ir.Func { return f.Snapshot() },
-				Config:     pipeline.Configs[e],
-				Experiment: e,
-			})
+			jobs = append(jobs, pipeline.Job{Build: f.Snapshot, Plan: p})
 		}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {

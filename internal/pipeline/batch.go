@@ -1,11 +1,13 @@
 // Parallel batch driver: run many independent pipeline jobs across
-// shared-nothing shards. The unit of parallelism is one function run —
-// each job builds (typically snapshots) its own *ir.Func inside the
-// worker that executes it, so no mutable IR, analysis memo, or Result
-// is ever shared between goroutines. What jobs do share is read-only:
-// the frozen masters they snapshot and a converted master's ssa.Info.
-// Only the package-level analysis cache counters are touched
-// concurrently, and those are atomic.
+// shared-nothing shards. The unit of parallelism is one job: one
+// function running every column of its Plan. Each job builds (typically
+// snapshots) its own *ir.Func inside the worker that executes it, and
+// the snapshots its walk takes stay inside that worker, so no mutable
+// IR, analysis memo, or Result is ever shared between goroutines. What
+// jobs do share is read-only: the frozen masters they snapshot, a
+// converted master's ssa.Info, and the Plan. Only the package-level
+// analysis cache counters are touched concurrently, and those are
+// atomic.
 //
 // Sharding: the job list is split into one contiguous range per
 // worker, each with its own claim cursor and its own staging area for
@@ -38,32 +40,34 @@ import (
 	"outofssa/internal/ssa"
 )
 
-// Job is one unit of batch work: a function to build and the
-// configuration to run it under.
+// Job is one unit of batch work: a function to build and the columns
+// to run it under.
 type Job struct {
 	// Build returns the function to translate. It is called exactly
 	// once, inside the worker that executes the job, so expensive builds
 	// (or Clones of a shared master) are themselves parallelized. The
 	// returned function must not be shared with any other job.
 	Build func() *ir.Func
-	// Config selects the passes, as in Run.
-	Config Config
-	// Experiment labels trace events, as in WithExperiment.
-	Experiment string
+	// Plan holds the columns. A one-column plan runs as
+	// Run(f, Config, WithExperiment(Experiment)) does; several columns
+	// share their pass prefixes (see Plan). Jobs may share one Plan.
+	Plan *Plan
 	// SSA, when non-nil, says Build returns a snapshot of a function
 	// BuildSSA already converted, and is the Info that conversion
-	// returned: the job runs as Run(f, Config, WithSSAInfo(SSA)) and
-	// skips SSA construction. Jobs of one master share its Info, so it
-	// must stay read-only.
+	// returned: the job runs as with WithSSAInfo(SSA) and skips SSA
+	// construction. Jobs of one master share its Info, so it must stay
+	// read-only.
 	SSA *ssa.Info
 }
 
 // JobResult is the outcome of one Job, in the same order RunBatch
-// received the jobs: Run's return values. The function the job ran on
-// is not kept, so each becomes garbage as soon as its job ends.
+// received the jobs. Results holds one Result per column of the job's
+// Plan, nil where the column failed, and Err is the first failing
+// column's error. The function the job ran on is not kept, so each
+// becomes garbage as soon as its job ends.
 type JobResult struct {
-	Result *Result
-	Err    error
+	Results []*Result
+	Err     error
 }
 
 // BatchOption configures RunBatch.
@@ -320,10 +324,10 @@ func runJob(ctx context.Context, j *Job, out *JobResult, tr obs.Tracer, bm *batc
 		}
 		return
 	}
-	// One Run call serves both paths, its options applied directly:
-	// WithExperiment, WithTracer and WithContext always, WithMetrics on
-	// the metered path, and WithSSAInfo for a converted master.
-	rc := runConfig{tracer: tr, exp: j.Experiment, ctx: ctx, info: j.SSA, inSSA: j.SSA != nil}
+	// One runConfig serves both paths, its options applied directly:
+	// WithTracer and WithContext always, WithMetrics on the metered
+	// path, and WithSSAInfo for a converted master.
+	rc := runConfig{tracer: tr, ctx: ctx, info: j.SSA, inSSA: j.SSA != nil}
 	var t0 time.Time
 	if bm != nil {
 		bm.queue.Dec()
@@ -331,7 +335,7 @@ func runJob(ctx context.Context, j *Job, out *JobResult, tr obs.Tracer, bm *batc
 		t0 = time.Now()
 		rc.metrics = bm.reg
 	}
-	out.Result, out.Err = rc.run(j.Build(), j.Config)
+	out.Results, out.Err = rc.runPlan(j.Build(), j.Plan)
 	if bm == nil {
 		return
 	}

@@ -17,24 +17,49 @@ import (
 	"outofssa/internal/workload"
 )
 
-// batchJobs builds a job matrix large enough to keep 8 workers busy:
-// every testprog function under every named experiment. Each job
-// keeps the function it builds at its own index of the returned
-// slice, for comparing final IR once the batch has run.
-func batchJobs() ([]pipeline.Job, []*ir.Func) {
-	names := pipeline.Presets()
-	funcs := make([]*ir.Func, len(names)*len(testprog.All()))
-	var jobs []pipeline.Job
-	for _, name := range names {
+// plan compiles cols, failing t on an error.
+func plan(t testing.TB, cols ...pipeline.Column) *pipeline.Plan {
+	t.Helper()
+	p, err := pipeline.NewPlan(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// presetColumns returns every named experiment as a column.
+func presetColumns() []pipeline.Column {
+	var cols []pipeline.Column
+	for _, name := range pipeline.Presets() {
 		conf, _ := pipeline.Preset(name)
+		cols = append(cols, pipeline.Column{Config: conf, Experiment: name})
+	}
+	return cols
+}
+
+// batchJobs builds a job matrix large enough to keep 8 workers busy:
+// every testprog function under every named experiment, one column
+// per job, then every testprog function once more with all the
+// experiments as one multi-column job. Each one-column job keeps the
+// function it builds at its own index of the returned slice, for
+// comparing final IR once the batch has run.
+func batchJobs(t *testing.T) ([]pipeline.Job, []*ir.Func) {
+	cols := presetColumns()
+	all := plan(t, cols...)
+	funcs := make([]*ir.Func, (len(cols)+1)*len(testprog.All()))
+	var jobs []pipeline.Job
+	for _, col := range cols {
+		p := plan(t, col)
 		for _, f := range testprog.All() {
 			f, i := f, len(jobs)
 			jobs = append(jobs, pipeline.Job{
-				Build:      func() *ir.Func { funcs[i] = f.Clone(); return funcs[i] },
-				Config:     conf,
-				Experiment: name,
+				Build: func() *ir.Func { funcs[i] = f.Clone(); return funcs[i] },
+				Plan:  p,
 			})
 		}
+	}
+	for _, f := range testprog.All() {
+		jobs = append(jobs, pipeline.Job{Build: f.Clone, Plan: all})
 	}
 	return jobs, funcs
 }
@@ -46,30 +71,37 @@ func batchJobs() ([]pipeline.Job, []*ir.Func) {
 func flatten(rec *obs.Recorder) []string {
 	var out []string
 	for _, run := range rec.Runs {
-		out = append(out, fmt.Sprintf("run %s/%s before=%+v after=%+v ended=%v",
-			run.Func, run.Config, run.Before, run.After, run.Ended))
-		for i, pass := range run.Started {
-			line := "  start " + pass
-			if i < len(run.Events) {
-				ev := run.Events[i]
-				line += fmt.Sprintf(" seq=%d before=%+v after=%+v counters=%v err=%q",
-					ev.Seq, ev.Before, ev.After, ev.Counters, ev.Err)
-			}
-			out = append(out, line)
+		out = append(out, flattenRun(run)...)
+	}
+	return out
+}
+
+// flattenRun renders one recorded run as flatten does.
+func flattenRun(run *obs.RecordedRun) []string {
+	out := []string{fmt.Sprintf("run %s/%s before=%+v after=%+v ended=%v",
+		run.Func, run.Config, run.Before, run.After, run.Ended)}
+	for i, pass := range run.Started {
+		line := "  start " + pass
+		if i < len(run.Events) {
+			ev := run.Events[i]
+			line += fmt.Sprintf(" config=%s seq=%d before=%+v after=%+v counters=%v err=%q",
+				ev.Config, ev.Seq, ev.Before, ev.After, ev.Counters, ev.Err)
 		}
+		out = append(out, line)
 	}
 	return out
 }
 
 // TestRunBatchDeterministic is the concurrency acceptance test: a batch
-// at parallelism 8 must produce results and a merged trace stream
-// identical to the serial run of the same jobs.
+// of one-column and multi-column jobs at parallelism 8 must produce
+// results and a merged trace stream identical to the serial run of the
+// same jobs.
 func TestRunBatchDeterministic(t *testing.T) {
 	serialRec, parRec := &obs.Recorder{}, &obs.Recorder{}
-	serialJobs, serialFuncs := batchJobs()
+	serialJobs, serialFuncs := batchJobs(t)
 	serial := pipeline.RunBatch(serialJobs,
 		pipeline.WithParallelism(1), pipeline.WithBatchTracer(serialRec))
-	parJobs, parFuncs := batchJobs()
+	parJobs, parFuncs := batchJobs(t)
 	par := pipeline.RunBatch(parJobs,
 		pipeline.WithParallelism(8), pipeline.WithBatchTracer(parRec))
 
@@ -84,15 +116,17 @@ func TestRunBatchDeterministic(t *testing.T) {
 		if s.Err != nil {
 			continue
 		}
-		if s.Result.Moves != p.Result.Moves ||
-			s.Result.WeightedMoves != p.Result.WeightedMoves ||
-			s.Result.Instrs != p.Result.Instrs {
-			t.Fatalf("job %d: results diverge: moves %d/%d weighted %d/%d instrs %d/%d",
-				i, s.Result.Moves, p.Result.Moves,
-				s.Result.WeightedMoves, p.Result.WeightedMoves,
-				s.Result.Instrs, p.Result.Instrs)
+		if len(s.Results) != len(p.Results) {
+			t.Fatalf("job %d: %d results serially, %d in parallel", i, len(s.Results), len(p.Results))
 		}
-		if serialFuncs[i].String() != parFuncs[i].String() {
+		for c, sr := range s.Results {
+			pr := p.Results[c]
+			if sr.Moves != pr.Moves || sr.WeightedMoves != pr.WeightedMoves || sr.Instrs != pr.Instrs {
+				t.Fatalf("job %d column %d: results diverge: moves %d/%d weighted %d/%d instrs %d/%d",
+					i, c, sr.Moves, pr.Moves, sr.WeightedMoves, pr.WeightedMoves, sr.Instrs, pr.Instrs)
+			}
+		}
+		if serialFuncs[i] != nil && serialFuncs[i].String() != parFuncs[i].String() {
 			t.Fatalf("job %d: final IR diverges", i)
 		}
 	}
@@ -181,13 +215,13 @@ func TestRunBatchFromSSAMasters(t *testing.T) {
 					for _, col := range cols {
 						conf := col.conf
 						conf.Verify = checked
+						p := plan(t, pipeline.Column{Config: conf, Experiment: col.exp})
 						for mi, m := range masters {
 							i, m := len(jobs), m
 							jobs = append(jobs, pipeline.Job{
-								Build:      func() *ir.Func { funcs[i] = m.Snapshot(); return funcs[i] },
-								Config:     conf,
-								Experiment: col.exp,
-								SSA:        infos[mi],
+								Build: func() *ir.Func { funcs[i] = m.Snapshot(); return funcs[i] },
+								Plan:  p,
+								SSA:   infos[mi],
 							})
 						}
 					}
@@ -197,12 +231,13 @@ func TestRunBatchFromSSAMasters(t *testing.T) {
 					}
 					for i, res := range pipeline.RunBatch(jobs, opts...) {
 						if res.Err != nil {
-							t.Fatalf("job %d (%s/%s): %v", i, jobs[i].Experiment, funcs[i].Name, res.Err)
+							t.Fatalf("job %d (%s): %v", i, funcs[i].Name, res.Err)
 						}
-						got := outcome{funcs[i].String(), res.Result.Moves, res.Result.Instrs, res.Result.WeightedMoves}
+						r := res.Results[0]
+						got := outcome{funcs[i].String(), r.Moves, r.Instrs, r.WeightedMoves}
 						if got != want[i] {
-							t.Fatalf("job %d (%s/%s) diverges from pipeline.Run: moves %d/%d weighted %d/%d instrs %d/%d\ngot:\n%s\nwant:\n%s",
-								i, jobs[i].Experiment, funcs[i].Name, got.moves, want[i].moves,
+							t.Fatalf("job %d (%s) diverges from pipeline.Run: moves %d/%d weighted %d/%d instrs %d/%d\ngot:\n%s\nwant:\n%s",
+								i, funcs[i].Name, got.moves, want[i].moves,
 								got.weighted, want[i].weighted, got.instrs, want[i].instrs, got.ir, want[i].ir)
 						}
 					}
@@ -226,10 +261,11 @@ func TestRunBatchErrorIsolation(t *testing.T) {
 			faultinject.Inject(f, faultinject.ClobberPhiArg)
 		}
 	}
+	ok := plan(t, pipeline.Column{Config: conf, Experiment: "ok"})
 	jobs := []pipeline.Job{
-		{Build: func() *ir.Func { return testprog.SwapLoop() }, Config: conf, Experiment: "ok"},
-		{Build: func() *ir.Func { return testprog.SwapLoop() }, Config: bad, Experiment: "bad"},
-		{Build: func() *ir.Func { return testprog.Diamond() }, Config: conf, Experiment: "ok"},
+		{Build: testprog.SwapLoop, Plan: ok},
+		{Build: testprog.SwapLoop, Plan: plan(t, pipeline.Column{Config: bad, Experiment: "bad"})},
+		{Build: testprog.Diamond, Plan: ok},
 	}
 	results := pipeline.RunBatch(jobs, pipeline.WithParallelism(3))
 	if results[0].Err != nil || results[2].Err != nil {

@@ -19,11 +19,13 @@ import (
 	"fmt"
 	"runtime/debug"
 
+	"outofssa/internal/faultinject"
 	"outofssa/internal/ir"
 	"outofssa/internal/naiveabi"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
 	"outofssa/internal/outofssa/naive"
+	"outofssa/internal/ssa"
 	"outofssa/internal/verify"
 )
 
@@ -114,11 +116,35 @@ func ctxCheck(f *ir.Func, exp string, p *pass, opts runOpts) error {
 	return nil
 }
 
+// cowProbe is checked mode's copy-on-write isolation check on the
+// entry function, made before any pass runs: a snapshot pair is
+// mutated in both directions and byte-compared. An aliasing bug would
+// otherwise corrupt sibling runs silently; here it fails the run the
+// same way a corrupted pass does.
+func cowProbe(f *ir.Func, exp string) error {
+	if err := faultinject.InjectCOWAliasing(f); err != nil {
+		return &PassError{Func: f.Name, Config: exp, Pass: "<cow-probe>",
+			Cause: err, Snapshot: obs.Snapshot(f)}
+	}
+	return nil
+}
+
+// verifyInput is checked mode's entry check: a function that fails it
+// is not legal input, so the failure is an *InputError for the
+// pseudo-pass "<input>".
+func verifyInput(f *ir.Func, exp string, stage verify.Stage) error {
+	if err := verify.Func(f, stage); err != nil {
+		return &InputError{&PassError{Func: f.Name, Config: exp, Pass: "<input>",
+			Cause: err, Snapshot: obs.Snapshot(f)}}
+	}
+	return nil
+}
+
 // runOne executes a single pass with panic containment, applies the
 // fault hook, verifies the result when asked, and wraps any failure in
 // a *PassError. On success it returns nil and allocates nothing.
-func runOne(f *ir.Func, exp string, p *pass, opts runOpts) error {
-	err := runContained(f, p, opts.faultHook)
+func runOne(f *ir.Func, info *ssa.Info, r *Result, exp string, p *pass, opts runOpts) error {
+	err := runContained(f, info, r, p, opts.faultHook)
 	if err == nil && opts.verify {
 		if verr := verify.Func(f, p.stage); verr != nil {
 			err = fmt.Errorf("verify: %w", verr)
@@ -136,13 +162,13 @@ func runOne(f *ir.Func, exp string, p *pass, opts runOpts) error {
 // is converted into an error instead of unwinding the caller. The
 // deferred recover is open-coded by the compiler, so the success path
 // stays allocation-free (pinned by TestNilTracerAllocatesNothing).
-func runContained(f *ir.Func, p *pass, hook func(string, *ir.Func)) (err error) {
+func runContained(f *ir.Func, info *ssa.Info, r *Result, p *pass, hook func(string, *ir.Func)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	if err := p.run(); err != nil {
+	if err := p.run(f, info, r); err != nil {
 		return err
 	}
 	if hook != nil {
@@ -167,28 +193,31 @@ func fallbackRun(f, backup *ir.Func, exp string, tr obs.Tracer, opts runOpts, r 
 		budget = crossCheckBudget
 	}
 	ps := []pass{
-		{name: "fallback-out-naive", stage: verify.StagePostSSA, run: func() error {
-			st, err := naive.Translate(f)
-			if err != nil {
-				return err
-			}
-			r.Naive = st
-			return nil
-		}, stats: func() counterLister { return r.Naive }},
-		{name: "fallback-naive-abi", stage: verify.StagePostSSA, run: func() error {
-			r.NaiveABI = naiveabi.Apply(f)
-			return nil
-		}, stats: func() counterLister { return r.NaiveABI }},
-		{name: "fallback-crosscheck", stage: verify.StagePostSSA, run: func() error {
-			return crossCheck(ref, f, budget)
-		}},
+		{passKey: passKey{name: "fallback-out-naive"}, stage: verify.StagePostSSA,
+			run: func(f *ir.Func, _ *ssa.Info, r *Result) error {
+				st, err := naive.Translate(f)
+				if err != nil {
+					return err
+				}
+				r.Naive = st
+				return nil
+			}, stats: func(r *Result) counterLister { return r.Naive }},
+		{passKey: passKey{name: "fallback-naive-abi"}, stage: verify.StagePostSSA,
+			run: func(f *ir.Func, _ *ssa.Info, r *Result) error {
+				r.NaiveABI = naiveabi.Apply(f)
+				return nil
+			}, stats: func(r *Result) counterLister { return r.NaiveABI }},
+		{passKey: passKey{name: "fallback-crosscheck"}, stage: verify.StagePostSSA,
+			run: func(f *ir.Func, _ *ssa.Info, _ *Result) error {
+				return crossCheck(ref, f, budget)
+			}},
 	}
 	// Always verified: the fallback exists to produce trustworthy code,
 	// so it must clear the same bar it was invoked to enforce. The fault
 	// hook is deliberately not forwarded — it already had its run. The
 	// caller's context and exec budget carry over, so a dead client also
 	// cancels its fallback.
-	return runPasses(f, exp, ps, tr,
+	return runPasses(f, nil, r, exp, ps, tr,
 		runOpts{verify: true, metrics: opts.metrics, ctx: opts.ctx, execBudget: opts.execBudget})
 }
 

@@ -145,13 +145,13 @@ func TestRunBatchCtxCancel(t *testing.T) {
 			cancel()
 		}
 	}
+	p := plan(t, pipeline.Column{Config: conf, Experiment: pipeline.ExpLphiABIC})
 	jobs := make([]pipeline.Job, 64)
 	for i := range jobs {
 		seed := int64(i)
 		jobs[i] = pipeline.Job{
-			Build:      func() *ir.Func { return ctxTestFunc(seed) },
-			Config:     conf,
-			Experiment: pipeline.ExpLphiABIC,
+			Build: func() *ir.Func { return ctxTestFunc(seed) },
+			Plan:  p,
 		}
 	}
 	results := pipeline.RunBatchCtx(ctx, jobs, pipeline.WithParallelism(2))
@@ -177,7 +177,7 @@ func TestRunBatchCtxCancel(t *testing.T) {
 // TestRunBatchCtxBackground: RunBatchCtx with a background context is
 // RunBatch — identical results, no cancellation machinery engaged.
 func TestRunBatchCtxBackground(t *testing.T) {
-	conf := ctxTestConfig(t)
+	p := plan(t, pipeline.Column{Config: ctxTestConfig(t), Experiment: pipeline.ExpLphiABIC})
 	// mk's jobs keep the functions they build, to compare final IR.
 	mk := func() ([]pipeline.Job, []*ir.Func) {
 		jobs := make([]pipeline.Job, 8)
@@ -185,9 +185,8 @@ func TestRunBatchCtxBackground(t *testing.T) {
 		for i := range jobs {
 			seed, i := int64(i), i
 			jobs[i] = pipeline.Job{
-				Build:      func() *ir.Func { funcs[i] = ctxTestFunc(seed); return funcs[i] },
-				Config:     conf,
-				Experiment: pipeline.ExpLphiABIC,
+				Build: func() *ir.Func { funcs[i] = ctxTestFunc(seed); return funcs[i] },
+				Plan:  p,
 			}
 		}
 		return jobs, funcs

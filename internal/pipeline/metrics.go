@@ -62,10 +62,13 @@ const (
 
 	// Copy-on-write snapshot metrics. laoc_ir_cow_materializations_total
 	// / laoc_ir_snapshots_total is the copies-materialized ratio — the
-	// fraction of snapshots that ever had to privatize storage. Every
-	// table job mutates its snapshot, so the counter golden holds the
-	// table runs at exactly one materialization per snapshot; read-only
-	// fan-outs keep it at zero (TestReadOnlyPipelinePassZeroCopies).
+	// fraction of snapshots that ever had to privatize storage. A Func
+	// that mutates while no other reader of its storage is left adopts
+	// it instead (laoc_ir_cow_adoptions_total), as the function a Plan
+	// walk continues on does once the snapshots of its earlier branches
+	// are released. The counter golden pins both for the table runs;
+	// read-only fan-outs keep materializations at zero
+	// (TestReadOnlyPipelinePassZeroCopies).
 	MetricIRSnapshots          = "laoc_ir_snapshots_total"
 	MetricIRSnapshotSlabAllocs = "laoc_ir_snapshot_slab_allocs_total"
 	MetricIRCOWMaterialized    = "laoc_ir_cow_materializations_total"

@@ -30,17 +30,16 @@ import (
 func TestNilMetricsAllocatesNothing(t *testing.T) {
 	f := ir.NewFunc("noalloc")
 	f.NewBlock("entry")
-	ps := []pass{
-		{name: "a", run: func() error { return nil }},
-		{name: "b", run: func() error { return nil }},
-	}
+	ok := func() error { return nil }
+	ps := []pass{namedPass("a", ok), namedPass("b", ok)}
+	r := &Result{}
 	var rc runConfig
 	WithMetrics(nil)(&rc)
 	if rc.metrics != nil {
 		t.Fatal("WithMetrics(nil) installed a registry")
 	}
 	n := testing.AllocsPerRun(200, func() {
-		if err := runPasses(f, "", ps, nil, runOpts{metrics: rc.metrics}); err != nil {
+		if err := runPasses(f, nil, r, "", ps, nil, runOpts{metrics: rc.metrics}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -237,14 +236,14 @@ func TestMetricsErrorPanicFallbackCounters(t *testing.T) {
 	f.NewBlock("entry")
 	boom := errors.New("synthetic")
 	ps := []pass{
-		{name: "ok", run: func() error { return nil }},
-		{name: "fails", run: func() error { return boom }},
+		namedPass("ok", func() error { return nil }),
+		namedPass("fails", func() error { return boom }),
 	}
-	if err := runPasses(f, "exp", ps, nil, runOpts{metrics: reg}); !errors.Is(err, boom) {
+	if err := runPasses(f, nil, &Result{}, "exp", ps, nil, runOpts{metrics: reg}); !errors.Is(err, boom) {
 		t.Fatalf("got %v", err)
 	}
-	ps[1].run = func() error { panic("kaboom") }
-	if err := runPasses(f, "exp", ps, nil, runOpts{metrics: reg}); err == nil {
+	ps[1] = namedPass("fails", func() error { panic("kaboom") })
+	if err := runPasses(f, nil, &Result{}, "exp", ps, nil, runOpts{metrics: reg}); err == nil {
 		t.Fatal("panic not surfaced")
 	}
 	if got := reg.Counter(MetricPassErrors, metrics.L("pass", "fails")).Value(); got != 2 {
@@ -301,11 +300,14 @@ func TestBatchMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := NewPlan(Column{Config: conf, Experiment: "batch"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	jobs := func() []Job {
 		var js []Job
 		for _, f := range []*ir.Func{testprog.Diamond(), testprog.SwapLoop(), testprog.NestedLoops(), testprog.Loop()} {
-			f := f
-			js = append(js, Job{Build: func() *ir.Func { return f.Clone() }, Config: conf, Experiment: "batch"})
+			js = append(js, Job{Build: f.Clone, Plan: plan})
 		}
 		return js
 	}

@@ -15,7 +15,6 @@ import (
 	"outofssa/internal/analysis"
 	"outofssa/internal/cfg"
 	"outofssa/internal/coalesce"
-	"outofssa/internal/faultinject"
 	"outofssa/internal/interference"
 	"outofssa/internal/ir"
 	"outofssa/internal/liveness"
@@ -131,6 +130,9 @@ type runConfig struct {
 	metrics    *metrics.Registry
 	ctx        context.Context
 	execBudget int
+	// ended, when set, sees each column's final function in a Plan walk
+	// (export_test.go sets it; no Option does).
+	ended func(col int, f *ir.Func)
 }
 
 // WithTracer attaches the instrumented pass runner: every executed pass
@@ -203,16 +205,24 @@ func Run(f *ir.Func, conf Config, opts ...Option) (*Result, error) {
 
 // run is Run with its options already applied.
 func (rc *runConfig) run(f *ir.Func, conf Config) (*Result, error) {
-	info := rc.info
-	if !rc.inSSA {
-		var err error
-		if info, err = BuildSSA(f); err != nil {
-			return nil, err
-		}
-	} else if info == nil {
-		info = ssa.EmptyInfo()
+	info, err := rc.ssaInfo(f)
+	if err != nil {
+		return nil, err
 	}
 	return runSSA(f, info, conf, rc)
+}
+
+// ssaInfo returns the Info of the run's SSA form: the one WithSSAInfo
+// declared, or that of converting f in place when it is not in SSA
+// form yet.
+func (rc *runConfig) ssaInfo(f *ir.Func) (*ssa.Info, error) {
+	if !rc.inSSA {
+		return BuildSSA(f)
+	}
+	if rc.info == nil {
+		return ssa.EmptyInfo(), nil
+	}
+	return rc.info, nil
 }
 
 // BuildSSA converts the pre-SSA function f to pruned SSA form in place
@@ -237,14 +247,8 @@ func BuildSSA(f *ir.Func) (*ssa.Info, error) {
 func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, error) {
 	exp, tr, reg := rc.exp, rc.tracer, rc.metrics
 	if conf.Verify {
-		// Checked mode probes the copy-on-write isolation invariant on
-		// the entry function before any pass runs: a snapshot pair is
-		// mutated in both directions and byte-compared. An aliasing bug
-		// would otherwise corrupt sibling jobs silently; here it fails
-		// the run the same way a corrupted pass does.
-		if err := faultinject.InjectCOWAliasing(f); err != nil {
-			return nil, &PassError{Func: f.Name, Config: exp, Pass: "<cow-probe>",
-				Cause: err, Snapshot: obs.Snapshot(f)}
+		if err := cowProbe(f, exp); err != nil {
+			return nil, err
 		}
 	}
 	var backup *ir.Func
@@ -261,7 +265,7 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 	}
 	opts := runOpts{verify: conf.Verify, faultHook: conf.FaultHook, metrics: reg,
 		ctx: rc.ctx, execBudget: rc.execBudget}
-	if err := runPasses(f, exp, conf.passes(f, info, r), tr, opts); err != nil {
+	if err := runPasses(f, info, r, exp, conf.passes(), tr, opts); err != nil {
 		var invalid *InputError
 		if backup == nil || errors.As(err, &invalid) {
 			return nil, err
@@ -277,32 +281,63 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 		r.FallbackFrom = err
 	}
 
-	cfg.ComputeLoopDepth(f)
-	r.Moves = f.CountMoves()
-	r.WeightedMoves = f.WeightedMoves()
-	r.Instrs = f.NumInstrs()
+	maxLive := finish(f, r, reg != nil)
 	if reg != nil {
-		// Derived metric: per-function register pressure on the final
-		// code, answered by the (cached) query liveness engine.
-		h := reg.Histogram(MetricMaxLive)
-		h.SetDeterministic()
-		h.Observe(int64(liveness.MaxLive(f, analysis.Liveness(f))))
+		observeMaxLive(reg, maxLive)
 	}
 	return r, nil
 }
 
-// pass is one step of the instrumented runner: a name (stable across
-// configurations — it keys trace diffing), the checked-mode verifier
-// stage its output must satisfy, the work itself, and an optional
-// accessor for the pass's Stats struct, flattened into the event's
-// counters after a successful run. run closures wrap their own errors
-// so the unmeasured path reports exactly what the pre-runner pipeline
-// did.
+// finish reads the end-of-run numbers of f into r: moves, weighted
+// moves against freshly computed loop depths, and instructions. When
+// metered it also returns MAXLIVE, the derived per-function register
+// pressure on the final code, answered by the (cached) query liveness
+// engine; otherwise it returns 0.
+func finish(f *ir.Func, r *Result, metered bool) int64 {
+	cfg.ComputeLoopDepth(f)
+	r.Moves = f.CountMoves()
+	r.WeightedMoves = f.WeightedMoves()
+	r.Instrs = f.NumInstrs()
+	if !metered {
+		return 0
+	}
+	return int64(liveness.MaxLive(f, analysis.Liveness(f)))
+}
+
+// observeMaxLive records one run's MAXLIVE in the deterministic
+// histogram the counter golden pins.
+func observeMaxLive(reg *metrics.Registry, maxLive int64) {
+	h := reg.Histogram(MetricMaxLive)
+	h.SetDeterministic()
+	h.Observe(maxLive)
+}
+
+// pass is one step of the instrumented runner: its key, the
+// checked-mode verifier stage its output must satisfy, the work
+// itself, and an optional accessor for the pass's Stats struct,
+// flattened into the event's counters after a successful run. A pass
+// binds to its function, Info and Result only when it runs, so one
+// pass list serves every function a Plan runs on. run closures wrap
+// their own errors so the unmeasured path reports exactly what the
+// pre-runner pipeline did.
 type pass struct {
-	name  string
+	passKey
 	stage verify.Stage
-	run   func() error
-	stats func() counterLister
+	run   func(f *ir.Func, info *ssa.Info, r *Result) error
+	stats func(r *Result) counterLister
+}
+
+// passKey identifies a pass in a Plan's trie: two columns share a pass
+// run only where their pass lists agree on every key up to it. The key
+// is the pass name (stable across configurations — it keys trace
+// diffing) plus every Config option that changes what the pass does.
+// TestPassKeysCoverConfig fails when a Config field reaches a pass
+// without reaching its key.
+type passKey struct {
+	name string
+	// coalesce is the φ-coalescing variant: all of Config.Coalesce for
+	// pinning-phi, its Mode alone for pre-pin, and zero elsewhere.
+	coalesce coalesce.Options
 }
 
 // counterLister is a pass's Stats struct: it appends its counters to
@@ -319,14 +354,15 @@ func (s cssaStats) AppendCounters(dst []obs.Counter) []obs.Counter {
 }
 
 // passes materializes conf as the ordered pass list of the paper's
-// Table 1 pipeline. The closures write their statistics into r.
-// Passes up to and including the pinning phases leave the function in
-// (pinned) SSA form, so they carry verify.StageSSA; the out-of-SSA
-// translation and everything after it carry verify.StagePostSSA.
-func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
+// Table 1 pipeline. The passes write their statistics into the Result
+// they run with. Passes up to and including the pinning phases leave
+// the function in (pinned) SSA form, so they carry verify.StageSSA; the
+// out-of-SSA translation and everything after it carry
+// verify.StagePostSSA.
+func (conf Config) passes() []pass {
 	var ps []pass
-	add := func(name string, stage verify.Stage, run func() error, stats func() counterLister) {
-		ps = append(ps, pass{name: name, stage: stage, run: run, stats: stats})
+	add := func(k passKey, stage verify.Stage, run func(*ir.Func, *ssa.Info, *Result) error, stats func(*Result) counterLister) {
+		ps = append(ps, pass{passKey: k, stage: stage, run: run, stats: stats})
 	}
 
 	if !conf.ABI {
@@ -334,21 +370,24 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 		// pins to dedicated registers other than SP. Only SP constraints
 		// cannot be ignored (paper §5); the rest are either ignored
 		// entirely or handled later by NaiveABI.
-		add("strip-pins", verify.StageSSA, func() error { stripNonSPPins(f); return nil }, nil)
+		add(passKey{name: "strip-pins"}, verify.StageSSA, func(f *ir.Func, _ *ssa.Info, _ *Result) error {
+			stripNonSPPins(f)
+			return nil
+		}, nil)
 	}
 
 	if conf.Optimize {
-		add("ssaopt", verify.StageSSA, func() error {
+		add(passKey{name: "ssaopt"}, verify.StageSSA, func(f *ir.Func, info *ssa.Info, r *Result) error {
 			r.Opt = ssaopt.Optimize(f, info)
 			if err := ssa.Verify(f); err != nil {
 				return fmt.Errorf("pipeline: after SSA optimization: %v", err)
 			}
 			return nil
-		}, func() counterLister { return r.Opt })
+		}, func(r *Result) counterLister { return r.Opt })
 	}
 
 	if conf.Psi {
-		add("psi", verify.StageSSA, func() error {
+		add(passKey{name: "psi"}, verify.StageSSA, func(f *ir.Func, _ *ssa.Info, r *Result) error {
 			st := psi.IfConvert(f)
 			lo := psi.ConvertPsi(f)
 			st.PsisLowered, st.TiesPinned = lo.PsisLowered, lo.TiesPinned
@@ -361,11 +400,11 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 				return fmt.Errorf("pipeline: after psi conversion: %v", err)
 			}
 			return nil
-		}, func() counterLister { return r.Psi })
+		}, func(r *Result) counterLister { return r.Psi })
 	}
 
 	if conf.Sreedhar {
-		add("sreedhar", verify.StageSSA, func() error {
+		add(passKey{name: "sreedhar"}, verify.StageSSA, func(f *ir.Func, info *ssa.Info, r *Result) error {
 			st, _, err := sreedhar.ConvertToCSSA(f, sreedhar.Options{
 				Unsplittable: func(v ir.ValueID) bool { return info.OrigPhys(v) != ir.NoValue },
 			})
@@ -374,16 +413,22 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 			}
 			r.Sreedhar = st
 			return nil
-		}, func() counterLister { return r.Sreedhar })
+		}, func(r *Result) counterLister { return r.Sreedhar })
 	}
 
-	add("pinning-sp", verify.StageSSA, func() error { pin.CollectSP(f, info); return nil }, nil)
+	add(passKey{name: "pinning-sp"}, verify.StageSSA, func(f *ir.Func, info *ssa.Info, _ *Result) error {
+		pin.CollectSP(f, info)
+		return nil
+	}, nil)
 	if conf.ABI {
-		add("pinning-abi", verify.StageSSA, func() error { pin.CollectABI(f); return nil }, nil)
+		add(passKey{name: "pinning-abi"}, verify.StageSSA, func(f *ir.Func, _ *ssa.Info, _ *Result) error {
+			pin.CollectABI(f)
+			return nil
+		}, nil)
 	}
 
 	if conf.Sreedhar {
-		add("pinning-cssa", verify.StageSSA, func() error {
+		add(passKey{name: "pinning-cssa"}, verify.StageSSA, func(f *ir.Func, _ *ssa.Info, r *Result) error {
 			live := analysis.Liveness(f)
 			an := interference.New(f, live, analysis.Dominators(f), interference.Exact)
 			_, unpinned, err := pin.CollectPhiCSSA(f, an)
@@ -392,137 +437,96 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 			}
 			r.CSSAUnpinned = unpinned
 			return nil
-		}, func() counterLister { return cssaStats{r.CSSAUnpinned} })
+		}, func(r *Result) counterLister { return cssaStats{r.CSSAUnpinned} })
 	}
 
 	if conf.PrePin {
-		add("pre-pin", verify.StageSSA, func() error {
-			st, err := coalesce.PrePinDefs(f, conf.Coalesce.Mode)
+		mode := conf.Coalesce.Mode
+		add(passKey{name: "pre-pin", coalesce: coalesce.Options{Mode: mode}}, verify.StageSSA, func(f *ir.Func, _ *ssa.Info, r *Result) error {
+			st, err := coalesce.PrePinDefs(f, mode)
 			if err != nil {
 				return fmt.Errorf("pipeline: pre-pinning: %v", err)
 			}
 			r.PrePin = st
 			return nil
-		}, func() counterLister { return r.PrePin })
+		}, func(r *Result) counterLister { return r.PrePin })
 	}
 
 	if conf.PhiCoalesce {
-		add("pinning-phi", verify.StageSSA, func() error {
-			st, err := coalesce.ProgramPinning(f, conf.Coalesce)
+		opt := conf.Coalesce
+		add(passKey{name: "pinning-phi", coalesce: opt}, verify.StageSSA, func(f *ir.Func, _ *ssa.Info, r *Result) error {
+			st, err := coalesce.ProgramPinning(f, opt)
 			if err != nil {
 				return fmt.Errorf("pipeline: pinningφ: %v", err)
 			}
 			r.Coalesce = st
 			return nil
-		}, func() counterLister { return r.Coalesce })
+		}, func(r *Result) counterLister { return r.Coalesce })
 	}
 
 	if conf.NaiveOut {
-		add("out-naive", verify.StagePostSSA, func() error {
+		add(passKey{name: "out-naive"}, verify.StagePostSSA, func(f *ir.Func, _ *ssa.Info, r *Result) error {
 			st, err := naive.Translate(f)
 			if err != nil {
 				return fmt.Errorf("pipeline: naive out-of-SSA: %v", err)
 			}
 			r.Naive = st
 			return nil
-		}, func() counterLister { return r.Naive })
+		}, func(r *Result) counterLister { return r.Naive })
 	} else {
-		add("out-of-pinned-ssa", verify.StagePostSSA, func() error {
+		add(passKey{name: "out-of-pinned-ssa"}, verify.StagePostSSA, func(f *ir.Func, _ *ssa.Info, r *Result) error {
 			st, err := leung.Translate(f)
 			if err != nil {
 				return fmt.Errorf("pipeline: out-of-pinned-SSA: %v", err)
 			}
 			r.Leung = st
 			return nil
-		}, func() counterLister { return r.Leung })
+		}, func(r *Result) counterLister { return r.Leung })
 	}
 
 	if conf.NaiveABI {
-		add("naive-abi", verify.StagePostSSA, func() error { r.NaiveABI = naiveabi.Apply(f); return nil },
-			func() counterLister { return r.NaiveABI })
+		add(passKey{name: "naive-abi"}, verify.StagePostSSA, func(f *ir.Func, _ *ssa.Info, r *Result) error {
+			r.NaiveABI = naiveabi.Apply(f)
+			return nil
+		}, func(r *Result) counterLister { return r.NaiveABI })
 	}
 	if conf.Chaitin {
-		add("chaitin", verify.StagePostSSA, func() error { r.Chaitin = regalloc.AggressiveCoalesce(f); return nil },
-			func() counterLister { return r.Chaitin })
+		add(passKey{name: "chaitin"}, verify.StagePostSSA, func(f *ir.Func, _ *ssa.Info, r *Result) error {
+			r.Chaitin = regalloc.AggressiveCoalesce(f)
+			return nil
+		}, func(r *Result) counterLister { return r.Chaitin })
 	}
 	return ps
 }
 
-// runPasses executes the pass list. With a nil tracer, no metrics
-// registry and default opts it is a plain loop — no snapshots, no
-// clock reads, no allocations beyond what the passes themselves do.
-// With a tracer or a registry every pass yields one obs.Event: its
-// wall time, its counters flattened once from its Stats, and its
-// error. The registry records that event (wall histogram, counter
-// mirror, error/panic counters) and the tracer receives the same
-// event, so metrics and traces agree by construction. Only a tracer
-// adds IR snapshots before/after and runtime.MemStats allocation
-// deltas: reading those stops the world and yields process-global
-// numbers, fit for serial diagnostics but not for the serving path.
+// runPasses executes the pass list on f, writing statistics into r.
+// With a nil tracer, no metrics registry and default opts it is a
+// plain loop — no snapshots, no clock reads, no allocations beyond
+// what the passes themselves do. With a tracer or a registry every
+// pass yields one obs.Event (see step), which the registry records and
+// the tracer receives, so metrics and traces agree by construction.
 // Every pass failure — its own error, a contained panic, or a
 // checked-mode violation — surfaces as a *PassError; in checked mode
 // the entry state is verified too, and a violation there is an
 // *InputError wrapping a *PassError for the pseudo-pass "<input>".
 // Verifier time is charged to the pass it checks.
-func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) error {
+func runPasses(f *ir.Func, info *ssa.Info, r *Result, exp string, ps []pass, tr obs.Tracer, opts runOpts) error {
 	if opts.verify && len(ps) > 0 {
-		if err := verify.Func(f, opts.entryStage); err != nil {
-			return &InputError{&PassError{Func: f.Name, Config: exp, Pass: "<input>",
-				Cause: err, Snapshot: obs.Snapshot(f)}}
+		if err := verifyInput(f, exp, opts.entryStage); err != nil {
+			return err
 		}
 	}
 	reg := opts.metrics
-	if tr == nil && reg == nil {
-		for i := range ps {
-			if err := ctxCheck(f, exp, &ps[i], opts); err != nil {
-				return err
-			}
-			if err := runOne(f, exp, &ps[i], opts); err != nil {
-				return err
-			}
-		}
-		return nil
+	m := meter{on: tr != nil || reg != nil, detail: tr != nil, reg: reg, tr: tr}
+	var runStart time.Time
+	if m.on {
+		runStart = time.Now()
 	}
-
-	runStart := time.Now()
 	if tr != nil {
 		tr.RunStart(f.Name, exp, obs.Snapshot(f))
 	}
-	var ms0, ms1 runtime.MemStats
 	for i := range ps {
-		p := &ps[i]
-		// Cancellation is not a pass failure: it is not fed into the
-		// pass-error metrics, the caller accounts for it instead.
-		if err := ctxCheck(f, exp, p, opts); err != nil {
-			return err
-		}
-		ev := &obs.Event{Func: f.Name, Config: exp, Pass: p.name, Seq: i}
-		if tr != nil {
-			tr.PassStart(f.Name, exp, p.name)
-			ev.Before = obs.Snapshot(f)
-			runtime.ReadMemStats(&ms0)
-		}
-		t0 := time.Now()
-		err := runOne(f, exp, p, opts)
-		ev.WallNS = time.Since(t0).Nanoseconds()
-		if tr != nil {
-			runtime.ReadMemStats(&ms1)
-			ev.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
-			ev.Mallocs = ms1.Mallocs - ms0.Mallocs
-			ev.After = obs.Snapshot(f)
-		}
-		if err != nil {
-			ev.Err = err.Error()
-		} else if p.stats != nil {
-			ev.Counters = p.stats().AppendCounters(nil)
-		}
-		if reg != nil {
-			recordPass(reg, ev, err)
-		}
-		if tr != nil {
-			tr.PassEnd(ev)
-		}
-		if err != nil {
+		if _, err := step(f, info, r, exp, i, &ps[i], opts, m); err != nil {
 			return err
 		}
 	}
@@ -533,6 +537,79 @@ func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) e
 		runCellsFor(reg, exp).wall.Observe(time.Since(runStart).Nanoseconds())
 	}
 	return nil
+}
+
+// meter says what step measures and where its event goes at once.
+type meter struct {
+	// on makes step build an event: wall time, counters and error.
+	on bool
+	// detail adds IR snapshots before and after and runtime.MemStats
+	// allocation deltas. Reading those stops the world and yields
+	// process-global numbers, fit for serial diagnostics (a tracer is
+	// attached) but not for the serving path (a registry alone).
+	detail bool
+	// reg and tr receive the event as soon as it is built. The Plan
+	// walk leaves both nil: it replays each event once per column after
+	// the walk.
+	reg *metrics.Registry
+	tr  obs.Tracer
+}
+
+// step runs pass p as pass seq of run exp on f with r: the
+// cancellation check, the contained pass body, checked-mode verify,
+// and, as m asks, the pass's event, which it hands to m's registry and
+// tracer. It returns the event (nil when m is off) and the failure.
+// The linear runner and the Plan walk both run every pass through it.
+func step(f *ir.Func, info *ssa.Info, r *Result, exp string, seq int, p *pass, opts runOpts, m meter) (*obs.Event, error) {
+	// Cancellation is not a pass failure: it is not fed into the
+	// pass-error metrics, the caller accounts for it instead.
+	if err := ctxCheck(f, exp, p, opts); err != nil {
+		return nil, err
+	}
+	if !m.on {
+		return nil, runOne(f, info, r, exp, p, opts)
+	}
+	ev := &obs.Event{Func: f.Name, Config: exp, Pass: p.name, Seq: seq}
+	var alloc0, mallocs0 uint64
+	if m.detail {
+		ev.Before = obs.Snapshot(f)
+		alloc0, mallocs0 = memStats()
+	}
+	t0 := time.Now()
+	err := runOne(f, info, r, exp, p, opts)
+	ev.WallNS = time.Since(t0).Nanoseconds()
+	if m.detail {
+		alloc1, mallocs1 := memStats()
+		ev.AllocBytes, ev.Mallocs = alloc1-alloc0, mallocs1-mallocs0
+		ev.After = obs.Snapshot(f)
+	}
+	if err != nil {
+		ev.Err = err.Error()
+	} else if p.stats != nil {
+		ev.Counters = p.stats(r).AppendCounters(nil)
+	}
+	emit(m.reg, m.tr, ev, err)
+	return ev, err
+}
+
+// emit hands one pass event to the registry and the tracer; either may
+// be nil.
+func emit(reg *metrics.Registry, tr obs.Tracer, ev *obs.Event, err error) {
+	if reg != nil {
+		recordPass(reg, ev, err)
+	}
+	if tr != nil {
+		tr.PassStart(ev.Func, ev.Config, ev.Pass)
+		tr.PassEnd(ev)
+	}
+}
+
+// memStats returns the process's cumulative allocated bytes and
+// allocation count.
+func memStats() (totalAlloc, mallocs uint64) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc, ms.Mallocs
 }
 
 // stripNonSPPins removes operand pins to dedicated registers other than

@@ -6,7 +6,13 @@ import (
 
 	"outofssa/internal/ir"
 	"outofssa/internal/obs"
+	"outofssa/internal/ssa"
 )
+
+// namedPass is a pass named name whose body is body.
+func namedPass(name string, body func() error) pass {
+	return pass{passKey: passKey{name: name}, run: func(*ir.Func, *ssa.Info, *Result) error { return body() }}
+}
 
 // TestNilTracerAllocatesNothing pins down the zero-overhead contract of
 // the default path: running a pass list with a nil tracer must not
@@ -14,13 +20,11 @@ import (
 func TestNilTracerAllocatesNothing(t *testing.T) {
 	f := ir.NewFunc("noalloc")
 	f.NewBlock("entry")
-	ps := []pass{
-		{name: "a", run: func() error { return nil }},
-		{name: "b", run: func() error { return nil }},
-		{name: "c", run: func() error { return nil }},
-	}
+	ok := func() error { return nil }
+	ps := []pass{namedPass("a", ok), namedPass("b", ok), namedPass("c", ok)}
+	r := &Result{}
 	n := testing.AllocsPerRun(200, func() {
-		if err := runPasses(f, "", ps, nil, runOpts{}); err != nil {
+		if err := runPasses(f, nil, r, "", ps, nil, runOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -40,14 +44,14 @@ func TestRunnerStopsOnError(t *testing.T) {
 	f.NewBlock("entry")
 	ran := 0
 	ps := []pass{
-		{name: "ok", run: func() error { ran++; return nil }},
-		{name: "fails", run: func() error { ran++; return boom }},
-		{name: "never", run: func() error { ran++; return nil }},
+		namedPass("ok", func() error { ran++; return nil }),
+		namedPass("fails", func() error { ran++; return boom }),
+		namedPass("never", func() error { ran++; return nil }),
 	}
 
 	for _, tr := range []obs.Tracer{nil, &obs.Recorder{}} {
 		ran = 0
-		err := runPasses(f, "exp", ps, tr, runOpts{})
+		err := runPasses(f, nil, &Result{}, "exp", ps, tr, runOpts{})
 		if !errors.Is(err, boom) {
 			t.Fatalf("tracer=%T: got error %v, want cause %v", tr, err, boom)
 		}
@@ -84,10 +88,10 @@ func TestRunnerContainsPanic(t *testing.T) {
 	f.NewBlock("entry")
 	ran := 0
 	ps := []pass{
-		{name: "explodes", run: func() error { panic("kaboom") }},
-		{name: "never", run: func() error { ran++; return nil }},
+		namedPass("explodes", func() error { panic("kaboom") }),
+		namedPass("never", func() error { ran++; return nil }),
 	}
-	err := runPasses(f, "exp", ps, nil, runOpts{})
+	err := runPasses(f, nil, &Result{}, "exp", ps, nil, runOpts{})
 	var pe *PassError
 	if !errors.As(err, &pe) || pe.Pass != "explodes" {
 		t.Fatalf("got %v, want *PassError for pass \"explodes\"", err)

@@ -52,13 +52,16 @@ func TestDominatorCacheReuseOnTable2(t *testing.T) {
 	}
 	domRate := float64(s["dominators_reused"]) / float64(s["dominators_requests"])
 	liveRate := float64(s["liveness_reused"]) / float64(s["liveness_requests"])
-	// Measured 66.1% dominator reuse (2524/3820) and 39.1% liveness
+	// Measured 69.1% dominator reuse (2324/3364) and 39.1% liveness
 	// reuse (1481/3792); the floors here leave headroom.
-	// Each suite function is converted to SSA once per call, and every
-	// job then computes both analyses once on its cold snapshot, so the
-	// reuse counted here is reuse across a job's passes. The sreedhar conversion checks the mutation generation
-	// itself instead of issuing a cache-hit request per φ, so the
-	// remaining requests are the ones other passes genuinely make.
+	// Each suite function is converted to SSA once per call, and its
+	// job computes both analyses once on each cold snapshot it runs
+	// passes on (its own, and one per extra child where its shared pass
+	// prefixes branch), so the reuse counted here is reuse across the
+	// passes that run on one snapshot. The sreedhar conversion checks
+	// the mutation generation itself instead of issuing a cache-hit
+	// request per φ, so the remaining requests are the ones other
+	// passes genuinely make.
 	if domRate < 0.65 {
 		t.Errorf("dominator cache reuse = %.1f%% (%d/%d), want >= 65%%",
 			100*domRate, s["dominators_reused"], s["dominators_requests"])
@@ -75,9 +78,9 @@ func TestDominatorCacheReuseOnTable2(t *testing.T) {
 // walks) instead of rebuilding it, so whole-Info builds have to be a
 // minority of the computes — the point of the engine, and the ≥50%
 // reduction the PR 5 acceptance criteria demand. Measured 912 full
-// builds / 2311 computes (39.5%: one per job plus one per converted
-// suite function) and 71.2% of walks kept across 1399 revalidations;
-// pinned with headroom.
+// builds / 2311 computes (39.5%: one per snapshot a job runs passes on
+// plus one per converted suite function) and 71.2% of walks kept
+// across 1399 revalidations; pinned with headroom.
 func TestLivenessInvalidationRateOnTable2(t *testing.T) {
 	s := goldenT2(t)
 	if s["liveness_computes"] == 0 {

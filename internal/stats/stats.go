@@ -11,11 +11,9 @@ import (
 
 	"outofssa/internal/coalesce"
 	"outofssa/internal/interference"
-	"outofssa/internal/ir"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
 	"outofssa/internal/pipeline"
-	"outofssa/internal/ssa"
 	"outofssa/internal/workload"
 )
 
@@ -67,46 +65,6 @@ var suiteBuilders = [...]func() *workload.Suite{
 	workload.LAILarge, workload.SPECint,
 }
 
-// ssaSuite is one suite as the jobs of a table call read it: every
-// function converted to SSA form in place (pipeline.BuildSSA) and
-// frozen, beside the construction Info its jobs share read-only.
-type ssaSuite struct {
-	*workload.Suite
-	infos []*ssa.Info
-}
-
-// suites holds the rows of one table call, TableN or AllTables. Every
-// column of every table in the call snapshots the same masters, and
-// nothing here outlives the call.
-type suites [len(suiteBuilders)]*ssaSuite
-
-// row returns suite i, building and converting it on the calling
-// goroutine the first time a table needs it. Construction does not
-// depend on the configuration, so one conversion serves every column.
-// A done Context converts nothing.
-func (ss *suites) row(i int) (*ssaSuite, error) {
-	if ss[i] != nil {
-		return ss[i], nil
-	}
-	if Context != nil {
-		if err := Context.Err(); err != nil {
-			return nil, err
-		}
-	}
-	s := &ssaSuite{Suite: suiteBuilders[i]()}
-	s.infos = make([]*ssa.Info, len(s.Funcs))
-	for fi, f := range s.Funcs {
-		info, err := pipeline.BuildSSA(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", s.Name, f.Name, err)
-		}
-		f.Freeze() // masters are immutable for the call; jobs snapshot them
-		s.infos[fi] = info
-	}
-	ss[i] = s
-	return s, nil
-}
-
 // Checked, when true, runs every table experiment in checked mode
 // (pipeline.Config.Verify): IR invariants are re-verified after each
 // pass. The verifier only reads the IR, so the tables come out
@@ -116,9 +74,9 @@ var Checked bool
 // Parallel bounds the worker pool the tables run their pipeline jobs
 // on. The default, 1, runs them serially; n > 1 uses n workers, and 0
 // uses GOMAXPROCS, as pipeline.WithParallelism does. The unit of work
-// is one (suite function × column) pipeline run on its own snapshot of
-// the function's SSA master, so results and trace streams are
-// identical at any setting. ssabench -parallel sets this.
+// is one suite function running every column of the call on its own
+// snapshot of the function's SSA master, so results and trace streams
+// are identical at any setting. ssabench -parallel sets this.
 var Parallel = 1
 
 // Context, when non-nil, bounds every table batch: once it is done,
@@ -137,93 +95,170 @@ var Context context.Context
 // this to metrics.Default.
 var Metrics *metrics.Registry
 
-// colSpec is one table column resolved to runnable form: the pass
-// configuration, the experiment label traces carry, and whether the
-// cell totals weighted (5^depth) or plain move counts.
-type colSpec struct {
-	conf     pipeline.Config
+// column is one table column: its header, the configuration its cells
+// run, the experiment label traces carry, and whether its cells total
+// weighted (5^depth) or plain move counts.
+type column struct {
+	name     string
 	exp      string
+	conf     pipeline.Config
 	weighted bool
 }
 
-// presetCol resolves a column named after a Table 1 experiment.
-func presetCol(col string) (colSpec, error) {
-	conf, err := pipeline.Preset(col)
-	if err != nil {
-		return colSpec{}, err
-	}
-	return colSpec{conf: conf, exp: col}, nil
+// tableDef is one experiment table as data.
+type tableDef struct {
+	title, note string
+	cols        []column
 }
 
-// buildTable runs every (suite, column) cell as a batch of per-function
-// pipeline jobs. Every job snapshots its function from the suite's
-// frozen SSA master inside the worker that runs it, and starts the
-// pipeline after SSA construction (pipeline.Job.SSA). ir.Snapshot
-// preserves IDs and ordering exactly, and construction yields the same
-// function under every configuration, so a job is indistinguishable
-// from a run that converts a freshly built function itself — but the
-// per-job copy is O(arena chunks) up front and slabs privatize lazily,
-// only when the job's first pass actually writes them.
-func (ss *suites) buildTable(title, note string, cols []string, tr obs.Tracer, spec func(col string) (colSpec, error)) (*Table, error) {
-	t := &Table{Title: title, Note: note, Columns: cols}
-	specs := make([]colSpec, len(cols))
-	for i, c := range cols {
-		sp, err := spec(c)
+// presetCols returns the columns named after Table 1 experiments.
+func presetCols(exps ...string) []column {
+	cols := make([]column, len(exps))
+	for i, exp := range exps {
+		conf, err := pipeline.Preset(exp)
 		if err != nil {
-			return nil, err
+			panic(err) // the definitions below name presets only
 		}
-		sp.conf.Verify = Checked
-		specs[i] = sp
+		cols[i] = column{name: exp, exp: exp, conf: conf}
+	}
+	return cols
+}
+
+// table5Cols returns Table 5's columns: the full Lphi,ABI+C pipeline
+// with the pinning-phi variant swapped, totalling weighted moves.
+func table5Cols() []column {
+	var cols []column
+	for _, v := range []struct {
+		name string
+		opt  coalesce.Options
+	}{
+		{"base", coalesce.Options{}},
+		{"depth", coalesce.Options{DepthConstraint: true}},
+		{"opt", coalesce.Options{Mode: interference.Optimistic}},
+		{"pess", coalesce.Options{Mode: interference.Pessimistic}},
+	} {
+		c := presetCols(pipeline.ExpLphiABIC)[0]
+		c.name, c.exp, c.weighted = v.name, pipeline.ExpLphiABIC+"/"+v.name, true
+		c.conf.Coalesce = v.opt
+		cols = append(cols, c)
+	}
+	return cols
+}
+
+// tableDefs are Tables 2–5 in order.
+var tableDefs = [...]tableDef{
+	{
+		// Comparison of move instruction count with no ABI constraint:
+		// Lφ+C vs C vs Sφ+C.
+		title: "Table 2: move instruction count with no ABI constraint",
+		note:  "deltas relative to Lphi+C",
+		cols:  presetCols(pipeline.ExpLphiC, pipeline.ExpC2, pipeline.ExpSphiC),
+	},
+	{
+		// Comparison of move instruction count with renaming constraints:
+		// Lφ,ABI+C vs Sφ+LABI+C vs LABI+C vs C.
+		title: "Table 3: move instruction count with renaming constraints",
+		note:  "deltas relative to Lphi,ABI+C",
+		cols:  presetCols(pipeline.ExpLphiABIC, pipeline.ExpSphiLABIC, pipeline.ExpLABIC, pipeline.ExpC3),
+	},
+	{
+		// The "order of magnitude" table: moves remaining before any
+		// coalescing when φs (Sφ: ABI naive) or the ABI (LABI: φ naive)
+		// are handled naively.
+		title: "Table 4: order of magnitude (no aggressive coalescing)",
+		note:  "Sphi adds naive ABI moves; LABI adds naive phi moves; deltas vs Lphi,ABI",
+		cols:  presetCols(pipeline.ExpLphiABI, pipeline.ExpSphi, pipeline.ExpLABI),
+	},
+	{
+		// The weighted (5^depth) variant comparison of the paper's
+		// algorithm: base, depth-constrained, optimistic, pessimistic.
+		title: "Table 5: weighted (5^depth) move count, variants of the algorithm",
+		note:  "full pipeline Lphi,ABI+C with the pinning-phi variant swapped",
+		cols:  table5Cols(),
+	},
+}
+
+// buildTables renders defs from one pass over the suites. All the
+// columns of the call form one pipeline.Plan, so each suite function
+// runs as one job that shares every pass prefix its columns have in
+// common, and the job's results are split back into the tables' cells.
+// A row is one batch: the suite is built and converted to SSA form
+// (pipeline.BuildSSA) on the calling goroutine, and every job
+// snapshots its function's frozen master inside the worker that runs
+// it, starting the pipeline after construction (pipeline.Job.SSA). A
+// Snapshot preserves IDs and ordering exactly, and construction yields
+// the same function under every configuration, so each cell equals a
+// run that converts a freshly built function itself. Rows run, and
+// replay their traces, in order, and a row's suite, jobs and results
+// become garbage before the next row starts, so the tables and the
+// trace stream are byte-identical at any parallelism. A done Context
+// converts no further suite.
+func buildTables(defs []tableDef, tr obs.Tracer) ([]*Table, error) {
+	var cols []pipeline.Column
+	var weighted []bool
+	tables := make([]*Table, len(defs))
+	for ti, d := range defs {
+		t := &Table{Title: d.title, Note: d.note}
+		for _, c := range d.cols {
+			t.Columns = append(t.Columns, c.name)
+			conf := c.conf
+			conf.Verify = Checked
+			cols = append(cols, pipeline.Column{Config: conf, Experiment: c.exp})
+			weighted = append(weighted, c.weighted)
+		}
+		tables[ti] = t
+	}
+	plan, err := pipeline.NewPlan(cols...)
+	if err != nil {
+		return nil, err
+	}
+	ctx := Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
 
-	// One batch per row: a row's jobs, their snapshots and results all
-	// become garbage before the next row starts. Batches run (and
-	// replay their traces) in row order, and jobs within a batch are
-	// laid out in (column, function) order — the exact iteration order
-	// of the old serial driver — so the rendered tables and the trace
-	// stream are byte-identical at any parallelism.
-	for si := range ss {
-		suite, err := ss.row(si)
-		if err != nil {
+	for _, build := range suiteBuilders {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		row := Row{Benchmark: suite.Name, Cells: make([]int64, len(cols))}
-		jobs := make([]pipeline.Job, 0, len(cols)*len(suite.Funcs))
-		for ci := range cols {
-			sp := specs[ci]
-			for fi, f := range suite.Funcs {
-				f := f
-				jobs = append(jobs, pipeline.Job{
-					Build:      func() *ir.Func { return f.Snapshot() },
-					Config:     sp.conf,
-					Experiment: sp.exp,
-					SSA:        suite.infos[fi],
-				})
+		suite := build()
+		jobs := make([]pipeline.Job, len(suite.Funcs))
+		for fi, f := range suite.Funcs {
+			info, err := pipeline.BuildSSA(f)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", suite.Name, f.Name, err)
 			}
-		}
-		ctx := Context
-		if ctx == nil {
-			ctx = context.Background()
+			f.Freeze() // masters are immutable for the row; jobs snapshot them
+			jobs[fi] = pipeline.Job{
+				Build: f.Snapshot,
+				Plan:  plan,
+				SSA:   info,
+			}
 		}
 		results := pipeline.RunBatchCtx(ctx, jobs,
 			pipeline.WithParallelism(Parallel),
 			pipeline.WithBatchTracer(tr),
 			pipeline.WithBatchMetrics(Metrics))
-		for i, res := range results {
-			ci := i / len(suite.Funcs)
+		cells := make([]int64, len(cols))
+		for fi, res := range results {
 			if res.Err != nil {
-				fn := suite.Funcs[i%len(suite.Funcs)]
-				return nil, fmt.Errorf("%s/%s: %w", suite.Name, fn.Name, res.Err)
+				return nil, fmt.Errorf("%s/%s: %w", suite.Name, suite.Funcs[fi].Name, res.Err)
 			}
-			if specs[ci].weighted {
-				row.Cells[ci] += res.Result.WeightedMoves
-			} else {
-				row.Cells[ci] += int64(res.Result.Moves)
+			for ci, r := range res.Results {
+				if weighted[ci] {
+					cells[ci] += r.WeightedMoves
+				} else {
+					cells[ci] += int64(r.Moves)
+				}
 			}
 		}
-		t.Rows = append(t.Rows, row)
+		for _, t := range tables {
+			n := len(t.Columns)
+			t.Rows = append(t.Rows, Row{Benchmark: suite.Name, Cells: cells[:n:n]})
+			cells = cells[n:]
+		}
 	}
-	return t, nil
+	return tables, nil
 }
 
 // Table1 renders the experiment legend — which passes each named
@@ -278,30 +313,14 @@ func Table2() (*Table, error) { return Table2Traced(nil) }
 
 // Table2Traced is Table2 with a pipeline tracer attached to every run
 // (nil for none); events are labelled with the experiment name.
-func Table2Traced(tr obs.Tracer) (*Table, error) { return new(suites).table2(tr) }
-
-func (ss *suites) table2(tr obs.Tracer) (*Table, error) {
-	return ss.buildTable(
-		"Table 2: move instruction count with no ABI constraint",
-		"deltas relative to Lphi+C",
-		[]string{pipeline.ExpLphiC, pipeline.ExpC2, pipeline.ExpSphiC},
-		tr, presetCol)
-}
+func Table2Traced(tr obs.Tracer) (*Table, error) { return oneTable(2, tr) }
 
 // Table3 reproduces "Comparison of move instruction count with renaming
 // constraints": Lφ,ABI+C vs Sφ+LABI+C vs LABI+C vs C.
 func Table3() (*Table, error) { return Table3Traced(nil) }
 
 // Table3Traced is Table3 with a pipeline tracer attached.
-func Table3Traced(tr obs.Tracer) (*Table, error) { return new(suites).table3(tr) }
-
-func (ss *suites) table3(tr obs.Tracer) (*Table, error) {
-	return ss.buildTable(
-		"Table 3: move instruction count with renaming constraints",
-		"deltas relative to Lphi,ABI+C",
-		[]string{pipeline.ExpLphiABIC, pipeline.ExpSphiLABIC, pipeline.ExpLABIC, pipeline.ExpC3},
-		tr, presetCol)
-}
+func Table3Traced(tr obs.Tracer) (*Table, error) { return oneTable(3, tr) }
 
 // Table4 reproduces the "order of magnitude" table: moves remaining
 // before any coalescing when φs (Sφ: ABI naive) or the ABI (LABI: φ
@@ -309,15 +328,7 @@ func (ss *suites) table3(tr obs.Tracer) (*Table, error) {
 func Table4() (*Table, error) { return Table4Traced(nil) }
 
 // Table4Traced is Table4 with a pipeline tracer attached.
-func Table4Traced(tr obs.Tracer) (*Table, error) { return new(suites).table4(tr) }
-
-func (ss *suites) table4(tr obs.Tracer) (*Table, error) {
-	return ss.buildTable(
-		"Table 4: order of magnitude (no aggressive coalescing)",
-		"Sphi adds naive ABI moves; LABI adds naive phi moves; deltas vs Lphi,ABI",
-		[]string{pipeline.ExpLphiABI, pipeline.ExpSphi, pipeline.ExpLABI},
-		tr, presetCol)
-}
+func Table4Traced(tr obs.Tracer) (*Table, error) { return oneTable(4, tr) }
 
 // Table5 reproduces the weighted (5^depth) variant comparison of the
 // paper's algorithm: base, depth-constrained, optimistic, pessimistic.
@@ -325,59 +336,23 @@ func Table5() (*Table, error) { return Table5Traced(nil) }
 
 // Table5Traced is Table5 with a pipeline tracer attached; events are
 // labelled "Lphi,ABI+C/<variant>".
-func Table5Traced(tr obs.Tracer) (*Table, error) { return new(suites).table5(tr) }
+func Table5Traced(tr obs.Tracer) (*Table, error) { return oneTable(5, tr) }
 
-func (ss *suites) table5(tr obs.Tracer) (*Table, error) {
-	variants := []struct {
-		name string
-		opt  coalesce.Options
-	}{
-		{"base", coalesce.Options{}},
-		{"depth", coalesce.Options{DepthConstraint: true}},
-		{"opt", coalesce.Options{Mode: interference.Optimistic}},
-		{"pess", coalesce.Options{Mode: interference.Pessimistic}},
+// oneTable renders Table n alone: its columns share pass prefixes only
+// among themselves.
+func oneTable(n int, tr obs.Tracer) (*Table, error) {
+	ts, err := buildTables(tableDefs[n-2:n-1], tr)
+	if err != nil {
+		return nil, err
 	}
-	cols := make([]string, len(variants))
-	for i, v := range variants {
-		cols[i] = v.name
-	}
-	return ss.buildTable(
-		"Table 5: weighted (5^depth) move count, variants of the algorithm",
-		"full pipeline Lphi,ABI+C with the pinning-phi variant swapped",
-		cols,
-		tr,
-		func(col string) (colSpec, error) {
-			conf, err := pipeline.Preset(pipeline.ExpLphiABIC)
-			if err != nil {
-				return colSpec{}, err
-			}
-			for _, v := range variants {
-				if v.name == col {
-					conf.Coalesce = v.opt
-				}
-			}
-			return colSpec{conf: conf, exp: pipeline.ExpLphiABIC + "/" + col, weighted: true}, nil
-		})
+	return ts[0], nil
 }
 
 // AllTables runs Tables 2-5 in order.
 func AllTables() ([]*Table, error) { return AllTablesTraced(nil) }
 
 // AllTablesTraced runs Tables 2-5 in order with a pipeline tracer
-// attached to every experiment run. The four tables share one set of
-// converted suites, so each suite function goes through SSA
-// construction once per call, not once per column.
-func AllTablesTraced(tr obs.Tracer) ([]*Table, error) {
-	var out []*Table
-	ss := new(suites)
-	for _, table := range []func(*suites, obs.Tracer) (*Table, error){
-		(*suites).table2, (*suites).table3, (*suites).table4, (*suites).table5,
-	} {
-		t, err := table(ss, tr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
+// attached to every experiment run. The four tables' 14 columns form
+// one plan, so each suite function goes through SSA construction once
+// per call and runs each pass prefix its columns share once.
+func AllTablesTraced(tr obs.Tracer) ([]*Table, error) { return buildTables(tableDefs[:], tr) }
