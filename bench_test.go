@@ -506,50 +506,6 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchThroughput measures whole-pipeline functions/sec
-// through the shared-nothing batch driver with copy-on-write job
-// builds: the Table 2 job matrix over the full workload, snapshotting
-// every job from a frozen master. funcs/sec is reported as a custom
-// metric; perfbench/ is the repository's benchmark.
-func BenchmarkBatchThroughput(b *testing.B) {
-	exps := []string{pipeline.ExpLphiC, pipeline.ExpC2, pipeline.ExpSphiC}
-	var masters []*ir.Func
-	for _, build := range suiteBuilders {
-		for _, f := range build().Funcs {
-			f.Freeze()
-			masters = append(masters, f)
-		}
-	}
-	jobs := make([]pipeline.Job, 0, len(masters)*len(exps))
-	for _, e := range exps {
-		p, err := pipeline.NewPlan(pipeline.Column{Config: pipeline.Configs[e], Experiment: e})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, f := range masters {
-			jobs = append(jobs, pipeline.Job{Build: f.Snapshot, Plan: p})
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				results := pipeline.RunBatch(jobs, pipeline.WithParallelism(workers))
-				for j := range results {
-					if results[j].Err != nil {
-						b.Fatal(results[j].Err)
-					}
-				}
-			}
-			b.StopTimer()
-			secs := b.Elapsed().Seconds()
-			if secs > 0 {
-				b.ReportMetric(float64(len(jobs)*b.N)/secs, "funcs/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkGCScanIR measures the garbage collector's cost of a resident
 // population of IR functions: it parks a few hundred clones on the heap
 // and times full GC cycles over them. The SoA layout keeps values,

@@ -13,15 +13,12 @@
 //
 // The memo lives on the function itself (ir.Func.AnalysisLoad/Init), so
 // it has exactly the function's lifetime: no global map, nothing to
-// evict, and cloned functions start cold. The memo is safe for
-// concurrent readers: entries are immutable once built and published
-// via atomic pointer swaps keyed on the generation they were computed
-// at, so a snapshot fanned out read-only across workers serves cache
-// hits lock-free; a per-slot mutex single-flights the compute on a
-// miss. Concurrent use requires the function itself to be read-only
-// while shared (the batch driver's ownership rule); functions marked
-// ir.Func.MarkSharedRead additionally get frozen (precompute-complete)
-// liveness engines, since the lazy query engine self-fills on reads.
+// evict, and cloned functions start cold. The memo has one owner: the
+// goroutine that owns the function, which is the only one that may
+// mutate it or request its analyses. Other goroutines may only
+// Snapshot a frozen function, and a snapshot starts with an empty
+// memo of its own, so a memo is never read or written by two
+// goroutines and needs no lock.
 //
 // Liveness and dominators are cached today; further analyses (def-use
 // chains, dominance frontiers) slot in by adding a field to memo and an
@@ -29,9 +26,6 @@
 package analysis
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"outofssa/internal/cfg"
 	"outofssa/internal/ir"
 	"outofssa/internal/liveness"
@@ -39,22 +33,16 @@ import (
 )
 
 // memo is the per-function cache stored in the function's analysis
-// slot. Each slot publishes immutable entries through an atomic
-// pointer — the lock-free hit path — and owns a mutex that
-// single-flights the compute on a miss. The mutexes are separate
-// because a liveness build calls Dominators while holding liveMu; a
-// single memo-wide lock would self-deadlock there.
+// slot: the latest liveness and dominator entries, nil until the first
+// request.
 type memo struct {
-	live   atomic.Pointer[liveEntry]
-	liveMu sync.Mutex
-
-	dom   atomic.Pointer[domEntry]
-	domMu sync.Mutex
+	live *liveEntry
+	dom  *domEntry
 }
 
-// liveEntry is one published liveness result: the Info plus the
-// generation pair it was computed under. Entries are immutable after
-// publication; revalidation publishes a fresh entry.
+// liveEntry is one memoized liveness result: the Info plus the
+// generation pair it was computed under. Revalidation replaces the
+// entry.
 type liveEntry struct {
 	gen    uint64
 	cfgGen uint64
@@ -67,10 +55,12 @@ type domEntry struct {
 }
 
 func memoOf(f *ir.Func) *memo {
-	if m, ok := f.AnalysisLoad().(*memo); ok {
-		return m
+	m, ok := f.AnalysisLoad().(*memo)
+	if !ok {
+		m = &memo{}
+		f.AnalysisInit(m)
 	}
-	return f.AnalysisInit(&memo{}).(*memo)
+	return m
 }
 
 // CacheStats counts cache traffic since the last ResetStats, across all
@@ -162,30 +152,26 @@ func ResetStats() {
 // callers must treat it as read-only, and it describes f as of this
 // call — a later mutation of f makes it stale without invalidating the
 // pointer (exactly like calling liveness.NewQuery directly).
+//
+// Only the goroutine that owns f may call it: the memo and the lazy
+// query engine fill in on reads, without locks. Another goroutine that
+// wants f's analyses takes a Snapshot of frozen f and asks for those of
+// the snapshot.
 func Liveness(f *ir.Func) *liveness.Info {
 	m := memoOf(f)
 	gen := f.Generation()
 	cLiveRequests.Inc()
-	if e := m.live.Load(); e != nil && e.gen == gen {
-		cLiveReused.Inc()
-		return e.info
-	}
-	m.liveMu.Lock()
-	defer m.liveMu.Unlock()
-	// Double-check under the single-flight lock: a racing reader may have
-	// computed and published the entry while we waited.
-	if e := m.live.Load(); e != nil && e.gen == gen {
+	e := m.live
+	if e != nil && e.gen == gen {
 		cLiveReused.Inc()
 		return e.info
 	}
 	cLiveComputes.Inc()
 	ne := &liveEntry{gen: gen, cfgGen: f.CFGGeneration()}
-	if e := m.live.Load(); e != nil && e.cfgGen == ne.cfgGen && e.info.Incremental() {
+	if e != nil && e.cfgGen == ne.cfgGen && e.info.Incremental() {
 		// Code-only mutation under an unchanged CFG: revalidate the
 		// per-variable summaries and keep every walk whose summary is
-		// unchanged instead of rebuilding the whole engine. Only an
-		// exclusive owner can get here (a mutation happened), so
-		// recycling the old entry's storage is safe.
+		// unchanged instead of rebuilding the whole engine.
 		live, kept, dropped := e.info.Revalidate()
 		ne.info = live
 		cLiveReval.Inc()
@@ -195,18 +181,12 @@ func Liveness(f *ir.Func) *liveness.Info {
 		ne.info = liveness.NewQuery(f, Dominators(f))
 		cLiveFull.Inc()
 	}
-	if f.SharedRead() {
-		// The function is fanned out read-only across goroutines: the
-		// lazy query engine self-fills on reads, so precompute everything
-		// and publish a frozen, purely-read-only Info.
-		ne.info.Freeze()
-	}
-	m.live.Store(ne)
+	m.live = ne
 	return ne.info
 }
 
 // Dominators returns the dominator tree of f under the same memoization
-// and sharing contract as Liveness, except that it is keyed on the CFG
+// and ownership contract as Liveness, except that it is keyed on the CFG
 // generation: dominators depend only on the block graph, so instruction
 // and operand edits (which bump only the code generation) leave a cached
 // tree valid. This is what lifts the dominator reuse rate past the
@@ -215,22 +195,13 @@ func Dominators(f *ir.Func) *cfg.DomTree {
 	m := memoOf(f)
 	gen := f.CFGGeneration()
 	cDomRequests.Inc()
-	if e := m.dom.Load(); e != nil && e.cfgGen == gen {
-		cDomReused.Inc()
-		return e.tree
-	}
-	m.domMu.Lock()
-	defer m.domMu.Unlock()
-	if e := m.dom.Load(); e != nil && e.cfgGen == gen {
+	if e := m.dom; e != nil && e.cfgGen == gen {
 		cDomReused.Inc()
 		return e.tree
 	}
 	cDomComputes.Inc()
-	// DomTree is immutable after construction (pure array reads), so it
-	// needs no freezing to be shared.
-	e := &domEntry{cfgGen: gen, tree: cfg.Dominators(f)}
-	m.dom.Store(e)
-	return e.tree
+	m.dom = &domEntry{cfgGen: gen, tree: cfg.Dominators(f)}
+	return m.dom.tree
 }
 
 // Invalidate drops every memoized analysis of f. Normal code never

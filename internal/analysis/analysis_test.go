@@ -11,6 +11,7 @@ import (
 	"outofssa/internal/ssa"
 	"outofssa/internal/testprog"
 	"outofssa/internal/verify"
+	"outofssa/internal/workload"
 )
 
 // delta runs fn and returns how the package counters moved across it.
@@ -238,5 +239,47 @@ func TestStaleVarLivenessCaught(t *testing.T) {
 		t.Fatal("verifier accepted the stale-var-liveness corruption")
 	} else if !strings.Contains(err.Error(), "not dominated by its def in") {
 		t.Fatalf("corruption caught by the wrong check: %v", err)
+	}
+}
+
+// TestReadOnlyPipelinePassZeroCopies pins the zero-copy claim on the
+// whole paper workload: one snapshot of each of the 228 SSA-form suite
+// masters runs only read-only work (SSA verification, liveness and
+// MAXLIVE, the move and φ censuses), which moves the laoc_ir_snapshots
+// counter by one per master but neither laoc_ir_cow_materializations
+// nor laoc_ir_cow_slab_copies.
+func TestReadOnlyPipelinePassZeroCopies(t *testing.T) {
+	var masters []*ir.Func
+	for _, s := range workload.All() {
+		for _, f := range s.Funcs {
+			ssa.MustBuild(f)
+			f.Freeze()
+			masters = append(masters, f)
+		}
+	}
+	if len(masters) != 228 {
+		t.Fatalf("workload has %d functions, want 228", len(masters))
+	}
+
+	before := ir.Stats()
+	for _, master := range masters {
+		snap := master.Snapshot()
+		if err := verify.Func(snap, verify.StageSSA); err != nil {
+			t.Fatalf("%s: %v", master.Name, err)
+		}
+		_ = liveness.MaxLive(snap, analysis.Liveness(snap))
+		_ = snap.CountMoves()
+		_ = snap.CountPhis()
+		snap.Release()
+	}
+	d := ir.Stats()
+	if n := d.Snapshots - before.Snapshots; n != 228 {
+		t.Fatalf("snapshots counter moved by %d, want 228", n)
+	}
+	if n := d.COWMaterializations - before.COWMaterializations; n != 0 {
+		t.Fatalf("read-only passes materialized %d snapshots, want 0", n)
+	}
+	if n := d.COWSlabCopies - before.COWSlabCopies; n != 0 {
+		t.Fatalf("read-only passes copied %d slabs, want 0", n)
 	}
 }

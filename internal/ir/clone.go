@@ -153,5 +153,5 @@ func (f *Func) RestoreFrom(g *Func) {
 	// entries recorded under earlier generations can never match again.
 	f.generation++
 	f.cfgGeneration++
-	f.analyses.Store(nil)
+	f.analyses = nil
 }

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Func is a single function: a control flow graph of basic blocks over a
 // set of values. Blocks()[0] is the entry block.
@@ -61,10 +58,8 @@ type Func struct {
 	cfgGeneration uint64
 	// analyses is the opaque per-function memo slot owned by
 	// internal/analysis (kept opaque to avoid an ir → analysis cycle).
-	// Published atomically so concurrent readers of a shared snapshot can
-	// install and load the memo without a lock. Clone does not copy it;
-	// RestoreFrom discards it.
-	analyses atomic.Pointer[any]
+	// Clone and Snapshot do not copy it; RestoreFrom discards it.
+	analyses any
 
 	// cow links this Func to the copy-on-write family it shares slab
 	// storage with; nil when the Func owns all its storage exclusively.
@@ -75,10 +70,6 @@ type Func struct {
 	sharedCode  bool
 	sharedEdges bool
 	cowTouched  bool
-	// sharedRead declares the Func read-only and fanned out across
-	// goroutines (see MarkSharedRead); analysis publishes frozen query
-	// structures for such functions.
-	sharedRead bool
 }
 
 // NewFunc creates an empty function with a fresh ST120-like target.
@@ -127,32 +118,20 @@ func (f *Func) SetGenerations(gen, cfgGen uint64) {
 }
 
 // AnalysisLoad returns the per-function memo installed by
-// internal/analysis, or nil. Safe for concurrent callers. Other
-// packages must not touch the slot.
-func (f *Func) AnalysisLoad() any {
-	if p := f.analyses.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+// internal/analysis, or nil. Other packages must not touch the slot.
+//
+// The slot follows the function's ownership rule: only the goroutine
+// that owns f may load or install its memo, so neither takes a lock.
+// Other goroutines may only Snapshot a frozen f, and a snapshot starts
+// with an empty slot.
+func (f *Func) AnalysisLoad() any { return f.analyses }
 
-// AnalysisInit publishes v as the function's analysis memo if none is
-// installed yet, and returns the winner — v, or the memo another
-// goroutine raced in first. Safe for concurrent callers.
-func (f *Func) AnalysisInit(v any) any {
-	p := &v
-	for {
-		if f.analyses.CompareAndSwap(nil, p) {
-			return v
-		}
-		if q := f.analyses.Load(); q != nil {
-			return *q
-		}
-	}
-}
+// AnalysisInit installs v as the function's analysis memo. Only f's
+// owner may call it (see AnalysisLoad).
+func (f *Func) AnalysisInit(v any) { f.analyses = v }
 
 // AnalysisClear drops the function's analysis memo.
-func (f *Func) AnalysisClear() { f.analyses.Store(nil) }
+func (f *Func) AnalysisClear() { f.analyses = nil }
 
 // ---- values ----
 

@@ -36,13 +36,14 @@ import "sync/atomic"
 // because it is append-only and frozen at capacity, so a post-snapshot
 // NewValue reallocates away from the family automatically.
 //
-// Concurrency protocol: Freeze is single-goroutine (callers freeze a
-// master before handing it to workers); after that, Snapshot may be
-// called concurrently from any number of goroutines, and the frozen
-// master plus all un-materialized snapshots may be read concurrently.
-// A Func may be mutated only by its exclusive owner, which is what the
-// cow hooks preserve: the first mutation copies privately, so no write
-// ever lands in storage another goroutine can see.
+// Concurrency protocol: one goroutine owns each Func, and only it may
+// mutate the Func or request its analyses (internal/analysis fills a
+// memo on the Func without locks). Freeze is single-goroutine (callers
+// freeze a master before handing it to workers); after that, any
+// number of goroutines may Snapshot the frozen master concurrently,
+// and each snapshot belongs to the goroutine that took it. The cow
+// hooks keep the storage private to its owner: the first mutation
+// copies, so no write ever lands in storage another goroutine can see.
 type cowState struct {
 	// refs counts the Funcs that may still read the family's mutable
 	// shared storage (operand/code slabs, edge arrays): the frozen
@@ -97,24 +98,11 @@ func (f *Func) Freeze() {
 }
 
 // Frozen reports whether f currently shares slab storage with other
-// Funcs (it is a frozen master or an un-materialized snapshot). The
-// analysis cache uses this to decide when to publish precomputed,
-// immutable query structures instead of lazily self-filling ones.
+// Funcs (it is a frozen master or an un-materialized snapshot). Tests
+// use it to check which side of a copy-on-write family still shares
+// the slabs, for instance that faultinject's aliasing probe leaves its
+// function frozen.
 func (f *Func) Frozen() bool { return f.cow != nil }
-
-// MarkSharedRead declares that f will be read by multiple goroutines
-// concurrently with no further mutation (the read-only fan-out of one
-// snapshot across workers). internal/analysis checks it to publish
-// frozen, precompute-complete query structures instead of the lazily
-// self-filling ones an exclusive owner gets; exclusively-owned
-// functions — including ordinary per-job snapshots — never set it, so
-// the serial pipeline keeps its incremental-revalidation behavior.
-// Call it once, before handing f out; mutating f afterwards violates
-// the contract.
-func (f *Func) MarkSharedRead() { f.sharedRead = true }
-
-// SharedRead reports whether MarkSharedRead was called on f.
-func (f *Func) SharedRead() bool { return f.sharedRead }
 
 // Snapshot returns a copy-on-write copy of f. Handles are preserved
 // exactly as with Clone — value, block and instruction IDs in the

@@ -250,13 +250,6 @@ type queryState struct {
 	setPool            bitset.Pool
 
 	stats QueryStats
-
-	// frozen marks the state fully precomputed and read-only: every
-	// variable walk has run and every live block's dense sets are built,
-	// so point queries and set accessors are pure reads, safe for any
-	// number of concurrent readers. Set by Info.Freeze; the stats
-	// counters stop moving (a mutable hit counter would be a data race).
-	frozen bool
 }
 
 // NewQuery builds a query-engine Info for f. dom must be the dominator
@@ -305,34 +298,6 @@ func (l *Info) QueryStats() QueryStats {
 		return QueryStats{}
 	}
 	return l.q.stats
-}
-
-// Freeze precomputes every lazily-built structure of a query Info —
-// all per-variable walks and the dense sets of every live block — and
-// marks the engine read-only. After Freeze, every query is a pure read
-// with no memo fills, no pool traffic and no stats updates, which makes
-// the Info safe to share across goroutines (the iterative engine is
-// immutable after Compute and needs no freezing). analysis.Liveness
-// freezes the Infos it publishes for functions marked shared-read;
-// exclusively-owned functions keep the lazy engine with its Revalidate
-// path. Freeze is idempotent and a no-op on iterative Infos. A frozen
-// Info no longer supports Revalidate (Incremental reports false), so
-// the analysis cache rebuilds from scratch if the function is mutated
-// later — mutating a shared function is a contract violation anyway.
-func (l *Info) Freeze() {
-	if l.q == nil || l.q.frozen {
-		return
-	}
-	q := l.q
-	for id := range q.walks {
-		if id < len(q.cur.sums) {
-			q.walkOf(id)
-		}
-	}
-	for _, b := range q.fn.Blocks() {
-		q.blockSets(b)
-	}
-	q.frozen = true
 }
 
 // Revalidate adapts a query Info to a code-only mutation of its
@@ -731,9 +696,7 @@ func (q *queryState) deadByDominance(s *varSummary, b *ir.Block) bool {
 // with a single memo check.
 func (q *queryState) countedWalk(id int) int32 {
 	if w := &q.walks[id]; w.done {
-		if !q.frozen {
-			q.stats.Hits++
-		}
+		q.stats.Hits++
 		return w.off
 	}
 	q.stats.Misses++
@@ -745,9 +708,7 @@ func (q *queryState) liveIn(id int, b *ir.Block) bool {
 		return false
 	}
 	if q.deadByDominance(&q.cur.sums[id], b) {
-		if !q.frozen {
-			q.stats.Hits++
-		}
+		q.stats.Hits++
 		return false
 	}
 	return bitHas(q.walkIn(q.countedWalk(id)), int(b.ID))
@@ -758,9 +719,7 @@ func (q *queryState) liveOut(id int, b *ir.Block) bool {
 		return false
 	}
 	if q.deadByDominance(&q.cur.sums[id], b) {
-		if !q.frozen {
-			q.stats.Hits++
-		}
+		q.stats.Hits++
 		return false
 	}
 	return q.walkOutHas(q.walkIn(q.countedWalk(id)), int(b.ID))
@@ -771,9 +730,7 @@ func (q *queryState) exitLive(id int, b *ir.Block) bool {
 		return false
 	}
 	if q.deadByDominance(&q.cur.sums[id], b) {
-		if !q.frozen {
-			q.stats.Hits++
-		}
+		q.stats.Hits++
 		return false
 	}
 	if q.walkOutHas(q.walkIn(q.countedWalk(id)), int(b.ID)) {
@@ -790,9 +747,7 @@ func (q *queryState) exitLive(id int, b *ir.Block) bool {
 func (q *queryState) blockSets(b *ir.Block) (in, out, exit *bitset.Set) {
 	bid := int(b.ID)
 	if bid < len(q.blkDone) && q.blkDone[bid] {
-		if !q.frozen {
-			q.stats.Hits++
-		}
+		q.stats.Hits++
 		return q.blkIn[bid], q.blkOut[bid], q.blkExit[bid]
 	}
 	q.stats.Misses++

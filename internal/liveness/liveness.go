@@ -173,9 +173,8 @@ func (l *Info) ExitLiveSet(b *ir.Block) *bitset.Set {
 }
 
 // Incremental reports whether this Info supports Revalidate (query
-// engine only, and not after Freeze — a frozen engine's storage is
-// shared with concurrent readers and must not be recycled).
-func (l *Info) Incremental() bool { return l.q != nil && !l.q.frozen }
+// engine only).
+func (l *Info) Incremental() bool { return l.q != nil }
 
 // LiveAfter returns the set of values live immediately after the idx-th
 // instruction of b. φ instructions are transparent (their defs are live

@@ -56,8 +56,6 @@ func (j *JSONL) RunStart(fn, config string, before IRStat) {
 	j.enc.Encode(jsonlRun{Type: "run_start", Func: fn, Config: config, IR: before})
 }
 
-func (j *JSONL) PassStart(fn, config, pass string) {}
-
 func (j *JSONL) PassEnd(ev *Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

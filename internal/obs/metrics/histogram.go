@@ -97,8 +97,8 @@ func (h *Histogram) SetDeterministic() {
 
 // Merge folds o into h (both may be receiving concurrent observations;
 // the merge is cell-wise atomic). Merging is associative and
-// commutative — the batch driver's per-shard histograms can be folded
-// in any order with the same result.
+// commutative: histograms can be folded in any order with the same
+// result.
 func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
 		return

@@ -84,15 +84,13 @@ type Event struct {
 }
 
 // Tracer receives the event stream of instrumented pipeline runs. One
-// run is bracketed by RunStart/RunEnd; each pass inside it by
-// PassStart/PassEnd. Implementations need not be safe for concurrent
-// use unless documented otherwise.
+// run is bracketed by RunStart/RunEnd, with one PassEnd per completed
+// pass in between. Implementations need not be safe for concurrent use
+// unless documented otherwise.
 type Tracer interface {
 	// RunStart opens a run on function fn under the named experiment
 	// configuration; before is the IR state entering the pipeline.
 	RunStart(fn, config string, before IRStat)
-	// PassStart announces that the named pass is about to execute.
-	PassStart(fn, config, pass string)
 	// PassEnd delivers the measurements of the completed pass. The event
 	// is owned by the tracer after the call.
 	PassEnd(ev *Event)
@@ -109,7 +107,6 @@ var Nop Tracer = nop{}
 type nop struct{}
 
 func (nop) RunStart(string, string, IRStat)      {}
-func (nop) PassStart(string, string, string)     {}
 func (nop) PassEnd(*Event)                       {}
 func (nop) RunEnd(string, string, IRStat, int64) {}
 
@@ -136,12 +133,6 @@ type multi []Tracer
 func (m multi) RunStart(fn, config string, before IRStat) {
 	for _, t := range m {
 		t.RunStart(fn, config, before)
-	}
-}
-
-func (m multi) PassStart(fn, config, pass string) {
-	for _, t := range m {
-		t.PassStart(fn, config, pass)
 	}
 }
 

@@ -24,7 +24,6 @@ func TestMultiFiltersNil(t *testing.T) {
 	r1, r2 := &obs.Recorder{}, &obs.Recorder{}
 	m := obs.Multi(r1, r2)
 	m.RunStart("f", "c", obs.IRStat{})
-	m.PassStart("f", "c", "p")
 	m.PassEnd(&obs.Event{Func: "f", Config: "c", Pass: "p"})
 	m.RunEnd("f", "c", obs.IRStat{}, 1)
 	for i, r := range []*obs.Recorder{r1, r2} {
@@ -39,7 +38,6 @@ func TestSummaryRendersTable(t *testing.T) {
 	s := obs.NewSummary(&buf)
 	s.Verbose = true
 	s.RunStart("fir", "Lphi+C", obs.IRStat{Moves: 5})
-	s.PassStart("fir", "Lphi+C", "ssaopt")
 	s.PassEnd(&obs.Event{
 		Func: "fir", Config: "Lphi+C", Pass: "ssaopt",
 		WallNS: 1500, AllocBytes: 2048,
@@ -91,7 +89,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestNopDiscards(t *testing.T) {
 	// Must simply not panic.
 	obs.Nop.RunStart("f", "c", obs.IRStat{})
-	obs.Nop.PassStart("f", "c", "p")
 	obs.Nop.PassEnd(&obs.Event{})
 	obs.Nop.RunEnd("f", "c", obs.IRStat{}, 0)
 }

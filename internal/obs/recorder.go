@@ -11,14 +11,13 @@ type Recorder struct {
 
 // RecordedRun is the event stream of one pipeline run.
 type RecordedRun struct {
-	Func    string
-	Config  string
-	Before  IRStat
-	After   IRStat
-	WallNS  int64
-	Started []string // pass names in PassStart order
-	Events  []*Event // completed passes in PassEnd order
-	Ended   bool
+	Func   string
+	Config string
+	Before IRStat
+	After  IRStat
+	WallNS int64
+	Events []*Event // completed passes in PassEnd order
+	Ended  bool
 }
 
 // Replay re-emits every recorded run into tr, in recording order. The
@@ -33,11 +32,8 @@ func (r *Recorder) Replay(tr Tracer) {
 	}
 	for _, run := range r.Runs {
 		tr.RunStart(run.Func, run.Config, run.Before)
-		for i, pass := range run.Started {
-			tr.PassStart(run.Func, run.Config, pass)
-			if i < len(run.Events) {
-				tr.PassEnd(run.Events[i])
-			}
+		for _, ev := range run.Events {
+			tr.PassEnd(ev)
 		}
 		if run.Ended {
 			tr.RunEnd(run.Func, run.Config, run.After, run.WallNS)
@@ -48,12 +44,6 @@ func (r *Recorder) Replay(tr Tracer) {
 func (r *Recorder) RunStart(fn, config string, before IRStat) {
 	r.open = &RecordedRun{Func: fn, Config: config, Before: before}
 	r.Runs = append(r.Runs, r.open)
-}
-
-func (r *Recorder) PassStart(fn, config, pass string) {
-	if r.open != nil {
-		r.open.Started = append(r.open.Started, pass)
-	}
 }
 
 func (r *Recorder) PassEnd(ev *Event) {

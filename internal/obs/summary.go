@@ -24,8 +24,6 @@ func NewSummary(w io.Writer) *Summary { return &Summary{w: w} }
 
 func (s *Summary) RunStart(fn, config string, before IRStat) { s.events = s.events[:0] }
 
-func (s *Summary) PassStart(fn, config, pass string) {}
-
 func (s *Summary) PassEnd(ev *Event) { s.events = append(s.events, ev) }
 
 func (s *Summary) RunEnd(fn, config string, after IRStat, wallNS int64) {

@@ -1,30 +1,25 @@
-// Parallel batch driver: run many independent pipeline jobs across
-// shared-nothing shards. The unit of parallelism is one job: one
-// function running every column of its Plan. Each job builds (typically
-// snapshots) its own *ir.Func inside the worker that executes it, and
-// the snapshots its walk takes stay inside that worker, so no mutable
-// IR, analysis memo, or Result is ever shared between goroutines. What
-// jobs do share is read-only: the frozen masters they snapshot, a
-// converted master's ssa.Info, and the Plan. Only the package-level
-// analysis cache counters are touched concurrently, and those are
-// atomic.
+// Parallel batch driver: run many independent pipeline jobs on a pool
+// of workers. The unit of parallelism is one job: one function running
+// every column of its Plan. Each job builds (typically snapshots) its
+// own *ir.Func inside the worker that executes it, and the snapshots
+// its walk takes stay inside that worker, so every function, its
+// analysis memo and its Result have one owner. What jobs do share is
+// read-only: the frozen masters they snapshot, a converted master's
+// ssa.Info, and the Plan. Only the package-level counters (analysis
+// cache, ir.Stats) and the batch metrics are touched concurrently, and
+// those are atomic.
 //
-// Sharding: the job list is split into one contiguous range per
-// worker, each with its own claim cursor and its own staging area for
-// deterministic metrics. A worker drains its own shard first — during
-// that phase the only cross-shard memory traffic is the occasional
-// cursor read by an idle worker — and only then steals, at whole-job
-// granularity, from the shard with the most work left. No partial
-// job, scratch buffer, or IR pointer ever crosses a shard boundary:
-// stolen work is re-built from the job's own Build closure inside the
-// stealing worker.
+// Scheduling: workers claim job indices in order from one shared
+// atomic cursor until the batch is drained; a job runs exactly once,
+// entirely inside the worker that claimed it.
 //
 // Determinism: results come back indexed by job, and when a batch
 // tracer is attached each job records its event stream privately into
 // an obs.Recorder; the recordings are replayed into the batch tracer in
-// job order after all workers finish. Shard-staged metrics flush in
-// shard order. The merged stream is therefore byte-identical to a
-// serial run of the same jobs, whatever the worker interleaving was.
+// job order after all workers finish. The merged stream is therefore
+// byte-identical to a serial run of the same jobs, whatever the worker
+// interleaving was. Counter totals need no such care, since atomic adds
+// commute.
 package pipeline
 
 import (
@@ -97,10 +92,11 @@ func WithBatchTracer(tr obs.Tracer) BatchOption {
 // WithBatchMetrics attaches reg to every job (as WithMetrics does for
 // one run) and additionally maintains the batch-level metrics: queue
 // depth, jobs in flight, completed jobs, and the per-job wall-time
-// histogram. All updates are atomic cell writes, so unlike the tracer
-// no recording/replay indirection is needed — counter totals are
-// deterministic at any parallelism because atomic adds commute, while
-// gauges and wall histograms legitimately reflect the actual schedule.
+// histogram. Workers update them directly with atomic cell writes, so
+// unlike the tracer no recording/replay indirection is needed —
+// counter totals are deterministic at any parallelism because atomic
+// adds commute, while gauges and wall histograms legitimately reflect
+// the actual schedule.
 func WithBatchMetrics(reg *metrics.Registry) BatchOption {
 	return func(bc *batchConfig) { bc.metrics = reg; registerHelp(reg) }
 }
@@ -168,7 +164,7 @@ func RunBatchCtx(ctx context.Context, jobs []Job, opts ...BatchOption) []JobResu
 		// Serial fast path: trace straight into the batch tracer — the
 		// job-order stream the parallel path reconstructs by replay.
 		for i := range jobs {
-			runJob(ctx, &jobs[i], &results[i], bc.tracer, bm, nil)
+			runJob(ctx, &jobs[i], &results[i], bc.tracer, bm)
 		}
 		return results
 	}
@@ -183,30 +179,15 @@ func RunBatchCtx(ctx context.Context, jobs []Job, opts ...BatchOption) []JobResu
 		}
 	}
 
-	// One shard per worker: a contiguous job range with a private claim
-	// cursor and private metrics staging. The padding keeps each shard's
-	// cursor on its own cache line so claim traffic never false-shares.
-	shards := make([]batchShard, workers)
-	for s := range shards {
-		shards[s].lo = int64(s * len(jobs) / workers)
-		shards[s].hi = int64((s + 1) * len(jobs) / workers)
-	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			own := &shards[w]
 			for {
-				i, sh := own.claim()
-				if sh == nil {
-					// Own shard drained: steal a whole job from the most
-					// loaded other shard. Stealing re-claims through the
-					// victim's cursor, so a job still runs exactly once and
-					// entirely inside one worker.
-					i, sh = stealJob(shards, w)
-				}
-				if sh == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
 					return
 				}
 				// The nil-interface pitfall: assigning a nil *Recorder to
@@ -217,104 +198,19 @@ func RunBatchCtx(ctx context.Context, jobs []Job, opts ...BatchOption) []JobResu
 				if recs != nil {
 					tr = recs[i]
 				}
-				runJob(ctx, &jobs[i], &results[i], tr, bm, &own.stage)
+				runJob(ctx, &jobs[i], &results[i], tr, bm)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
 	for _, rec := range recs {
 		rec.Replay(bc.tracer)
 	}
-	if bm != nil {
-		// Flush the shard-staged deterministic metrics in shard order, so
-		// the registry sees one well-defined sequence of updates whatever
-		// the worker interleaving was.
-		for s := range shards {
-			shards[s].stage.flush(bm)
-		}
-	}
 	return results
 }
 
-// batchShard is one worker's contiguous slice of the batch: a claim
-// cursor over [lo, hi) plus the worker-private metrics staging. The
-// cursor is atomic because idle workers steal through it; everything
-// else is single-owner.
-type batchShard struct {
-	lo, hi int64
-	next   atomic.Int64
-	stage  shardStage
-	// Pad to a cache line so neighbouring shards' cursors do not
-	// false-share under cross-shard steal probing.
-	_ [64]byte
-}
-
-// claim takes the next unrun job of the shard, returning (index, shard)
-// or (0, nil) when the shard is drained.
-func (sh *batchShard) claim() (int, *batchShard) {
-	for {
-		n := sh.next.Load()
-		i := sh.lo + n
-		if i >= sh.hi {
-			return 0, nil
-		}
-		if sh.next.CompareAndSwap(n, n+1) {
-			return int(i), sh
-		}
-	}
-}
-
-// stealJob claims one job from the other shard with the most unclaimed
-// work (ties go to the lowest shard index, keeping the choice
-// deterministic for a given cursor state). Returns (0, nil) when every
-// shard is drained.
-func stealJob(shards []batchShard, self int) (int, *batchShard) {
-	for {
-		victim := -1
-		var most int64
-		for s := range shards {
-			if s == self {
-				continue
-			}
-			sh := &shards[s]
-			if left := (sh.hi - sh.lo) - sh.next.Load(); left > most {
-				most, victim = left, s
-			}
-		}
-		if victim < 0 {
-			return 0, nil
-		}
-		if i, sh := shards[victim].claim(); sh != nil {
-			return i, sh
-		}
-		// Lost the race for the victim's last job; rescan.
-	}
-}
-
-// shardStage accumulates the deterministic per-job metrics of one
-// shard — completed-job count and wall-time observations — privately,
-// to be flushed into the shared registry in shard order after the
-// batch completes. Gauges (queue depth, in-flight) stay live atomics:
-// they describe the actual schedule and have no deterministic serial
-// equivalent.
-type shardStage struct {
-	completed int64
-	walls     []int64
-}
-
-func (st *shardStage) flush(bm *batchMetrics) {
-	for _, w := range st.walls {
-		bm.jobWall.Observe(w)
-	}
-	if st.completed > 0 {
-		bm.jobs.Add(st.completed)
-	}
-	st.walls = st.walls[:0]
-	st.completed = 0
-}
-
-func runJob(ctx context.Context, j *Job, out *JobResult, tr obs.Tracer, bm *batchMetrics, stage *shardStage) {
+func runJob(ctx context.Context, j *Job, out *JobResult, tr obs.Tracer, bm *batchMetrics) {
 	if ctx != nil && ctx.Err() != nil {
 		// Load shedding for batches: a canceled batch stamps the jobs it
 		// never started instead of building and running them.
@@ -339,13 +235,7 @@ func runJob(ctx context.Context, j *Job, out *JobResult, tr obs.Tracer, bm *batc
 	if bm == nil {
 		return
 	}
-	wall := time.Since(t0).Nanoseconds()
+	bm.jobWall.Observe(time.Since(t0).Nanoseconds())
 	bm.inflight.Dec()
-	if stage != nil {
-		stage.walls = append(stage.walls, wall)
-		stage.completed++
-		return
-	}
-	bm.jobWall.Observe(wall)
 	bm.jobs.Inc()
 }

@@ -80,14 +80,9 @@ func flatten(rec *obs.Recorder) []string {
 func flattenRun(run *obs.RecordedRun) []string {
 	out := []string{fmt.Sprintf("run %s/%s before=%+v after=%+v ended=%v",
 		run.Func, run.Config, run.Before, run.After, run.Ended)}
-	for i, pass := range run.Started {
-		line := "  start " + pass
-		if i < len(run.Events) {
-			ev := run.Events[i]
-			line += fmt.Sprintf(" config=%s seq=%d before=%+v after=%+v counters=%v err=%q",
-				ev.Config, ev.Seq, ev.Before, ev.After, ev.Counters, ev.Err)
-		}
-		out = append(out, line)
+	for _, ev := range run.Events {
+		out = append(out, fmt.Sprintf("  pass %s config=%s seq=%d before=%+v after=%+v counters=%v err=%q",
+			ev.Pass, ev.Config, ev.Seq, ev.Before, ev.After, ev.Counters, ev.Err))
 	}
 	return out
 }

@@ -599,7 +599,6 @@ func emit(reg *metrics.Registry, tr obs.Tracer, ev *obs.Event, err error) {
 		recordPass(reg, ev, err)
 	}
 	if tr != nil {
-		tr.PassStart(ev.Func, ev.Config, ev.Pass)
 		tr.PassEnd(ev)
 	}
 }
