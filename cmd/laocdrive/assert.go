@@ -1,53 +1,25 @@
-// Command perfgate checks counter invariants on a metrics snapshot and
-// exits non-zero when one fails. CI runs it on live laocd scrapes:
-//
-//	curl -s http://127.0.0.1:8123/metrics.json > m.json
-//	perfgate -current m.json -assert 'laocd_requests_total>=120,laocd_worker_panics_total==0'
-//
-// Each clause is name<op>value with op one of >= <= == != > <. A name
-// refers to the whole family: its values are summed across label sets,
-// so laocd_requests_total>=120 covers every kind label at once. A
-// clause whose family the snapshot does not hold fails, so a renamed or
-// misspelt metric cannot pass as zero.
-//
-// The deterministic counters of the table runs are not checked here:
-// TestCountersGolden in internal/stats pins them exactly, and perfbench/
-// is the wall-time benchmark.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"net/http"
 	"strconv"
 	"strings"
 
 	"outofssa/internal/obs/metrics"
 )
 
-func main() {
-	current := flag.String("current", "", "snapshot `file` to check (laocd /metrics.json or ssabench -metrics-out); required")
-	assert := flag.String("assert", "", "comma-separated counter `invariants`, e.g. 'laocd_requests_total>=30,laocd_shed_total==0'; families are summed across labels; required")
-	flag.Parse()
-
-	if *current == "" || *assert == "" {
-		fmt.Fprintln(os.Stderr, "perfgate: -current and -assert are required")
-		os.Exit(2)
-	}
-	cur, err := metrics.ReadFile(*current)
+// scrape fetches the daemon's /metrics.json.
+func scrape(url string) (*metrics.FileSnapshot, error) {
+	resp, err := http.Get(url + "/metrics.json")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfgate:", err)
-		os.Exit(2)
+		return nil, err
 	}
-	failures := runAsserts(cur, *assert)
-	for _, f := range failures {
-		fmt.Println("FAIL:", f)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s/metrics.json: %s", url, resp.Status)
 	}
-	if len(failures) > 0 {
-		fmt.Printf("perfgate: %d assertion failure(s) on %s\n", len(failures), *current)
-		os.Exit(1)
-	}
-	fmt.Printf("perfgate: assertions ok on %s\n", *current)
+	return metrics.DecodeFile(resp.Body)
 }
 
 // runAsserts evaluates a comma-separated list of counter invariants

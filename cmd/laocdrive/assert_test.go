@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -66,5 +67,24 @@ func TestRunAsserts(t *testing.T) {
 		if got := runAsserts(snap, tc.spec); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("runAsserts(%q) = %q, want %q", tc.spec, got, tc.want)
 		}
+	}
+}
+
+// TestScrapeAsserts runs the clauses on a live /metrics.json, as
+// laocdrive -n 0 -assert does against a daemon.
+func TestScrapeAsserts(t *testing.T) {
+	reg := metrics.New()
+	reg.Counter("laocd_requests_total", metrics.L("kind", "ok")).Add(3)
+	srv := httptest.NewServer(metrics.Handler(reg))
+	defer srv.Close()
+	snap, err := scrape(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runAsserts(snap, "laocd_requests_total==3"); got != nil {
+		t.Fatalf("live scrape: %q", got)
+	}
+	if _, err := scrape(srv.URL + "/nowhere"); err == nil {
+		t.Fatal("a 404 scrape succeeded")
 	}
 }

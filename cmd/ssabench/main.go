@@ -156,14 +156,6 @@ func main() {
 		}
 	}
 
-	run := func(fn func(obs.Tracer) (*stats.Table, error)) {
-		t, err := fn(tracer)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t)
-	}
-
 	switch *table {
 	case 0:
 		fmt.Println(stats.Table1())
@@ -176,14 +168,12 @@ func main() {
 		}
 	case 1:
 		fmt.Println(stats.Table1())
-	case 2:
-		run(stats.Table2Traced)
-	case 3:
-		run(stats.Table3Traced)
-	case 4:
-		run(stats.Table4Traced)
-	case 5:
-		run(stats.Table5Traced)
+	case 2, 3, 4, 5:
+		t, err := stats.OneTable(*table, tracer)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println(t)
 	default:
 		fmt.Fprintf(os.Stderr, "ssabench: no table %d (have 1-5)\n", *table)
 		os.Exit(2)

@@ -63,8 +63,9 @@ func memoOf(f *ir.Func) *memo {
 	return m
 }
 
-// CacheStats counts cache traffic since the last ResetStats, across all
-// functions and goroutines. Requests = Computes + Reused; Reused is the
+// CacheStats counts cache traffic since the process started, across all
+// functions and goroutines; callers measure a workload by the delta of
+// two Stats calls. Requests = Computes + Reused; Reused is the
 // number of recomputations the cache avoided.
 type CacheStats struct {
 	LivenessRequests uint64
@@ -93,8 +94,7 @@ type CacheStats struct {
 // registry migration of what used to be package-private atomics. The
 // handles are resolved once at init; updates stay single atomic adds,
 // and the counters appear in every metrics snapshot/exposition for
-// free. CacheStats/Stats/ResetStats remain the stable programmatic
-// API.
+// free. CacheStats/Stats remain the stable programmatic API.
 var (
 	cLiveRequests  = metrics.Default.Counter("laoc_analysis_liveness_requests_total")
 	cLiveComputes  = metrics.Default.Counter("laoc_analysis_liveness_computes_total")
@@ -134,16 +134,6 @@ func Stats() CacheStats {
 		DominatorsRequests:      uint64(cDomRequests.Value()),
 		DominatorsComputes:      uint64(cDomComputes.Value()),
 		DominatorsReused:        uint64(cDomReused.Value()),
-	}
-}
-
-// ResetStats zeroes the package-wide cache counters.
-func ResetStats() {
-	for _, c := range []*metrics.Counter{
-		cLiveRequests, cLiveComputes, cLiveReused, cLiveFull, cLiveReval,
-		cLiveVarsKept, cLiveVarsInval, cDomRequests, cDomComputes, cDomReused,
-	} {
-		c.Reset()
 	}
 }
 
@@ -202,11 +192,4 @@ func Dominators(f *ir.Func) *cfg.DomTree {
 	cDomComputes.Inc()
 	m.dom = &domEntry{cfgGen: gen, tree: cfg.Dominators(f)}
 	return m.dom.tree
-}
-
-// Invalidate drops every memoized analysis of f. Normal code never
-// needs it — mutators bump the generation instead — but tests use it to
-// establish a cold cache.
-func Invalidate(f *ir.Func) {
-	f.AnalysisClear()
 }

@@ -63,10 +63,10 @@ func TestDominatorsMemoized(t *testing.T) {
 
 // Every structural mutator of the ir package must move the generation
 // counter, so a cached analysis never survives it. The contract is
-// two-level: code-only mutators (value/instruction edits, NoteMutation)
-// invalidate liveness but leave the CFG-keyed dominator tree valid;
-// CFG mutators (NewBlock, AddEdge, ReplacePred/Succ, NoteCFGMutation,
-// RestoreFrom) invalidate both.
+// two-level: code-only mutators (value/instruction edits) invalidate
+// liveness but leave the CFG-keyed dominator tree valid; CFG mutators
+// (NewBlock, AddEdge, ReplacePred, NoteCFGMutation, RestoreFrom)
+// invalidate both.
 func TestStructuralMutatorsInvalidate(t *testing.T) {
 	mutations := []struct {
 		name string
@@ -87,7 +87,6 @@ func TestStructuralMutatorsInvalidate(t *testing.T) {
 			f.Entry().InsertAt(0, in)
 		}},
 		{"RemoveAt", false, func(f *ir.Func) { f.Entry().RemoveAt(0) }},
-		{"NoteMutation", false, func(f *ir.Func) { f.NoteMutation() }},
 		{"NoteCFGMutation", true, func(f *ir.Func) { f.NoteCFGMutation() }},
 		{"RestoreFrom", true, func(f *ir.Func) { f.RestoreFrom(f.Clone()) }},
 	}
@@ -140,22 +139,12 @@ func TestCloneStartsCold(t *testing.T) {
 	}
 }
 
-func TestInvalidateForcesRecompute(t *testing.T) {
-	f := testprog.Loop()
-	analysis.Liveness(f)
-	analysis.Invalidate(f)
-	d := delta(func() { analysis.Liveness(f) })
-	if d.LivenessComputes != 1 {
-		t.Fatalf("Invalidate did not drop the entry: %+v", d)
-	}
-}
-
 // TestSilentMutationGoesStale documents the failure mode the generation
 // contract exists to prevent: a pass that rewrites operands in place
-// WITHOUT calling NoteMutation leaves cached analyses valid-looking but
-// wrong. faultinject.InjectSilent is exactly such a pass;
-// faultinject.Inject is its contract-honoring twin, and the cache
-// recovers the moment the counter moves.
+// WITHOUT moving the generation counter leaves cached analyses
+// valid-looking but wrong. faultinject.InjectSilent is exactly such a
+// pass; faultinject.Inject is its contract-honoring twin, and the
+// cache recovers the moment the counter moves.
 func TestSilentMutationGoesStale(t *testing.T) {
 	f := testprog.Diamond()
 	ssa.MustBuild(f)
@@ -169,7 +158,7 @@ func TestSilentMutationGoesStale(t *testing.T) {
 	}
 
 	// The honest twin: same corruption on a fresh function, plus the
-	// NoteMutation the contract requires. The cache recomputes.
+	// generation bump the contract requires. The cache recomputes.
 	g := testprog.Diamond()
 	ssa.MustBuild(g)
 	cached := analysis.Liveness(g)
@@ -181,7 +170,7 @@ func TestSilentMutationGoesStale(t *testing.T) {
 			// Pointer equality alone is not the test — a recompute
 			// allocates fresh, so same pointer means the stale entry
 			// survived.
-			t.Fatal("Inject (with NoteMutation) did not invalidate the cache")
+			t.Fatal("Inject (with the generation bump) did not invalidate the cache")
 		}
 	})
 	if d.LivenessComputes != 1 {

@@ -73,17 +73,6 @@ func (s *Set) DiffWith(o *Set) {
 	}
 }
 
-// IntersectWith keeps only elements also in o.
-func (s *Set) IntersectWith(o *Set) {
-	for i := range s.words {
-		if i < len(o.words) {
-			s.words[i] &= o.words[i]
-		} else {
-			s.words[i] = 0
-		}
-	}
-}
-
 // Copy returns an independent copy of s.
 func (s *Set) Copy() *Set {
 	w := make([]uint64, len(s.words))
@@ -136,28 +125,6 @@ func (s *Set) Equal(o *Set) bool {
 		}
 	}
 	return true
-}
-
-// NextSet returns the smallest element >= i, or -1 if there is none.
-// Word-level scanning makes iterating a sparse set over a large domain
-// cheap: for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) { ... }.
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	wi := i / 64
-	if wi >= len(s.words) {
-		return -1
-	}
-	if w := s.words[wi] >> uint(i%64); w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if w := s.words[wi]; w != 0 {
-			return wi*64 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // CopyFrom makes s an exact copy of o, reusing s's storage when large

@@ -25,9 +25,9 @@ func Postorder(f *ir.Func) []*ir.Block {
 	return order
 }
 
-// ReversePostorder returns the reverse of Postorder — a topological-ish
+// reversePostorder returns the reverse of Postorder — a topological-ish
 // order in which forward dataflow converges quickly.
-func ReversePostorder(f *ir.Func) []*ir.Block {
+func reversePostorder(f *ir.Func) []*ir.Block {
 	po := Postorder(f)
 	for i, j := 0, len(po)-1; i < j; i, j = i+1, j-1 {
 		po[i], po[j] = po[j], po[i]
@@ -35,8 +35,8 @@ func ReversePostorder(f *ir.Func) []*ir.Block {
 	return po
 }
 
-// Reachable returns a dense bitmap of blocks reachable from entry.
-func Reachable(f *ir.Func) []bool {
+// reachable returns a dense bitmap of blocks reachable from entry.
+func reachable(f *ir.Func) []bool {
 	seen := make([]bool, f.NumBlocks())
 	for _, b := range Postorder(f) {
 		seen[b.ID] = true
@@ -61,7 +61,7 @@ type DomTree struct {
 // Dominators computes the dominator tree of f using the Cooper, Harvey
 // and Kennedy iterative algorithm ("A Simple, Fast Dominance Algorithm").
 func Dominators(f *ir.Func) *DomTree {
-	rpo := ReversePostorder(f)
+	rpo := reversePostorder(f)
 	rpoNum := make([]int, f.NumBlocks())
 	for i := range rpoNum {
 		rpoNum[i] = -1
@@ -176,7 +176,7 @@ func DominanceFrontiers(f *ir.Func, t *DomTree) [][]*ir.Block {
 			df[b.ID] = append(df[b.ID], frontier)
 		}
 	}
-	for _, b := range ReversePostorder(f) {
+	for _, b := range reversePostorder(f) {
 		if b.NumPreds() < 2 {
 			continue
 		}

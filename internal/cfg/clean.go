@@ -6,7 +6,7 @@ import "outofssa/internal/ir"
 // unlinking them from the Preds lists of reachable blocks and dropping φ
 // arguments that flowed in from removed predecessors.
 func RemoveUnreachable(f *ir.Func) int {
-	reach := Reachable(f)
+	reach := reachable(f)
 	removed := 0
 	var kept []ir.BlockID
 	for _, b := range f.Blocks() {

@@ -15,11 +15,11 @@ func ComputeLoopDepth(f *ir.Func) {
 	t := Dominators(f)
 	depth := make([]int, f.NumBlocks())
 
-	reach := Reachable(f)
+	reach := reachable(f)
 	// Collect back edges in deterministic order.
 	type backEdge struct{ tail, head *ir.Block }
 	var backs []backEdge
-	for _, b := range ReversePostorder(f) {
+	for _, b := range reversePostorder(f) {
 		for _, sid := range b.Succs() {
 			s := f.Block(sid)
 			if t.Dominates(s, b) {
@@ -105,19 +105,4 @@ func SplitCriticalEdges(f *ir.Func) int {
 		}
 	}
 	return n
-}
-
-// HasCriticalEdge reports whether f contains any critical edge.
-func HasCriticalEdge(f *ir.Func) bool {
-	for _, b := range f.Blocks() {
-		if b.NumSuccs() < 2 {
-			continue
-		}
-		for _, sid := range b.Succs() {
-			if f.Block(sid).NumPreds() > 1 {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -147,7 +147,7 @@ func TestSameBlockPhisNeverMerged(t *testing.T) {
 	if len(phis) != 2 {
 		t.Fatalf("want 2 φs, got %d", len(phis))
 	}
-	if res.Same(phis[0].Def(0), phis[1].Def(0)) {
+	if res.Find(phis[0].Def(0)) == res.Find(phis[1].Def(0)) {
 		t.Fatal("same-block φ defs were merged into one resource")
 	}
 }

@@ -21,7 +21,7 @@ func TestPrePinRemovesTieMove(t *testing.T) {
 	a, q := bld.Val("a"), bld.Val("q")
 	bld.Input(a)
 	ad := bld.AutoAdd(q, a, 4) // a dies here
-	ir.PinUse(ad, 0, q)        // the 2-operand tie (what CollectABI emits)
+	ad.SetUsePin(0, q)         // the 2-operand tie (what CollectABI emits)
 	bld.Output(q)
 
 	st, err := coalesce.PrePinDefs(bld.Fn, interference.Exact)
@@ -48,7 +48,7 @@ func TestPrePinSkipsInterfering(t *testing.T) {
 	a, q, s := bld.Val("a"), bld.Val("q"), bld.Val("s")
 	bld.Input(a)
 	ad := bld.AutoAdd(q, a, 4)
-	ir.PinUse(ad, 0, q)
+	ad.SetUsePin(0, q)
 	bld.Binary(ir.Add, s, q, a) // a live past the autoadd
 	bld.Output(s)
 

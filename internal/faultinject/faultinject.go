@@ -162,8 +162,8 @@ func duplicatePin(f *ir.Func) bool {
 			continue
 		}
 		res := f.NewValue("fault.res")
-		ir.PinDef(b.Instr(0), 0, res)
-		ir.PinDef(b.Instr(1), 0, res)
+		b.Instr(0).SetDefPin(0, res)
+		b.Instr(1).SetDefPin(0, res)
 		return true
 	}
 	return false
@@ -213,7 +213,7 @@ func brokenCopyCycle(f *ir.Func) bool {
 func doubleDef(f *ir.Func) bool {
 	for _, b := range f.Blocks() {
 		for i, in := range b.Instrs() {
-			if in.Op() == ir.Phi || in.Op().IsTerminator() {
+			if in.Op() == ir.Phi || in == b.Terminator() {
 				continue
 			}
 			for _, d := range in.Defs() {

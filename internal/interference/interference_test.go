@@ -330,9 +330,9 @@ func TestPinSiteKills(t *testing.T) {
 	r2 := f.Target.R[2]
 	p, arg, d, s := bld.Val("p"), bld.Val("arg"), bld.Val("d"), bld.Val("s")
 	in := bld.Input(p, arg)
-	ir.PinDef(in, 0, r2) // p lives in R2
+	in.SetDefPin(0, r2) // p lives in R2
 	call := bld.Call("f", []ir.ValueID{d}, arg)
-	ir.PinUse(call, 0, r2) // the call wants arg in R2 — clobbers p
+	call.SetUsePin(0, r2) // the call wants arg in R2 — clobbers p
 	bld.Binary(ir.Add, s, p, d)
 	bld.Output(s)
 

@@ -55,7 +55,7 @@ func TestInterfereMatchesOverlapReference(t *testing.T) {
 			return false
 		}
 
-		defs := f.SSADefs()
+		defs := ssaDefs(f)
 		sameInstr := func(a, b ir.ValueID) bool {
 			return defs[a] != nil && defs[a] == defs[b]
 		}
@@ -85,4 +85,20 @@ func TestInterfereMatchesOverlapReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ssaDefs maps each virtual value of f, which is in SSA form, to its
+// one definition.
+func ssaDefs(f *ir.Func) []*ir.Instr {
+	defs := make([]*ir.Instr, f.NumValues())
+	for _, b := range f.Blocks() {
+		for _, in := range b.Instrs() {
+			for _, d := range in.Defs() {
+				if !f.IsPhys(d.Val) {
+					defs[d.Val] = in
+				}
+			}
+		}
+	}
+	return defs
 }

@@ -161,7 +161,7 @@ func (b *Block) Terminator() *Instr {
 		return nil
 	}
 	last := b.Instr(int(b.codeLen) - 1)
-	if last.op.IsTerminator() {
+	if last.op.isTerminator() {
 		return last
 	}
 	return nil
@@ -241,8 +241,8 @@ func (b *Block) PredIndex(p BlockID) int {
 	return -1
 }
 
-// SuccIndex returns the position of s in b.Succs, or -1.
-func (b *Block) SuccIndex(s BlockID) int {
+// succIndex returns the position of s in b.Succs, or -1.
+func (b *Block) succIndex(s BlockID) int {
 	for i, q := range b.succs {
 		if q == s {
 			return i
@@ -267,20 +267,6 @@ func (b *Block) ReplacePred(oldPred, newPred BlockID) {
 	// are caught by Func.Verify (and the checked pipeline's runner
 	// contains any pass that trips this anyway).
 	panic(fmt.Sprintf("ir: %v is not a predecessor of %v", b.fn.Block(oldPred), b))
-}
-
-// ReplaceSucc substitutes newSucc for oldSucc in b.Succs.
-func (b *Block) ReplaceSucc(oldSucc, newSucc BlockID) {
-	for i, q := range b.succs {
-		if q == oldSucc {
-			b.fn.cowEdges()
-			b.succs[i] = newSucc
-			b.fn.NoteCFGMutation()
-			return
-		}
-	}
-	// Panic audit: programmer invariant, symmetric with ReplacePred.
-	panic(fmt.Sprintf("ir: %v is not a successor of %v", b.fn.Block(oldSucc), b))
 }
 
 // RemovePredAt splices out the i-th predecessor edge entry. The caller

@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // Builder offers a fluent API for constructing IR functions, used by the
 // LAI parser, the workload suites and the tests. It tracks a current
 // insertion block.
@@ -146,23 +144,4 @@ func (bld *Builder) Jump(to *Block) *Instr {
 	in := bld.emit(bld.Fn.NewInstr(Jump, nil, nil))
 	bld.Fn.AddEdge(bld.Cur, to)
 	return in
-}
-
-// PinDef pins the i-th definition of in to resource r.
-func PinDef(in *Instr, i int, r ValueID) {
-	if i >= in.NumDefs() {
-		// Panic audit: programmer invariant — the collect phases index
-		// operands they just enumerated; no user input reaches here.
-		panic(fmt.Sprintf("ir: PinDef index %d out of range for %v", i, in))
-	}
-	in.SetDefPin(i, r)
-}
-
-// PinUse pins the i-th use of in to resource r.
-func PinUse(in *Instr, i int, r ValueID) {
-	if i >= in.NumUses() {
-		// Panic audit: programmer invariant, same as PinDef.
-		panic(fmt.Sprintf("ir: PinUse index %d out of range for %v", i, in))
-	}
-	in.SetUsePin(i, r)
 }

@@ -85,23 +85,16 @@ func NewFunc(name string) *Func {
 // and loop-depth annotations may have.
 func (f *Func) Generation() uint64 { return f.generation }
 
-// NoteMutation records that the function's code changed, invalidating
-// every analysis memoized for an earlier generation. Every mutator of
-// this package bumps the generation itself, so unlike the pre-SoA API
-// there is no pass-author obligation to call this; it remains exported
-// for tests and for code that stages out-of-band state keyed on the
-// generation.
-func (f *Func) NoteMutation() { f.generation++ }
-
 // CFGGeneration returns the CFG-shape generation counter. Two calls
 // returning the same value guarantee the block graph (blocks, edges)
 // did not change in between, even if instructions or operands did.
 func (f *Func) CFGGeneration() uint64 { return f.cfgGeneration }
 
-// NoteCFGMutation records that the block graph changed. It implies
-// NoteMutation: a CFG change invalidates every cached analysis, code-
-// and CFG-keyed alike. As with NoteMutation, the CFG mutators bump this
-// automatically; it remains exported for tests.
+// NoteCFGMutation records that the block graph changed. It moves both
+// counters: a CFG change invalidates every cached analysis, code- and
+// CFG-keyed alike. The CFG mutators of this package bump them
+// themselves; faultinject calls it after an injected corruption, as an
+// honest pass's mutators would have.
 func (f *Func) NoteCFGMutation() {
 	f.generation++
 	f.cfgGeneration++
@@ -130,9 +123,6 @@ func (f *Func) AnalysisLoad() any { return f.analyses }
 // owner may call it (see AnalysisLoad).
 func (f *Func) AnalysisInit(v any) { f.analyses = v }
 
-// AnalysisClear drops the function's analysis memo.
-func (f *Func) AnalysisClear() { f.analyses = nil }
-
 // ---- values ----
 
 func (f *Func) newValue(name string, kind ValueKind) ValueID {
@@ -159,9 +149,6 @@ func (f *Func) NumValues() int { return len(f.vals) }
 // ValueName returns the name of value v.
 func (f *Func) ValueName(v ValueID) string { return f.vals[v].name }
 
-// ValueKind returns the kind of value v.
-func (f *Func) ValueKind(v ValueID) ValueKind { return f.vals[v].kind }
-
 // IsPhys reports whether v is a dedicated physical register.
 func (f *Func) IsPhys(v ValueID) bool { return f.vals[v].kind == Physical }
 
@@ -177,9 +164,9 @@ func (f *Func) VStr(v ValueID) string {
 	return f.vals[v].name
 }
 
-// OperandString renders an operand as the printer does: "val" or
+// operandString renders an operand as the printer does: "val" or
 // "val^pin".
-func (f *Func) OperandString(o Operand) string {
+func (f *Func) operandString(o Operand) string {
 	if o.Pinned() {
 		return f.VStr(o.Val) + "^" + f.VStr(o.Pin())
 	}
@@ -401,39 +388,4 @@ func (f *Func) CountPins() int {
 		}
 	}
 	return n
-}
-
-// DefSites returns, for each value, the instructions defining it.
-func (f *Func) DefSites() map[ValueID][]*Instr {
-	defs := make(map[ValueID][]*Instr)
-	for _, b := range f.blockList {
-		for _, in := range b.Instrs() {
-			for _, d := range in.Defs() {
-				defs[d.Val] = append(defs[d.Val], in)
-			}
-		}
-	}
-	return defs
-}
-
-// SSADefs returns a dense table mapping each value ID to its unique
-// definition. It panics if some virtual value has more than one
-// definition (i.e. the function is not in SSA form).
-func (f *Func) SSADefs() []*Instr {
-	defs := make([]*Instr, f.NumValues())
-	for _, b := range f.blockList {
-		for _, in := range b.Instrs() {
-			for _, d := range in.Defs() {
-				if f.IsPhys(d.Val) {
-					continue
-				}
-				if defs[d.Val] != nil {
-					panic(fmt.Sprintf("ir: value %v defined twice (not SSA): %v and %v",
-						f.VStr(d.Val), defs[d.Val], in))
-				}
-				defs[d.Val] = in
-			}
-		}
-	}
-	return defs
 }

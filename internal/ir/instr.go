@@ -148,8 +148,8 @@ func (op Op) IsTwoOperand() bool {
 	return false
 }
 
-// IsTerminator reports whether op ends a basic block.
-func (op Op) IsTerminator() bool {
+// isTerminator reports whether op ends a basic block.
+func (op Op) isTerminator() bool {
 	switch op {
 	case Br, Jump, Output:
 		return true
@@ -346,19 +346,6 @@ func (in *Instr) HasDef(v ValueID) bool {
 	return false
 }
 
-// HasUse reports whether v appears among the instruction's uses.
-func (in *Instr) HasUse(v ValueID) bool {
-	for _, u := range in.Uses() {
-		if u.Val == v {
-			return true
-		}
-	}
-	return false
-}
-
-// IsMove reports whether the instruction is a (sequential) register move.
-func (in *Instr) IsMove() bool { return in.op == Copy }
-
 func (in *Instr) String() string {
 	var b strings.Builder
 	f := in.fn
@@ -366,7 +353,7 @@ func (in *Instr) String() string {
 	sep := " "
 	for _, d := range in.Defs() {
 		b.WriteString(sep)
-		b.WriteString(f.OperandString(d))
+		b.WriteString(f.operandString(d))
 		sep = ", "
 	}
 	if in.defLen > 0 && in.useLen > 0 {
@@ -375,7 +362,7 @@ func (in *Instr) String() string {
 	}
 	for _, u := range in.Uses() {
 		b.WriteString(sep)
-		b.WriteString(f.OperandString(u))
+		b.WriteString(f.operandString(u))
 		sep = ", "
 	}
 	switch in.op {

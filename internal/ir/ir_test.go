@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"outofssa/internal/ir"
+	"outofssa/internal/lai"
 	"outofssa/internal/testprog"
 )
 
@@ -203,7 +204,7 @@ func TestWeightedMoves(t *testing.T) {
 func TestPrintContainsPins(t *testing.T) {
 	f := testprog.Diamond()
 	in := f.Entry().Instr(0)
-	ir.PinDef(in, 0, f.Target.R[0])
+	in.SetDefPin(0, f.Target.R[0])
 	s := f.String()
 	if !strings.Contains(s, "^R0") {
 		t.Fatalf("printed form lacks pin annotation:\n%s", s)
@@ -220,5 +221,39 @@ func TestTwoOperandClassification(t *testing.T) {
 		if op.IsTwoOperand() {
 			t.Errorf("%v should not be 2-operand", op)
 		}
+	}
+}
+
+// TestVerifyRejectsUndefinedParameters pins the .input rule: Imm
+// declares the first Imm defs as parameters, so it may not exceed the
+// defs. FuzzCompileHandler found a b1 body whose .input declared four
+// parameters and defined none: SSA construction gave the four
+// undefined values entry definitions, the ABI pinned them to R0-R3 as
+// parameters, and the 200 answer diverged from the input under ir.Exec.
+// Both decoders reject such a document, since they end in Verify.
+func TestVerifyRejectsUndefinedParameters(t *testing.T) {
+	f, err := lai.Parse(".func f\n.input A, B\nentry:\n    add C, A, B\n    ret C\n.endfunc\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := f.Entry().Instr(0)
+	for _, imm := range []int64{3, -1} {
+		in.Imm = imm
+		if err := f.Verify(); err == nil || !strings.Contains(err.Error(), "bad .input") {
+			t.Errorf("Imm %d: Verify = %v, want a bad .input error", imm, err)
+		}
+		for _, marshal := range []func(*ir.Func) ([]byte, error){ir.MarshalV1, ir.MarshalBinary} {
+			doc, err := marshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ir.Unmarshal(doc); err == nil {
+				t.Errorf("Imm %d: a document declaring it decoded", imm)
+			}
+		}
+	}
+	in.Imm = 2
+	if err := f.Verify(); err != nil {
+		t.Fatalf("Imm 2: %v", err)
 	}
 }

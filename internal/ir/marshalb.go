@@ -94,18 +94,13 @@ func IsBinary(data []byte) bool { return bytes.HasPrefix(data, b1Magic) }
 
 // MarshalBinary encodes f in the b1 binary schema. Like MarshalV1, the
 // output is deterministic and a stable content key.
-func MarshalBinary(f *Func) ([]byte, error) { return AppendBinary(nil, f) }
-
-// AppendBinary appends f's b1 encoding to dst and returns the extended
-// slice, for callers batching documents into one buffer (the cachestore
-// segment writer does).
-func AppendBinary(dst []byte, f *Func) ([]byte, error) {
+func MarshalBinary(f *Func) ([]byte, error) {
 	statMarshalsB1.Add(1)
 	w, err := extractArenas(f)
 	if err != nil {
 		return nil, err
 	}
-	dst = append(dst, b1Magic...)
+	dst := append([]byte(nil), b1Magic...)
 	dst = appendU32(dst, b1Version)
 	dst = appendU32(dst, uint32(w.NPhys))
 	dst = appendStr(dst, w.Name)
@@ -405,7 +400,11 @@ func buildArenas(w *arenaDoc) (*Func, error) {
 		f.code[i] = InstrID(id)
 	}
 
-	nOps := int32(len(f.ops))
+	// Every operand slot belongs to at most one span: two instructions
+	// sharing a slot would see each other's rewrites (SSA renaming
+	// rewrites a shared slot twice). The code slab gets no such check,
+	// since valid functions keep stale entries there.
+	claimed := make([]bool, len(f.ops))
 	for i := int32(0); i < nInstr; i++ {
 		rec := w.Instrs[7*i : 7*i+7]
 		op := rec[0]
@@ -417,8 +416,14 @@ func buildArenas(w *arenaDoc) (*Func, error) {
 			return nil, fmt.Errorf("ir: unmarshal %s: instruction block %d out of range", w.Name, blk)
 		}
 		span := func(off, n int64) error {
-			if off < 0 || n < 0 || off+n > int64(nOps) {
+			if off < 0 || n < 0 || off+n > int64(len(claimed)) {
 				return fmt.Errorf("ir: unmarshal %s: operand span [%d,+%d) out of range", w.Name, off, n)
+			}
+			for k := off; k < off+n; k++ {
+				if claimed[k] {
+					return fmt.Errorf("ir: unmarshal %s: operand slot %d claimed by two spans", w.Name, k)
+				}
+				claimed[k] = true
 			}
 			return nil
 		}

@@ -101,28 +101,6 @@ func TestBinaryRejects(t *testing.T) {
 	}
 }
 
-// TestBinaryAppend proves AppendBinary really appends: the prefix is
-// preserved and the suffix is exactly MarshalBinary's output, so
-// callers can pack many documents into one buffer.
-func TestBinaryAppend(t *testing.T) {
-	f := exampleFunc(t)
-	solo, err := ir.MarshalBinary(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := []byte("segment-header")
-	buf, err := ir.AppendBinary(append([]byte{}, prefix...), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf, prefix) {
-		t.Fatal("AppendBinary clobbered the prefix")
-	}
-	if !bytes.Equal(buf[len(prefix):], solo) {
-		t.Fatal("AppendBinary suffix differs from MarshalBinary output")
-	}
-}
-
 // FuzzWireRoundTrip feeds arbitrary bytes to Unmarshal; whenever they
 // decode, the function must re-encode in both schemas, each re-decode
 // to the same print, b1 must be a byte fixed point, and the b1 decode

@@ -1,6 +1,9 @@
 package ir
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Copy-on-write snapshots.
 //
@@ -96,13 +99,6 @@ func (f *Func) Freeze() {
 	f.sharedOps, f.sharedCode, f.sharedEdges = true, true, true
 	f.cow = c
 }
-
-// Frozen reports whether f currently shares slab storage with other
-// Funcs (it is a frozen master or an un-materialized snapshot). Tests
-// use it to check which side of a copy-on-write family still shares
-// the slabs, for instance that faultinject's aliasing probe leaves its
-// function frozen.
-func (f *Func) Frozen() bool { return f.cow != nil }
 
 // Snapshot returns a copy-on-write copy of f. Handles are preserved
 // exactly as with Clone — value, block and instruction IDs in the
@@ -287,8 +283,8 @@ func (f *Func) Release() {
 // and edge lists, and per-instruction fields. Two Funcs that are deep
 // copies of each other hash identically; any single-byte divergence —
 // in particular a copy-on-write aliasing bug where a write through one
-// Func becomes visible through another — changes the sum. Used by
-// faultinject.InjectCOWAliasing and the parallel-identity tests.
+// Func becomes visible through another — changes the sum. It is
+// ProbeCOWIsolation's witness.
 func (f *Func) ArenaChecksum() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -342,4 +338,82 @@ func (f *Func) ArenaChecksum() uint64 {
 		}
 	}
 	return h
+}
+
+// ProbeCOWIsolation is checked mode's self-check of the copy-on-write
+// protocol, run on every entry function. It freezes f, takes a parent
+// snapshot and a child of that parent, then:
+//
+//  1. mutates the child across every slab class (operands, code,
+//     edges, values), materializing it, and asserts the parent's
+//     arena checksum never moved;
+//  2. mutates the parent the same way and asserts the now-private
+//     child held still (the "vice versa" direction);
+//  3. asserts f itself, the family master both sides were carved
+//     from, kept its original bytes throughout.
+//
+// It returns nil when isolation held and an error naming the leaking
+// direction otherwise, so a COW fault that silently shares a slab
+// fails the run instead of corrupting a sibling job. On success f's
+// content is untouched (the probe only writes to throwaway snapshots,
+// which it releases), but f is left frozen: its next mutation
+// re-privatizes the slabs through the normal COW fault path, which
+// after the releases is a copy-free adoption.
+func (f *Func) ProbeCOWIsolation() error {
+	f.Freeze()
+	before := f.ArenaChecksum()
+	parent := f.Snapshot()
+	child := parent.Snapshot()
+	defer parent.Release()
+	defer child.Release()
+
+	witness := parent.ArenaChecksum()
+	child.cowProbeMutate()
+	if got := parent.ArenaChecksum(); got != witness {
+		return fmt.Errorf("cow aliasing: mutating the materialized copy moved the parent snapshot's arena bytes (%#x -> %#x)", witness, got)
+	}
+
+	witness = child.ArenaChecksum()
+	parent.cowProbeMutate()
+	if got := child.ArenaChecksum(); got != witness {
+		return fmt.Errorf("cow aliasing: mutating the parent snapshot moved the materialized copy's arena bytes (%#x -> %#x)", witness, got)
+	}
+
+	if got := f.ArenaChecksum(); got != before {
+		return fmt.Errorf("cow aliasing: snapshot traffic moved the frozen master's arena bytes (%#x -> %#x)", before, got)
+	}
+	return nil
+}
+
+// cowProbeMutate drives one write through each slab class so every
+// share flag is exercised. The writes are semantic no-ops (identity
+// rewrites, a fresh unused value): the probe cares that the write
+// faults the slab, not what it stores, so a leak shows as a checksum
+// change on the other side without ever producing invalid IR on this
+// side.
+func (f *Func) cowProbeMutate() {
+	// Operand slab: identity-rewrite the first definition.
+ops:
+	for _, b := range f.Blocks() {
+		for i := 0; i < b.NumInstrs(); i++ {
+			if in := b.Instr(i); in.NumDefs() > 0 {
+				in.SetDefVal(0, in.Def(0))
+				break ops
+			}
+		}
+	}
+	// Code slab: lift the entry terminator out and put it straight back.
+	if eb := f.Entry(); eb != nil && eb.NumInstrs() > 0 {
+		i := eb.NumInstrs() - 1
+		eb.InsertAt(i, eb.RemoveAt(i))
+	}
+	// Edge slab: rewrite the first predecessor link to itself.
+	for _, b := range f.Blocks() {
+		if b.NumPreds() > 0 {
+			b.ReplacePred(b.Preds()[0], b.Preds()[0])
+			break
+		}
+	}
+	// Value slab: append one orphan value.
+	f.NewValue("cowprobe")
 }

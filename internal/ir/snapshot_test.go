@@ -205,7 +205,7 @@ func TestSnapshotAdoption(t *testing.T) {
 	if n := d.COWSlabCopies - before.COWSlabCopies; n != 0 {
 		t.Fatalf("adoption path still copied %d slabs, want 0", n)
 	}
-	if child.Frozen() {
+	if child.cow != nil {
 		t.Fatalf("child still frozen after adopting the family storage")
 	}
 }
@@ -300,8 +300,33 @@ func TestSnapshotOfPartiallyMaterialized(t *testing.T) {
 	}
 }
 
+// TestCOWProbeHoldsOnHealthyIR: the isolation probe passes on a
+// branchy φ function and leaves it byte-identical, frozen, and still
+// mutable afterwards.
+func TestCOWProbeHoldsOnHealthyIR(t *testing.T) {
+	f := buildSnapshotFixture(60)
+	want := f.String()
+	if err := f.ProbeCOWIsolation(); err != nil {
+		t.Fatalf("probe failed on healthy IR: %v", err)
+	}
+	if got := f.String(); got != want {
+		t.Fatalf("probe changed the probed function:\n%s", got)
+	}
+	if f.cow == nil {
+		t.Fatal("probe must leave f frozen (its snapshots shared the slabs)")
+	}
+	// The throwaway snapshots were released, so f's next mutation must
+	// re-privatize by adoption, with no slab copy.
+	before := Stats()
+	in := f.Entry().Instr(0)
+	in.SetDefVal(0, in.Def(0))
+	if n := Stats().COWSlabCopies - before.COWSlabCopies; n != 0 {
+		t.Fatalf("post-probe mutation copied %d slabs, want adoption (0)", n)
+	}
+}
+
 // TestChecksumWitnessesForgedAliasing is the negative control for the
-// faultinject.InjectCOWAliasing probe: hand-forge the bug the probe
+// ProbeCOWIsolation probe: hand-forge the bug the probe
 // exists to catch — two functions sharing an operand slab with no cow
 // family tracking it — and confirm the checksum witness moves when
 // one side writes. Only possible in-package; the public API cannot

@@ -51,15 +51,6 @@ func newTarget(f *Func) *Target {
 	return t
 }
 
-// Physicals returns every dedicated register of the target in ID order.
-func (t *Target) Physicals() []ValueID {
-	out := make([]ValueID, 0, len(t.R)+len(t.P)+1)
-	out = append(out, t.R...)
-	out = append(out, t.P...)
-	out = append(out, t.SP)
-	return out
-}
-
 func regName(prefix string, i int) string {
 	return prefix + itoa64(int64(i))
 }

@@ -8,7 +8,8 @@ import "fmt"
 //     Output with 0) and terminators appear only in final position;
 //   - φ instructions form a prefix of their block and have exactly one
 //     argument per predecessor;
-//   - operand counts fit the opcode;
+//   - operand counts fit the opcode, and an .input declares no more
+//     parameters (Imm) than it defines;
 //   - values referenced by instructions belong to the function;
 //   - arena spans are well-formed (every handle resolves).
 func (f *Func) Verify() error {
@@ -27,7 +28,7 @@ func (f *Func) Verify() error {
 			if p < 0 || int32(p) >= f.numBlocks {
 				return fmt.Errorf("%s: %v has out-of-range pred handle %d", f.Name, b, p)
 			}
-			if f.Block(p).SuccIndex(b.ID) < 0 {
+			if f.Block(p).succIndex(b.ID) < 0 {
 				return fmt.Errorf("%s: %v lists pred %v but is not its succ", f.Name, b, f.Block(p))
 			}
 		}
@@ -62,7 +63,7 @@ func (f *Func) Verify() error {
 			if in.blk != b.ID {
 				return fmt.Errorf("%s: instruction %q not attached to block %v", f.Name, in, b)
 			}
-			if in.Op().IsTerminator() && i != b.NumInstrs()-1 {
+			if in.Op().isTerminator() && i != b.NumInstrs()-1 {
 				return fmt.Errorf("%s: terminator %q not last in block %v", f.Name, in, b)
 			}
 			if in.Op() == Phi {
@@ -150,6 +151,11 @@ func checkArity(in *Instr) error {
 	case Input:
 		if nu != 0 {
 			return bad()
+		}
+		// Imm declares the leading defs as parameters; a parameter it
+		// does not define would be read before any definition.
+		if in.Imm < 0 || in.Imm > int64(nd) {
+			return fmt.Errorf("bad .input %q: declares %d parameters, defines %d", in, in.Imm, nd)
 		}
 	case Output:
 		if nd != 0 {

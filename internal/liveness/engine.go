@@ -268,7 +268,7 @@ func NewQuery(f *ir.Func, dom *cfg.DomTree) *Info {
 	}
 	// Reachability falls out of the dominator tree: a block is reachable
 	// iff it is the entry or has an immediate dominator. Deriving it here
-	// saves the depth-first traversal cfg.Reachable would repeat.
+	// saves a separate depth-first reachability walk.
 	q.reach = make([]bool, q.nb)
 	if len(f.Blocks()) > 0 {
 		entry := f.Entry()

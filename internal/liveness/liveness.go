@@ -196,24 +196,3 @@ func (l *Info) LiveAfter(b *ir.Block, idx int) *bitset.Set {
 	}
 	return cur
 }
-
-// LiveAtDef reports whether v is live immediately after the instruction
-// def (exclusive of def's own definitions other than v). This is the
-// precise query behind the exact Class-1 interference test: two SSA
-// values interfere iff the dominator-wise earlier one is live at the
-// definition point of the later one.
-func (l *Info) LiveAtDef(v ir.ValueID, def *ir.Instr) bool {
-	b := def.Block()
-	if def.Op() == ir.Phi {
-		// φ defs happen at block entry, in parallel: v (not a def of this
-		// block's φ prefix unless v IS another φ def, handled by strong
-		// interference) is live there iff live-in.
-		return l.LiveIn(v, b)
-	}
-	for i, in := range b.Instrs() {
-		if in == def {
-			return l.LiveAfter(b, i).Has(int(v))
-		}
-	}
-	return false
-}

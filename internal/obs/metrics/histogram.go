@@ -95,29 +95,6 @@ func (h *Histogram) SetDeterministic() {
 	}
 }
 
-// Merge folds o into h (both may be receiving concurrent observations;
-// the merge is cell-wise atomic). Merging is associative and
-// commutative: histograms can be folded in any order with the same
-// result.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	atomic.AddInt64(&h.count, atomic.LoadInt64(&o.count))
-	atomic.AddInt64(&h.sum, atomic.LoadInt64(&o.sum))
-	if om := atomic.LoadInt64(&o.minv); om != histMinInit {
-		atomicMin(&h.minv, om)
-	}
-	if om := atomic.LoadInt64(&o.maxv); om != histMaxInit {
-		atomicMax(&h.maxv, om)
-	}
-	for i := range o.cells {
-		if n := atomic.LoadUint64(&o.cells[i]); n != 0 {
-			atomic.AddUint64(&h.cells[i], n)
-		}
-	}
-}
-
 func atomicMin(p *int64, v int64) {
 	for {
 		cur := atomic.LoadInt64(p)
@@ -186,13 +163,13 @@ type Bucket struct {
 	Count uint64
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the buckets: the
+// quantile estimates the q-quantile (0 < q <= 1) from the buckets: the
 // upper bound of the bucket containing the ceil(q*Count)-th smallest
 // observation, clamped to [Min, Max]. The estimate therefore never errs
 // below the true quantile's bucket lower bound nor above its upper
 // bound — a relative error of at most 1/16 past the exact region.
 // Returns 0 on an empty histogram.
-func (s *HistogramSnap) Quantile(q float64) int64 {
+func (s *HistogramSnap) quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}

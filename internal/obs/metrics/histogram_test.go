@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 )
@@ -55,7 +54,7 @@ func TestHistogramZeroObservations(t *testing.T) {
 	if s.Count != 0 || s.Sum != 0 || s.Min != 0 || s.Max != 0 || len(s.Buckets) != 0 {
 		t.Fatalf("empty histogram snap = %+v, want all-zero", s)
 	}
-	if q := s.Quantile(0.5); q != 0 {
+	if q := s.quantile(0.5); q != 0 {
 		t.Fatalf("empty Quantile = %d, want 0", q)
 	}
 }
@@ -76,7 +75,7 @@ func TestHistogramSingleBucket(t *testing.T) {
 	// Identical observations: every quantile is exact despite bucketing,
 	// because the estimate clamps to [Min, Max].
 	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
-		if got := s.Quantile(q); got != 1<<20 {
+		if got := s.quantile(q); got != 1<<20 {
 			t.Fatalf("Quantile(%v) = %d, want %d", q, got, 1<<20)
 		}
 	}
@@ -93,45 +92,6 @@ func TestHistogramOverflowBucketAndClamp(t *testing.T) {
 	}
 	if len(s.Buckets) != 2 || s.Buckets[0].Le != 0 || s.Buckets[1].Le != math.MaxInt64 {
 		t.Fatalf("buckets = %+v, want {0, MaxInt64}", s.Buckets)
-	}
-}
-
-// TestMergeAssociative checks the batch-driver folding contract:
-// (a+b)+c and a+(b+c) produce identical snapshots, as does folding in
-// reverse order.
-func TestMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	fill := func() *Histogram {
-		h := &Histogram{minv: histMinInit, maxv: histMaxInit}
-		for i := 0; i < 500; i++ {
-			h.Observe(rng.Int63n(1 << 30))
-		}
-		return h
-	}
-	a, b, c := fill(), fill(), fill()
-	fold := func(hs ...*Histogram) HistogramSnap {
-		acc := &Histogram{minv: histMinInit, maxv: histMaxInit}
-		for _, h := range hs {
-			acc.Merge(h)
-		}
-		return acc.snap("m", nil)
-	}
-	left := fold(a, b, c)
-
-	bc := &Histogram{minv: histMinInit, maxv: histMaxInit}
-	bc.Merge(b)
-	bc.Merge(c)
-	right := fold(a, bc)
-
-	rev := fold(c, b, a)
-	if !reflect.DeepEqual(left, right) {
-		t.Fatalf("merge not associative:\n%+v\n%+v", left, right)
-	}
-	if !reflect.DeepEqual(left, rev) {
-		t.Fatalf("merge not commutative:\n%+v\n%+v", left, rev)
-	}
-	if left.Count != 1500 {
-		t.Fatalf("merged count = %d, want 1500", left.Count)
 	}
 }
 
@@ -159,7 +119,7 @@ func TestQuantileBounds(t *testing.T) {
 				rank = 1
 			}
 			x := obs[rank-1]
-			got := s.Quantile(q)
+			got := s.quantile(q)
 			hi := bucketUpper(bucketIndex(x))
 			if hi > s.Max {
 				hi = s.Max

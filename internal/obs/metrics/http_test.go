@@ -10,7 +10,7 @@ import (
 
 // TestHandlerEndpoints drives the exposition mux end-to-end: /metrics
 // serves the Prometheus text rendering with the right content type,
-// /metrics.json parses back through ReadFile's schema, and scrapes see
+// /metrics.json carries the file schema's stamp, and scrapes see
 // live counter state (snapshot per request, not at mount time).
 func TestHandlerEndpoints(t *testing.T) {
 	r := goldenRegistry()

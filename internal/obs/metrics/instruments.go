@@ -33,25 +33,10 @@ func (c *Counter) Value() int64 {
 	return atomic.LoadInt64(&c.v)
 }
 
-// Reset zeroes the counter. For tests and benchmark deltas only —
-// production counters never go backward.
-func (c *Counter) Reset() {
-	if c != nil {
-		atomic.StoreInt64(&c.v, 0)
-	}
-}
-
 // Gauge is an atomic instantaneous value (queue depth, jobs in flight).
 // Nil-receiver contract as Counter.
 type Gauge struct {
 	v int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		atomic.StoreInt64(&g.v, v)
-	}
 }
 
 // Add adds n (negative to decrement).

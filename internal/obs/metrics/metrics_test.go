@@ -23,7 +23,7 @@ func TestDisabledRegistryAllocatesNothing(t *testing.T) {
 	n := testing.AllocsPerRun(200, func() {
 		reg.Counter("laoc_test_total").Inc()
 		reg.Counter("laoc_test_total").Add(3)
-		reg.Gauge("laoc_test_depth").Set(7)
+		reg.Gauge("laoc_test_depth").Add(7)
 		reg.Histogram("laoc_test_ns").Observe(123456)
 		reg.SetHelp("laoc_test_total", "ignored")
 		c.Inc()
@@ -31,7 +31,6 @@ func TestDisabledRegistryAllocatesNothing(t *testing.T) {
 		g.Dec()
 		h.Observe(99)
 		h.SetDeterministic()
-		h.Merge(h)
 		_ = c.Value() + g.Value()
 	})
 	if n != 0 {
@@ -50,13 +49,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c2 := r.Counter("laoc_x_total"); c2 != c {
 		t.Fatalf("same (name, labels) returned a different cell")
 	}
-	c.Reset()
-	if got := c.Value(); got != 0 {
-		t.Fatalf("counter after Reset = %d, want 0", got)
-	}
-
 	g := r.Gauge("laoc_x_depth")
-	g.Set(10)
+	g.Add(10)
 	g.Inc()
 	g.Dec()
 	g.Add(-3)
@@ -115,7 +109,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 			func() { r.Counter("laoc_b_total", L("pass", "z")).Add(2) },
 			func() { r.Counter("laoc_b_total", L("pass", "a")).Add(1) },
 			func() { r.Counter("laoc_a_total").Add(3) },
-			func() { r.Gauge("laoc_g").Set(9) },
+			func() { r.Gauge("laoc_g").Add(9) },
 			func() { r.Histogram("laoc_h_ns").Observe(17) },
 		}
 		for _, i := range order {
@@ -131,10 +125,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 		t.Fatalf("snapshots differ by registration order:\n%+v\n%+v", s1, s2)
 	}
 	var b1, b2 bytes.Buffer
-	if err := WritePrometheus(&b1, s1); err != nil {
+	if err := writePrometheus(&b1, s1); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePrometheus(&b2, s2); err != nil {
+	if err := writePrometheus(&b2, s2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

@@ -6,14 +6,14 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders a snapshot in the Prometheus text exposition
+// writePrometheus renders a snapshot in the Prometheus text exposition
 // format (version 0.0.4): one `# TYPE` (and optional `# HELP`) header
 // per metric family, counters and gauges as single samples, histograms
 // as cumulative `_bucket{le=...}` series plus `_sum` and `_count`. The
 // output is fully deterministic — the snapshot is sorted and bucket
 // bounds are a pure function of the layout — which is what the golden
 // test in promtext_test.go pins.
-func WritePrometheus(w io.Writer, s *Snapshot) error {
+func writePrometheus(w io.Writer, s *Snapshot) error {
 	pw := &errWriter{w: w}
 	seen := map[string]bool{}
 	header := func(name, kind string) {

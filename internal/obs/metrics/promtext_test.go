@@ -23,7 +23,7 @@ func goldenRegistry() *Registry {
 	r.Counter("laoc_demo_runs_total").Add(3)
 	r.Counter("laoc_demo_moves_total", L("pass", "pinning-phi")).Add(41)
 	r.Counter("laoc_demo_moves_total", L("pass", `odd"name\`)).Add(1)
-	r.Gauge("laoc_demo_jobs_inflight").Set(2)
+	r.Gauge("laoc_demo_jobs_inflight").Add(2)
 	h := r.Histogram("laoc_demo_pass_wall_ns", L("pass", "out-leung"))
 	for _, v := range []int64{0, 3, 15, 16, 17, 100, 100, 5000} {
 		h.Observe(v)
@@ -38,7 +38,7 @@ func goldenRegistry() *Registry {
 // package).
 func TestPrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, goldenRegistry().Snapshot()); err != nil {
+	if err := writePrometheus(&buf, goldenRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "promtext.golden")
@@ -65,7 +65,7 @@ func TestPrometheusGolden(t *testing.T) {
 // +Inf bucket, and each family has exactly one TYPE header.
 func TestPrometheusValid(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, goldenRegistry().Snapshot()); err != nil {
+	if err := writePrometheus(&buf, goldenRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	sample := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?\d+)$`)

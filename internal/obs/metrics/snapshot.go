@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"outofssa/internal/obs"
 )
 
 // FileSnapshot is the JSON snapshot schema — what `ssabench
 // -metrics-out` and laocd's /metrics.json write, and what
-// `cmd/perfgate -assert` reads.
+// `laocdrive -assert` reads.
 // The schema is append-only like the JSONL trace schema: consumers must
 // tolerate new keys. Everything is emitted in sorted order and carries
 // no timestamps, so the deterministic subset (counters, deterministic
@@ -76,9 +75,9 @@ func labelMap(ls []Label) map[string]string {
 	return m
 }
 
-// File converts an in-memory snapshot into the file schema, stamping
+// file converts an in-memory snapshot into the file schema, stamping
 // the host identity.
-func (s *Snapshot) File(host obs.Host) *FileSnapshot {
+func (s *Snapshot) file(host obs.Host) *FileSnapshot {
 	fs := &FileSnapshot{Schema: SchemaV1, Host: host}
 	for _, c := range s.Counters {
 		fs.Counters = append(fs.Counters, FileCounter{Name: c.Name, Labels: labelMap(c.Labels), Value: c.Value})
@@ -91,7 +90,7 @@ func (s *Snapshot) File(host obs.Host) *FileSnapshot {
 		fh := FileHistogram{
 			Name: h.Name, Labels: labelMap(h.Labels), Deterministic: h.Deterministic,
 			Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
-			P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
+			P50: h.quantile(0.50), P90: h.quantile(0.90), P99: h.quantile(0.99),
 		}
 		for _, b := range h.Buckets {
 			fh.Buckets = append(fh.Buckets, FileBucket{Le: b.Le, Count: b.Count})
@@ -106,21 +105,17 @@ func (s *Snapshot) File(host obs.Host) *FileSnapshot {
 func WriteJSON(w io.Writer, s *Snapshot, host obs.Host) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(s.File(host))
+	return enc.Encode(s.file(host))
 }
 
-// ReadFile loads a file-schema snapshot and validates its schema tag.
-func ReadFile(path string) (*FileSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+// DecodeFile reads a file-schema snapshot and validates its schema tag.
+func DecodeFile(r io.Reader) (*FileSnapshot, error) {
 	var fs FileSnapshot
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if err := json.NewDecoder(r).Decode(&fs); err != nil {
+		return nil, fmt.Errorf("metrics snapshot: %w", err)
 	}
 	if fs.Schema != SchemaV1 {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, fs.Schema, SchemaV1)
+		return nil, fmt.Errorf("metrics snapshot: schema %q, want %q", fs.Schema, SchemaV1)
 	}
 	return &fs, nil
 }

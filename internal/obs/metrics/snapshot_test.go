@@ -2,9 +2,8 @@ package metrics
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"outofssa/internal/obs"
@@ -35,24 +34,16 @@ func TestFileSnapshotRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, snapRegistry().Snapshot(), host); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
+	got, err := DecodeFile(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := snapRegistry().Snapshot().File(host)
+	want := snapRegistry().Snapshot().file(host)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip drifted:\n%+v\n%+v", got, want)
 	}
 
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"laoc-metrics-v0"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(bad); err == nil {
+	if _, err := DecodeFile(strings.NewReader(`{"schema":"laoc-metrics-v0"}`)); err == nil {
 		t.Fatalf("wrong schema accepted")
 	}
 }

@@ -41,11 +41,11 @@ func TestPaperFigure12Limitation(t *testing.T) {
 	phi := bld.Phi(x, x0, x1)
 	// Coalesce the φ web by hand (x, x0, x1 pinned to x) — the situation
 	// after a pinningφ pass.
-	ir.PinDef(phi, 0, x)
+	phi.SetDefPin(0, x)
 	bld.Binary(ir.Add, x1, x, one)
 	call := bld.Call("f", []ir.ValueID{d}, x)
-	ir.PinUse(call, 0, r0)
-	ir.PinDef(call, 0, r0)
+	call.SetUsePin(0, r0)
+	call.SetDefPin(0, r0)
 	bld.Binary(ir.CmpLT, c, d, n)
 	bld.Br(c, loop, exit)
 

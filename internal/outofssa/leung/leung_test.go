@@ -169,8 +169,8 @@ func TestPaperFigure3(t *testing.T) {
 
 	bld.SetBlock(entry)
 	in := bld.Input(x0, y0)
-	ir.PinDef(in, 0, r0)
-	ir.PinDef(in, 1, r1)
+	in.SetDefPin(0, r0)
+	in.SetDefPin(1, r1)
 	bld.Const(k, 3)
 	bld.Jump(loop)
 
@@ -178,22 +178,22 @@ func TestPaperFigure3(t *testing.T) {
 	// x1 plays the role of the paper's x3: pinned to R0 by its φ, killed
 	// by the call result x4 (also pinned to R0), and used after the loop.
 	phiX1 := bld.Phi(x1, x0, x4)
-	ir.PinDef(phiX1, 0, r0)
+	phiX1.SetDefPin(0, r0)
 	phiY1 := bld.Phi(y1, y0, y2)
-	ir.PinDef(phiY1, 0, r1)
+	phiY1.SetDefPin(0, r1)
 
 	bld.Binary(ir.Add, y2, y1, k)
 	call := bld.Call("g", []ir.ValueID{x4}, x1, y2)
-	ir.PinDef(call, 0, r0)
-	ir.PinUse(call, 0, r0)
-	ir.PinUse(call, 1, r1)
+	call.SetDefPin(0, r0)
+	call.SetUsePin(0, r0)
+	call.SetUsePin(1, r1)
 	c := bld.Val("c")
 	bld.Binary(ir.CmpLT, c, x4, k)
 	bld.Br(c, loop, exit)
 
 	bld.SetBlock(exit)
 	out := bld.Output(x1)
-	ir.PinUse(out, 0, r0)
+	out.SetUsePin(0, r0)
 
 	if err := ssa.Verify(f); err != nil {
 		t.Fatalf("hand-built SSA invalid: %v", err)
@@ -235,12 +235,12 @@ func TestNoRedundantMoveForPinnedUse(t *testing.T) {
 	bld.Block("entry")
 	a, b := bld.Val("a"), bld.Val("b")
 	in := bld.Input(a)
-	ir.PinDef(in, 0, r0) // a lives in R0
+	in.SetDefPin(0, r0) // a lives in R0
 	call := bld.Call("f", []ir.ValueID{b}, a)
-	ir.PinUse(call, 0, r0) // wants a in R0 — already there
-	ir.PinDef(call, 0, r0)
+	call.SetUsePin(0, r0) // wants a in R0 — already there
+	call.SetDefPin(0, r0)
 	out := bld.Output(b)
-	ir.PinUse(out, 0, r0) // b already in R0
+	out.SetUsePin(0, r0) // b already in R0
 	if err := ssa.Verify(f); err != nil {
 		t.Fatal(err)
 	}

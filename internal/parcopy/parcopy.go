@@ -49,7 +49,7 @@ func Sequentialize(f *ir.Func) int {
 			if in.Op() != ir.ParCopy {
 				continue
 			}
-			seq := Lower(f, in)
+			seq := lower(f, in)
 			b.RemoveAt(idx)
 			for k, c := range seq {
 				b.InsertAt(idx+k, c)
@@ -61,12 +61,12 @@ func Sequentialize(f *ir.Func) int {
 	return emitted
 }
 
-// Lower returns the sequential Copy list equivalent to the parallel copy
+// lower returns the sequential Copy list equivalent to the parallel copy
 // pc. The algorithm repeatedly emits copies whose destination is not a
 // pending source; when none exists every pending destination is also a
 // source — a cycle — which is broken by saving one destination to a fresh
 // temporary.
-func Lower(f *ir.Func, pc *ir.Instr) []*ir.Instr {
+func lower(f *ir.Func, pc *ir.Instr) []*ir.Instr {
 	type cp struct{ dst, src ir.ValueID }
 	var pending []cp
 	for i := 0; i < pc.NumDefs(); i++ {

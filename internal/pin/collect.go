@@ -1,6 +1,8 @@
 package pin
 
 import (
+	"fmt"
+
 	"outofssa/internal/ir"
 	"outofssa/internal/ssa"
 )
@@ -12,7 +14,10 @@ import (
 //
 // Only the definitions are pinned; φ webs over SP-derived values then
 // join SP's resource transitively.
-func CollectSP(f *ir.Func, info *ssa.Info) {
+//
+// It fails, on the first clash, when a pin it adds would break Fig. 4
+// against a pin the input declared (see pinDef).
+func CollectSP(f *ir.Func, info *ssa.Info) error {
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
 			for i := 0; i < in.NumDefs(); i++ {
@@ -21,11 +26,14 @@ func CollectSP(f *ir.Func, info *ssa.Info) {
 					continue
 				}
 				if phys := info.OrigPhys(d.Val); phys != ir.NoValue {
-					in.SetDefPin(i, phys)
+					if err := pinDef(f, in, i, phys); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // CollectABI pins operands according to the ST120-like ABI and ISA
@@ -39,8 +47,9 @@ func CollectSP(f *ir.Func, info *ssa.Info) {
 //     from the resource of their destination.
 //
 // Parameters beyond the register-passed ones are left unpinned (they
-// would live on the stack).
-func CollectABI(f *ir.Func) {
+// would live on the stack). Like CollectSP, it fails on a pin that
+// clashes with a declared one.
+func CollectABI(f *ir.Func) error {
 	t := f.Target
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
@@ -52,24 +61,32 @@ func CollectABI(f *ir.Func) {
 				n := int(in.Imm)
 				for i := 0; i < n && i < len(t.ArgRegs) && i < in.NumDefs(); i++ {
 					if !in.DefOp(i).Pinned() {
-						in.SetDefPin(i, t.ArgRegs[i])
+						if err := pinDef(f, in, i, t.ArgRegs[i]); err != nil {
+							return err
+						}
 					}
 				}
 			case in.Op() == ir.Output:
 				for i := 0; i < in.NumUses(); i++ {
 					if i < len(t.RetRegs) && !in.UseOp(i).Pinned() {
-						in.SetUsePin(i, t.RetRegs[i])
+						if err := pinUse(f, in, i, t.RetRegs[i]); err != nil {
+							return err
+						}
 					}
 				}
 			case in.Op() == ir.Call:
 				for i := 0; i < in.NumUses(); i++ {
 					if i < len(t.ArgRegs) && !in.UseOp(i).Pinned() {
-						in.SetUsePin(i, t.ArgRegs[i])
+						if err := pinUse(f, in, i, t.ArgRegs[i]); err != nil {
+							return err
+						}
 					}
 				}
 				for i := 0; i < in.NumDefs(); i++ {
 					if i < len(t.RetRegs) && !in.DefOp(i).Pinned() {
-						in.SetDefPin(i, t.RetRegs[i])
+						if err := pinDef(f, in, i, t.RetRegs[i]); err != nil {
+							return err
+						}
 					}
 				}
 			case in.Op().IsTwoOperand():
@@ -81,11 +98,52 @@ func CollectABI(f *ir.Func) {
 					dst = in.Def(0)
 				}
 				if !in.UseOp(0).Pinned() {
-					in.SetUsePin(0, dst)
+					if err := pinUse(f, in, 0, dst); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
+	return nil
+}
+
+// pinDef pins definition i of in to r, unless another definition of in
+// already sits in r: Fig. 4 case 1, which Validate would report after
+// the pass. Only the input's own pins can cause that (".input A, B:R0"
+// asks for R0 twice once the ABI puts A there), so the error is the
+// caller's, not the pass's.
+func pinDef(f *ir.Func, in *ir.Instr, i int, r ir.ValueID) error {
+	for j := 0; j < in.NumDefs(); j++ {
+		if in.Def(j) != in.Def(i) && resourceOf(in.DefOp(j)) == r {
+			return fmt.Errorf("%s: defs %v and %v of %q both pinned to %v (Fig.4 case 1)",
+				f.Name, f.VStr(in.Def(i)), f.VStr(in.Def(j)), in, f.VStr(r))
+		}
+	}
+	in.SetDefPin(i, r)
+	return nil
+}
+
+// pinUse pins use i of in to r, unless another use of in carrying a
+// different value is already pinned to r (Fig. 4 case 2).
+func pinUse(f *ir.Func, in *ir.Instr, i int, r ir.ValueID) error {
+	for j := 0; j < in.NumUses(); j++ {
+		if u := in.UseOp(j); u.Pinned() && u.Pin() == r && u.Val != in.Use(i) {
+			return fmt.Errorf("%s: uses %v and %v of %q both pinned to %v (Fig.4 case 2)",
+				f.Name, f.VStr(in.Use(i)), f.VStr(u.Val), in, f.VStr(r))
+		}
+	}
+	in.SetUsePin(i, r)
+	return nil
+}
+
+// resourceOf is the resource an operand names textually: its pin, or
+// else its own value.
+func resourceOf(o ir.Operand) ir.ValueID {
+	if o.Pinned() {
+		return o.Pin()
+	}
+	return o.Val
 }
 
 // StrongChecker reports whether two values must never share a resource

@@ -15,7 +15,7 @@ func TestResourcesFromDefPins(t *testing.T) {
 	bld.Block("entry")
 	a, b, c := bld.Val("a"), bld.Val("b"), bld.Val("c")
 	in := bld.Input(a, b)
-	ir.PinDef(in, 0, f.Target.R[0])
+	in.SetDefPin(0, f.Target.R[0])
 	bld.Binary(ir.Add, c, a, b)
 	bld.Output(c)
 
@@ -29,8 +29,8 @@ func TestResourcesFromDefPins(t *testing.T) {
 	if res.Find(b) != b || res.Find(c) != c {
 		t.Fatal("unpinned values must be their own resource")
 	}
-	if !res.IsPhysResource(a) || res.IsPhysResource(b) {
-		t.Fatal("IsPhysResource wrong")
+	if !f.IsPhys(res.Find(a)) || f.IsPhys(res.Find(b)) {
+		t.Fatal("physical resource wrong")
 	}
 }
 
@@ -69,7 +69,7 @@ func TestMembersSorted(t *testing.T) {
 		}
 	}
 	for _, v := range vs {
-		if !res.Same(v, vs[0]) {
+		if res.Find(v) != res.Find(vs[0]) {
 			t.Fatal("union incomplete")
 		}
 	}
@@ -195,8 +195,8 @@ func TestPinCorrectnessCases(t *testing.T) {
 		bld.Block("entry")
 		x, y := bld.Val("x"), bld.Val("y")
 		call := bld.Call("f", []ir.ValueID{x, y})
-		ir.PinDef(call, 0, r0(bld.Fn))
-		ir.PinDef(call, 1, r0(bld.Fn))
+		call.SetDefPin(0, r0(bld.Fn))
+		call.SetDefPin(1, r0(bld.Fn))
 		bld.Output(x)
 		res, err := pin.NewResources(bld.Fn)
 		if err != nil {
@@ -213,8 +213,8 @@ func TestPinCorrectnessCases(t *testing.T) {
 		x, y, d := bld.Val("x"), bld.Val("y"), bld.Val("d")
 		bld.Input(x, y)
 		call := bld.Call("f", []ir.ValueID{d}, x, y)
-		ir.PinUse(call, 0, r0(bld.Fn))
-		ir.PinUse(call, 1, r0(bld.Fn))
+		call.SetUsePin(0, r0(bld.Fn))
+		call.SetUsePin(1, r0(bld.Fn))
 		bld.Output(d)
 		res, err := pin.NewResources(bld.Fn)
 		if err != nil {
@@ -246,8 +246,8 @@ func TestPinCorrectnessCases(t *testing.T) {
 		bld.SetBlock(join)
 		p1 := bld.Phi(x, a1, a2)
 		p2 := bld.Phi(y, b1, b2)
-		ir.PinDef(p1, 0, r0(bld.Fn))
-		ir.PinDef(p2, 0, r0(bld.Fn))
+		p1.SetDefPin(0, r0(bld.Fn))
+		p2.SetDefPin(0, r0(bld.Fn))
 		z := bld.Val("z")
 		bld.Binary(ir.Add, z, x, y)
 		bld.Output(z)
@@ -266,8 +266,8 @@ func TestPinCorrectnessCases(t *testing.T) {
 		x, y := bld.Val("x"), bld.Val("y")
 		bld.Input(x)
 		ad := bld.AutoAdd(y, x, 1)
-		ir.PinDef(ad, 0, r0(bld.Fn))
-		ir.PinUse(ad, 0, r0(bld.Fn))
+		ad.SetDefPin(0, r0(bld.Fn))
+		ad.SetUsePin(0, r0(bld.Fn))
 		bld.Output(y)
 		res, err := pin.NewResources(bld.Fn)
 		if err != nil {
@@ -296,8 +296,8 @@ func TestPinCorrectnessCases(t *testing.T) {
 		bld.Jump(join)
 		bld.SetBlock(join)
 		p := bld.Phi(x, a1, a2)
-		ir.PinDef(p, 0, r0(bld.Fn))
-		ir.PinUse(p, 0, bld.Fn.Target.R[1]) // s != r: forbidden
+		p.SetDefPin(0, r0(bld.Fn))
+		p.SetUsePin(0, bld.Fn.Target.R[1]) // s != r: forbidden
 		bld.Output(x)
 		res, err := pin.NewResources(bld.Fn)
 		if err != nil {
@@ -337,7 +337,7 @@ func TestRepinDefs(t *testing.T) {
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
 			for _, d := range in.Defs() {
-				if res.Same(d.Val, root) && d.Val != root && d.Pin() != root {
+				if res.Find(d.Val) == res.Find(root) && d.Val != root && d.Pin() != root {
 					t.Fatalf("def of %v not repinned to %v", f.VStr(d.Val), f.VStr(root))
 				}
 			}
@@ -358,7 +358,7 @@ func TestCollectPhiCSSA(t *testing.T) {
 	for _, b := range f.Blocks() {
 		for _, phi := range b.Phis() {
 			for _, u := range phi.Uses() {
-				if !res.Same(phi.Def(0), u.Val) {
+				if res.Find(phi.Def(0)) != res.Find(u.Val) {
 					t.Fatalf("φ web not unified: %v vs %v", f.VStr(phi.Def(0)), f.VStr(u.Val))
 				}
 			}

@@ -86,7 +86,7 @@ func TestResourcesQuick(t *testing.T) {
 			// Invariants after every op.
 			for _, x := range vals {
 				for _, y := range vals {
-					if (model[x] == model[y]) != res.Same(x, y) {
+					if (model[x] == model[y]) != (res.Find(x) == res.Find(y)) {
 						return false
 					}
 				}

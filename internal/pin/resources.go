@@ -105,11 +105,6 @@ func (r *Resources) Find(v ir.ValueID) ir.ValueID {
 	return v
 }
 
-// Same reports whether a and b are pinned to the same resource.
-func (r *Resources) Same(a, b ir.ValueID) bool {
-	return r.Find(a) == r.Find(b)
-}
-
 // Union merges the resources of a and b and returns the representative.
 // Merging two classes that both contain a physical register is an error
 // (two distinct dedicated registers always strongly interfere).
@@ -159,12 +154,6 @@ func (r *Resources) classOf(root ir.ValueID) []ir.ValueID {
 		return m
 	}
 	return r.ids[root : root+1 : root+1]
-}
-
-// IsPhysResource reports whether v's resource contains a dedicated
-// register.
-func (r *Resources) IsPhysResource(v ir.ValueID) bool {
-	return r.fn.IsPhys(r.Find(v))
 }
 
 // Roots returns the representative of every multi-member class, in

@@ -127,19 +127,15 @@ func newBatchMetrics(reg *metrics.Registry, queued int) *batchMetrics {
 // Failures are per-job: one job's error (or contained panic, under
 // Config.Verify/Fallback as usual) lands in its JobResult and the rest
 // of the batch still runs.
-func RunBatch(jobs []Job, opts ...BatchOption) []JobResult {
-	return RunBatchCtx(context.Background(), jobs, opts...)
-}
-
-// RunBatchCtx is RunBatch under a cancellation context. Once ctx is
-// done, jobs not yet claimed by a worker are stamped with ctx.Err()
-// instead of running, and in-flight jobs stop at their next pass
-// boundary with a *PassError wrapping ctx.Err() — so a dead client (or
-// an interrupted CLI) stops burning the worker pool instead of
-// finishing the whole batch. Results still come back in job order; a
-// context that never fires makes RunBatchCtx behave exactly like
-// RunBatch, including the byte-identical trace replay.
-func RunBatchCtx(ctx context.Context, jobs []Job, opts ...BatchOption) []JobResult {
+//
+// Once ctx is done, jobs not yet claimed by a worker are stamped with
+// ctx.Err() instead of running, and in-flight jobs stop at their next
+// pass boundary with a *PassError wrapping ctx.Err(), so an interrupted
+// CLI stops burning the worker pool instead of finishing the whole
+// batch. A context that never fires gives the same results and the
+// same byte-identical trace replay as context.Background(), which
+// skips the cancellation checks.
+func RunBatch(ctx context.Context, jobs []Job, opts ...BatchOption) []JobResult {
 	var bc batchConfig
 	for _, o := range opts {
 		o(&bc)

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -94,10 +95,10 @@ func flattenRun(run *obs.RecordedRun) []string {
 func TestRunBatchDeterministic(t *testing.T) {
 	serialRec, parRec := &obs.Recorder{}, &obs.Recorder{}
 	serialJobs, serialFuncs := batchJobs(t)
-	serial := pipeline.RunBatch(serialJobs,
+	serial := pipeline.RunBatch(context.Background(), serialJobs,
 		pipeline.WithParallelism(1), pipeline.WithBatchTracer(serialRec))
 	parJobs, parFuncs := batchJobs(t)
-	par := pipeline.RunBatch(parJobs,
+	par := pipeline.RunBatch(context.Background(), parJobs,
 		pipeline.WithParallelism(8), pipeline.WithBatchTracer(parRec))
 
 	if len(serial) != len(par) {
@@ -224,7 +225,7 @@ func TestRunBatchFromSSAMasters(t *testing.T) {
 					if metered {
 						opts = append(opts, pipeline.WithBatchMetrics(metrics.New()))
 					}
-					for i, res := range pipeline.RunBatch(jobs, opts...) {
+					for i, res := range pipeline.RunBatch(context.Background(), jobs, opts...) {
 						if res.Err != nil {
 							t.Fatalf("job %d (%s): %v", i, funcs[i].Name, res.Err)
 						}
@@ -262,7 +263,7 @@ func TestRunBatchErrorIsolation(t *testing.T) {
 		{Build: testprog.SwapLoop, Plan: plan(t, pipeline.Column{Config: bad, Experiment: "bad"})},
 		{Build: testprog.Diamond, Plan: ok},
 	}
-	results := pipeline.RunBatch(jobs, pipeline.WithParallelism(3))
+	results := pipeline.RunBatch(context.Background(), jobs, pipeline.WithParallelism(3))
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatalf("healthy jobs failed: %v, %v", results[0].Err, results[2].Err)
 	}
@@ -278,7 +279,7 @@ func TestRunBatchErrorIsolation(t *testing.T) {
 // TestRunBatchEmpty: a zero-job batch returns an empty, non-panicking
 // result at any parallelism.
 func TestRunBatchEmpty(t *testing.T) {
-	if res := pipeline.RunBatch(nil, pipeline.WithParallelism(8)); len(res) != 0 {
+	if res := pipeline.RunBatch(context.Background(), nil, pipeline.WithParallelism(8)); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
 }

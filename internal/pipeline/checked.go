@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"outofssa/internal/faultinject"
 	"outofssa/internal/ir"
 	"outofssa/internal/naiveabi"
 	"outofssa/internal/obs"
@@ -54,12 +53,13 @@ func (e *PassError) Error() string {
 func (e *PassError) Unwrap() error { return e.Cause }
 
 // InputError reports that the function a run was given is not legal
-// input: SSA construction rejected it (BuildSSA), or the checked entry
-// verification did (the "<input>" pseudo-pass). That is the caller's
-// fault, not a pass's, and the fallback never retries it: it would
-// verify the same function at the same stage and fail again. Err is
-// the failure itself, a *PassError for "<input>"; Error and errors.As
-// see through to it.
+// input: SSA construction rejected it (BuildSSA), the checked entry
+// verification did (the "<input>" pseudo-pass), or a pinning pass found
+// that the input's declared pins clash with the SP or ABI pins (Fig. 4
+// cases 1 and 2). That is the caller's fault, not a pass's, and the
+// fallback never retries it: the same function would fail the same
+// way. Err is the failure itself, a *PassError for the pass or
+// "<input>"; Error and errors.As see through to it.
 type InputError struct{ Err error }
 
 func (e *InputError) Error() string { return e.Err.Error() }
@@ -117,12 +117,12 @@ func ctxCheck(f *ir.Func, exp string, p *pass, opts runOpts) error {
 }
 
 // cowProbe is checked mode's copy-on-write isolation check on the
-// entry function, made before any pass runs: a snapshot pair is
-// mutated in both directions and byte-compared. An aliasing bug would
-// otherwise corrupt sibling runs silently; here it fails the run the
-// same way a corrupted pass does.
+// entry function, made before any pass runs (ir.Func.ProbeCOWIsolation):
+// a snapshot pair is mutated in both directions and byte-compared. An
+// aliasing bug would otherwise corrupt sibling runs silently; here it
+// fails the run the same way a corrupted pass does.
 func cowProbe(f *ir.Func, exp string) error {
-	if err := faultinject.InjectCOWAliasing(f); err != nil {
+	if err := f.ProbeCOWIsolation(); err != nil {
 		return &PassError{Func: f.Name, Config: exp, Pass: "<cow-probe>",
 			Cause: err, Snapshot: obs.Snapshot(f)}
 	}
@@ -151,8 +151,16 @@ func runOne(f *ir.Func, info *ssa.Info, r *Result, exp string, p *pass, opts run
 		}
 	}
 	if err != nil {
-		return &PassError{Func: f.Name, Config: exp, Pass: p.name,
+		pe := &PassError{Func: f.Name, Config: exp, Pass: p.name,
 			Cause: err, Snapshot: obs.Snapshot(f)}
+		// A pass that finds the input illegal fails the run as the entry
+		// check does: an *InputError around the *PassError.
+		var invalid *InputError
+		if errors.As(err, &invalid) {
+			pe.Cause = invalid.Err
+			return &InputError{pe}
+		}
+		return pe
 	}
 	return nil
 }

@@ -270,3 +270,35 @@ func TestInvalidInputSkipsFallback(t *testing.T) {
 		t.Fatalf("entry φ: got %v, want an *InputError", err)
 	}
 }
+
+// TestPinClashIsInputError: declared pins that clash with the pins the
+// pinning passes add pass the entry check, so the passes themselves
+// report the clash, as an *InputError naming the pass, in checked and
+// unchecked mode alike. Checked mode used to fall back (feeding the
+// pass's breaker class in laocd), unchecked mode to fail in
+// out-of-pinned-ssa.
+func TestPinClashIsInputError(t *testing.T) {
+	for _, tc := range []struct{ src, pass string }{
+		// The ABI puts parameter A in R0, which B declares.
+		{".func abiclash\n.input A, B:R0\nentry:\n    add C, A, B\n    ret C\n.endfunc\n", "pinning-abi"},
+		// SSA construction gives the undefined R0 an entry definition,
+		// which pinning-sp pins to R0 beside A.
+		{".func spclash\n.input A:R0\nentry:\n    mov X, R0\n    add C, A, X\n    ret C\n.endfunc\n", "pinning-sp"},
+	} {
+		for _, checked := range []bool{false, true} {
+			f, err := lai.Parse(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conf := pipeline.Configs[pipeline.ExpLphiABIC]
+			conf.Verify, conf.Fallback = checked, checked
+			_, err = pipeline.Run(f, conf)
+			var invalid *pipeline.InputError
+			var pe *pipeline.PassError
+			if !errors.As(err, &invalid) || !errors.As(err, &pe) || pe.Pass != tc.pass ||
+				!strings.Contains(err.Error(), "Fig.4 case 1") {
+				t.Errorf("%s, checked=%v: got %v, want an *InputError for a Fig. 4 clash in %s", f.Name, checked, err, tc.pass)
+			}
+		}
+	}
+}

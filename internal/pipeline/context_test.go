@@ -154,7 +154,7 @@ func TestRunBatchCtxCancel(t *testing.T) {
 			Plan:  p,
 		}
 	}
-	results := pipeline.RunBatchCtx(ctx, jobs, pipeline.WithParallelism(2))
+	results := pipeline.RunBatch(ctx, jobs, pipeline.WithParallelism(2))
 	var ok, canceled int
 	for i := range results {
 		switch {
@@ -174,8 +174,9 @@ func TestRunBatchCtxCancel(t *testing.T) {
 	}
 }
 
-// TestRunBatchCtxBackground: RunBatchCtx with a background context is
-// RunBatch — identical results, no cancellation machinery engaged.
+// TestRunBatchCtxBackground: a batch under a context that never fires
+// gives the same results as one under context.Background(), which
+// skips the cancellation checks.
 func TestRunBatchCtxBackground(t *testing.T) {
 	p := plan(t, pipeline.Column{Config: ctxTestConfig(t), Experiment: pipeline.ExpLphiABIC})
 	// mk's jobs keep the functions they build, to compare final IR.
@@ -192,15 +193,17 @@ func TestRunBatchCtxBackground(t *testing.T) {
 		return jobs, funcs
 	}
 	aJobs, aFuncs := mk()
-	a := pipeline.RunBatch(aJobs, pipeline.WithParallelism(4))
+	a := pipeline.RunBatch(context.Background(), aJobs, pipeline.WithParallelism(4))
 	bJobs, bFuncs := mk()
-	b := pipeline.RunBatchCtx(context.Background(), bJobs, pipeline.WithParallelism(4))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b := pipeline.RunBatch(ctx, bJobs, pipeline.WithParallelism(4))
 	for i := range a {
 		if a[i].Err != nil || b[i].Err != nil {
 			t.Fatalf("job %d: errors %v / %v", i, a[i].Err, b[i].Err)
 		}
 		if aFuncs[i].String() != bFuncs[i].String() {
-			t.Fatalf("job %d: RunBatch and RunBatchCtx disagree", i)
+			t.Fatalf("job %d: the live and the background context disagree", i)
 		}
 	}
 }

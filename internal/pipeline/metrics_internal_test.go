@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	rtmetrics "runtime/metrics"
@@ -327,7 +328,7 @@ func TestBatchMetrics(t *testing.T) {
 	var snaps []*metrics.Snapshot
 	for _, par := range []int{1, 4} {
 		reg := metrics.New()
-		for _, r := range RunBatch(jobs(), WithParallelism(par), WithBatchMetrics(reg)) {
+		for _, r := range RunBatch(context.Background(), jobs(), WithParallelism(par), WithBatchMetrics(reg)) {
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}

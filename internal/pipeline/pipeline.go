@@ -416,13 +416,19 @@ func (conf Config) passes() []pass {
 		}, func(r *Result) counterLister { return r.Sreedhar })
 	}
 
+	// A pin clash the pinning passes find is the input's fault: its own
+	// pins ask for a register the SP or ABI rules assign elsewhere.
 	add(passKey{name: "pinning-sp"}, verify.StageSSA, func(f *ir.Func, info *ssa.Info, _ *Result) error {
-		pin.CollectSP(f, info)
+		if err := pin.CollectSP(f, info); err != nil {
+			return &InputError{err}
+		}
 		return nil
 	}, nil)
 	if conf.ABI {
 		add(passKey{name: "pinning-abi"}, verify.StageSSA, func(f *ir.Func, _ *ssa.Info, _ *Result) error {
-			pin.CollectABI(f)
+			if err := pin.CollectABI(f); err != nil {
+				return &InputError{err}
+			}
 			return nil
 		}, nil)
 	}

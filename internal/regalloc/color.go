@@ -39,10 +39,7 @@ type AllocStats struct {
 // provided as the natural downstream consumer so the effect of the
 // coalescing decisions on colorability can be measured
 // (BenchmarkRegisterPressure).
-func Allocate(f *ir.Func) (*AllocStats, error) {
-	return AllocateLimited(f, 0)
-}
-
+//
 // AllocateLimited restricts the pool to the first maxRegs allocatable
 // registers (0 means all of them); small pools force the spill path and
 // expose the register-pressure interplay of [LIM4].

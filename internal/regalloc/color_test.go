@@ -50,7 +50,7 @@ func TestAllocateKernels(t *testing.T) {
 		if _, err := pipeline.Run(f, pipeline.Configs[pipeline.ExpLphiABIC]); err != nil {
 			t.Fatal(err)
 		}
-		st, err := regalloc.Allocate(f)
+		st, err := regalloc.AllocateLimited(f, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", ref.Name, err)
 		}
@@ -156,7 +156,7 @@ func TestPressureReporting(t *testing.T) {
 	if _, err := pipeline.Run(f, pipeline.Configs[pipeline.ExpLphiABIC]); err != nil {
 		t.Fatal(err)
 	}
-	st, err := regalloc.Allocate(f)
+	st, err := regalloc.AllocateLimited(f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

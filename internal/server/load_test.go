@@ -71,9 +71,19 @@ func TestSyntheticLoad100k(t *testing.T) {
 	}()
 
 	funcs := workload.SynthPool(n, distinct, 4242)
-	reqs, err := workload.PooledRequests(funcs, n)
-	if err != nil {
-		t.Fatal(err)
+	// Raw b1 bodies, each distinct function marshalled once: the
+	// driver's marshal cost must not dominate the service under test.
+	docs := make(map[*ir.Func][]byte, distinct)
+	reqs := make([]workload.ClientRequest, n)
+	for i, f := range funcs {
+		if docs[f] == nil {
+			doc, err := ir.MarshalBinary(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs[f] = doc
+		}
+		reqs[i] = workload.ClientRequest{RawBody: docs[f]}
 	}
 
 	var ms0, ms1 runtime.MemStats

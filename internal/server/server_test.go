@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -517,6 +518,85 @@ func TestInvalidInputNeverTripsBreaker(t *testing.T) {
 	}
 	if got := reg.Counter(MetricBreakerProbes, metrics.L("result", "ok")).Value(); got != 1 {
 		t.Fatalf("successful probes = %d, want 1", got)
+	}
+}
+
+// The three input shapes FuzzCompileHandler found, each legal to every
+// check the boundary ran before them.
+const (
+	// srcABIClash: the ABI puts parameter A in R0, which B declares.
+	srcABIClash = ".func abiclash\n.input A, B:R0\nentry:\n    add C, A, B\n    ret C\n.endfunc\n"
+	// srcSPClash: SSA construction gives the undefined R0 an entry
+	// definition, which pinning-sp pins to R0 beside A.
+	srcSPClash = ".func spclash\n.input A:R0\nentry:\n    mov X, R0\n    add C, A, X\n    ret C\n.endfunc\n"
+	// srcAlias is the function aliasedB1 breaks.
+	srcAlias = ".func alias\n.input A:R0, B:R1\nentry:\n    add C, A, B\n    add D, C, A\n    ret D\n.endfunc\n"
+)
+
+// aliasedB1 is the b1 encoding of srcAlias with instruction 2's def
+// span (operand slot 5) moved onto instruction 1's (slot 2), so both
+// instructions define through one slot. SSA renaming used to rewrite
+// that slot twice and panic the worker.
+func aliasedB1(t testing.TB) []byte {
+	f, err := lai.Parse(srcAlias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := ir.MarshalBinary(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An instruction record is 7 little-endian int64s: op, block,
+	// defOff, defLen, useOff, useLen, imm.
+	record := func(defOff int64) []byte {
+		var b []byte
+		for _, v := range []int64{int64(ir.Add), 0, defOff, 1, 6, 2, 0} {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}
+	i := bytes.Index(doc, record(5))
+	if i < 0 {
+		t.Fatal("instruction 2's record not found in the b1 document")
+	}
+	copy(doc[i:], record(2))
+	return doc
+}
+
+// TestIllegalInputRejectedAtBoundary: each shape gets a 400, never a
+// 200 that fell back, a worker panic or a breaker failure. The aliased
+// b1 body and an .input that declares more parameters than it defines
+// fail decoding ("parse"); pins that clash with the ABI or SP pins fail
+// as invalid input, sent often enough to trip the breaker if they fed
+// it.
+func TestIllegalInputRejectedAtBoundary(t *testing.T) {
+	_, hs, reg := startServer(t, Config{BreakerThreshold: 5})
+	if rep := postRawCompile(t, hs.URL, aliasedB1(t)); rep.status != http.StatusBadRequest || rep.errK != "parse" {
+		t.Fatalf("aliased b1 body: status=%d kind=%q, want 400/parse", rep.status, rep.errK)
+	}
+	f, err := lai.Parse(srcSimple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Entry().Instr(0).Imm = 4
+	doc, err := ir.MarshalV1(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := postCompile(t, hs.URL, compileRequest{IR: doc}); rep.status != http.StatusBadRequest || rep.errK != "parse" {
+		t.Fatalf(".input declaring 4 of 2 defs: status=%d kind=%q, want 400/parse", rep.status, rep.errK)
+	}
+	for i := 0; i < 5; i++ {
+		for _, src := range []string{srcABIClash, srcSPClash} {
+			if rep := postCompile(t, hs.URL, compileRequest{LAI: src}); rep.status != http.StatusBadRequest || rep.errK != "invalid" {
+				t.Fatalf("pin clash %d: status=%d kind=%q, want 400/invalid", i, rep.status, rep.errK)
+			}
+		}
+	}
+	for _, name := range []string{MetricWorkerPanics, MetricBreakerTrips, pipeline.MetricFallbacks} {
+		if got := counterValue(reg, name); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
 	}
 }
 

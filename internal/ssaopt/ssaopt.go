@@ -43,12 +43,12 @@ func Optimize(f *ir.Func, info *ssa.Info) *Stats {
 	st := &Stats{}
 	for {
 		st.Rounds++
-		n := CopyPropagate(f, info)
+		n := copyPropagate(f, info)
 		st.CopiesPropagated += n
-		c := ConstFold(f)
+		c := constFold(f)
 		c += FoldSelects(f)
 		st.ConstantsFolded += c
-		v := LocalCSE(f, info)
+		v := localCSE(f, info)
 		st.CSEHits += v
 		d := EliminateDeadCode(f)
 		st.DeadRemoved += d
@@ -68,11 +68,11 @@ func protected(f *ir.Func, v ir.ValueID, info *ssa.Info) bool {
 	return info != nil && info.OrigPhys(v) != ir.NoValue
 }
 
-// CopyPropagate replaces uses of b with a for every copy b = a, when
+// copyPropagate replaces uses of b with a for every copy b = a, when
 // neither side is pinned or protected. The copies themselves become dead
 // and are collected by EliminateDeadCode. Returns the number of copies
 // propagated.
-func CopyPropagate(f *ir.Func, info *ssa.Info) int {
+func copyPropagate(f *ir.Func, info *ssa.Info) int {
 	repl := make(map[ir.ValueID]ir.ValueID)
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
@@ -119,9 +119,9 @@ func CopyPropagate(f *ir.Func, info *ssa.Info) int {
 	return n
 }
 
-// ConstFold evaluates arithmetic over constant operands, rewriting the
+// constFold evaluates arithmetic over constant operands, rewriting the
 // instruction into a Const. Returns the number of folds.
-func ConstFold(f *ir.Func) int {
+func constFold(f *ir.Func) int {
 	constOf := make(map[ir.ValueID]int64)
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
@@ -236,11 +236,11 @@ func FoldSelects(f *ir.Func) int {
 	return n
 }
 
-// LocalCSE performs local value numbering within each block: a pure
+// localCSE performs local value numbering within each block: a pure
 // instruction computing an expression already computed in the block is
 // replaced by a copy of the earlier result (which copy propagation then
 // dissolves). Returns the number of replacements.
-func LocalCSE(f *ir.Func, info *ssa.Info) int {
+func localCSE(f *ir.Func, info *ssa.Info) int {
 	n := 0
 	var buf [64]byte
 	for _, b := range f.Blocks() {

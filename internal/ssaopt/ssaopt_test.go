@@ -42,9 +42,9 @@ func TestCopyPropagationSkipsPinnedAndProtected(t *testing.T) {
 	bld.Block("entry")
 	a, b := bld.Val("a"), bld.Val("b")
 	in := bld.Input(a)
-	ir.PinDef(in, 0, f.Target.R[0])
+	in.SetDefPin(0, f.Target.R[0])
 	cp := bld.Copy(b, a)
-	ir.PinDef(cp, 0, f.Target.R[1]) // pinned copy: must stay
+	cp.SetDefPin(0, f.Target.R[1]) // pinned copy: must stay
 	out := bld.Output(b)
 	_ = out
 

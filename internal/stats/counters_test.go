@@ -32,7 +32,7 @@ func TestCountersGolden(t *testing.T) {
 		stats.Parallel, stats.Checked, stats.Metrics = parallel, checked, reg
 	}(stats.Parallel, stats.Checked, stats.Metrics)
 	stats.Parallel = 1
-	table2 := func() error { _, err := stats.Table2(); return err }
+	table2 := func() error { _, err := stats.OneTable(2, nil); return err }
 	allTables := func() error { _, err := stats.AllTables(); return err }
 	for _, run := range []struct {
 		golden  string

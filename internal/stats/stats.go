@@ -235,7 +235,7 @@ func buildTables(defs []tableDef, tr obs.Tracer) ([]*Table, error) {
 				SSA:   info,
 			}
 		}
-		results := pipeline.RunBatchCtx(ctx, jobs,
+		results := pipeline.RunBatch(ctx, jobs,
 			pipeline.WithParallelism(Parallel),
 			pipeline.WithBatchTracer(tr),
 			pipeline.WithBatchMetrics(Metrics))
@@ -307,40 +307,14 @@ func Table1() string {
 	return b.String()
 }
 
-// Table2 reproduces "Comparison of move instruction count with no ABI
-// constraint": Lφ+C vs C vs Sφ+C.
-func Table2() (*Table, error) { return Table2Traced(nil) }
-
-// Table2Traced is Table2 with a pipeline tracer attached to every run
-// (nil for none); events are labelled with the experiment name.
-func Table2Traced(tr obs.Tracer) (*Table, error) { return oneTable(2, tr) }
-
-// Table3 reproduces "Comparison of move instruction count with renaming
-// constraints": Lφ,ABI+C vs Sφ+LABI+C vs LABI+C vs C.
-func Table3() (*Table, error) { return Table3Traced(nil) }
-
-// Table3Traced is Table3 with a pipeline tracer attached.
-func Table3Traced(tr obs.Tracer) (*Table, error) { return oneTable(3, tr) }
-
-// Table4 reproduces the "order of magnitude" table: moves remaining
-// before any coalescing when φs (Sφ: ABI naive) or the ABI (LABI: φ
-// naive) are handled naively.
-func Table4() (*Table, error) { return Table4Traced(nil) }
-
-// Table4Traced is Table4 with a pipeline tracer attached.
-func Table4Traced(tr obs.Tracer) (*Table, error) { return oneTable(4, tr) }
-
-// Table5 reproduces the weighted (5^depth) variant comparison of the
-// paper's algorithm: base, depth-constrained, optimistic, pessimistic.
-func Table5() (*Table, error) { return Table5Traced(nil) }
-
-// Table5Traced is Table5 with a pipeline tracer attached; events are
-// labelled "Lphi,ABI+C/<variant>".
-func Table5Traced(tr obs.Tracer) (*Table, error) { return oneTable(5, tr) }
-
-// oneTable renders Table n alone: its columns share pass prefixes only
-// among themselves.
-func oneTable(n int, tr obs.Tracer) (*Table, error) {
+// OneTable runs Table n (2-5) alone, with a pipeline tracer attached
+// to every run (nil for none): its columns share pass prefixes only
+// among themselves. Events are labelled with the experiment name, and
+// Table 5's with "Lphi,ABI+C/<variant>".
+func OneTable(n int, tr obs.Tracer) (*Table, error) {
+	if n < 2 || n > 5 {
+		return nil, fmt.Errorf("stats: no table %d (have 2-5)", n)
+	}
 	ts, err := buildTables(tableDefs[n-2:n-1], tr)
 	if err != nil {
 		return nil, err

@@ -86,8 +86,8 @@ func TestStrongInterferenceScan(t *testing.T) {
 		t.Fatalf("unpinned, the function is legal: %v", err)
 	}
 	r0 := f.Target.R[0]
-	ir.PinDef(px, 0, r0)
-	ir.PinDef(py, 0, r0)
+	px.SetDefPin(0, r0)
+	py.SetDefPin(0, r0)
 	res, err := pin.NewResources(f)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestStrongInterferenceScan(t *testing.T) {
 	bld.Output(s)
 	r0 = bld.Fn.Target.R[0]
 	for _, phi := range join.Phis() {
-		ir.PinDef(phi, 0, r0)
+		phi.SetDefPin(0, r0)
 	}
 	wantViolation(t, bld.Fn, verify.StageSSA, "Fig.4 case 3")
 }

@@ -48,31 +48,6 @@ func SynthPool(n, distinct int, seed int64) []*ir.Func {
 	return out
 }
 
-// PooledRequests builds n raw-b1 ClientRequests over funcs (cycling
-// when n > len(funcs)), marshalling each distinct function exactly
-// once and sharing the encoded body across repeats — the request
-// stream for load tests where the marshal cost of the driver must not
-// dominate the service under test. Raw bodies carry no deadline, so
-// the server's default applies.
-func PooledRequests(funcs []*ir.Func, n int) ([]ClientRequest, error) {
-	docs := make(map[*ir.Func][]byte, len(funcs))
-	reqs := make([]ClientRequest, n)
-	for i := 0; i < n; i++ {
-		f := funcs[i%len(funcs)]
-		doc, ok := docs[f]
-		if !ok {
-			var err error
-			doc, err = ir.MarshalBinary(f)
-			if err != nil {
-				return nil, err
-			}
-			docs[f] = doc
-		}
-		reqs[i] = ClientRequest{RawBody: doc}
-	}
-	return reqs, nil
-}
-
 // ClientRequest is one /compile body the driver will POST. The fields
 // mirror the server's wire schema; zero values are omitted. When
 // RawBody is set the request bypasses JSON entirely — Drive posts the
@@ -101,9 +76,9 @@ func V1Request(f *ir.Func, deadlineMS int) (ClientRequest, error) {
 	return ClientRequest{IR: doc, DeadlineMS: deadlineMS}, nil
 }
 
-// B1RawRequest builds a whole-body binary request: the POST body is
+// b1RawRequest builds a whole-body binary request: the POST body is
 // the b1 document itself, no JSON envelope.
-func B1RawRequest(f *ir.Func) (ClientRequest, error) {
+func b1RawRequest(f *ir.Func) (ClientRequest, error) {
 	doc, err := ir.MarshalBinary(f)
 	if err != nil {
 		return ClientRequest{}, err
@@ -291,7 +266,7 @@ func MixedRequests(funcs []*ir.Func, deadlineMS, faultEvery, malformedEvery, dea
 		case i%2 == 0:
 			r, err = V1Request(f, deadlineMS)
 		default:
-			r, err = B1RawRequest(f)
+			r, err = b1RawRequest(f)
 		}
 		if err != nil {
 			return nil, err
