@@ -10,7 +10,7 @@ import "outofssa/internal/ir"
 // depth-first search that visits successors left to right.
 func Postorder(f *ir.Func) []*ir.Block {
 	seen := make([]bool, f.NumBlocks())
-	var order []*ir.Block
+	order := make([]*ir.Block, 0, len(f.Blocks()))
 	var walk func(*ir.Block)
 	walk = func(b *ir.Block) {
 		seen[b.ID] = true

@@ -32,7 +32,9 @@ func fuzzOptions(size int64) testprog.RandOptions {
 // every experiment configuration in checked mode and differentially
 // compares observable behaviour (ir.Exec) before and after: the
 // pipeline as its own oracle. Any verifier violation, pass panic, or
-// semantic divergence on any configuration is a finding.
+// semantic divergence on any configuration is a finding. Then every
+// configuration runs once more, all as the columns of one shared-prefix
+// Plan, and each column's moves and printed IR must equal its flat run.
 //
 // Run locally with:
 //
@@ -68,13 +70,19 @@ func FuzzPipelineDifferential(f *testing.F) {
 			t.Skip("reference exceeds the step budget on every argument set")
 		}
 
-		for _, name := range expNames() {
+		names := expNames()
+		cols := make([]pipeline.Column, len(names))
+		flatMoves, flatIR := make([]int, len(names)), make([]string, len(names))
+		for ci, name := range names {
 			g := testprog.Rand(seed, opt)
 			conf := pipeline.Configs[name]
 			conf.Verify = true
-			if _, err := pipeline.Run(g, conf); err != nil {
+			cols[ci] = pipeline.Column{Config: conf, Experiment: name}
+			res, err := pipeline.Run(g, conf)
+			if err != nil {
 				t.Fatalf("seed=%d size=%d config=%s: %v", seed, size, name, err)
 			}
+			flatMoves[ci], flatIR[ci] = res.Moves, g.String()
 			for _, b := range g.Blocks() {
 				for _, in := range b.Instrs() {
 					if in.Op() == ir.Phi || in.Op() == ir.ParCopy {
@@ -94,6 +102,25 @@ func FuzzPipelineDifferential(f *testing.F) {
 					t.Fatalf("seed=%d size=%d config=%s args=%v: behaviour diverged\nwant %+v\ngot  %+v",
 						seed, size, name, args, wants[i], got)
 				}
+			}
+		}
+
+		p, err := pipeline.NewPlan(cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planIR := make([]string, len(cols))
+		res, err := pipeline.RunPlan(testprog.Rand(seed, opt), p,
+			func(col int, g *ir.Func) { planIR[col] = g.String() })
+		if err != nil {
+			t.Fatalf("seed=%d size=%d plan: %v", seed, size, err)
+		}
+		for ci, name := range names {
+			if res[ci].Moves != flatMoves[ci] {
+				t.Fatalf("seed=%d size=%d config=%s: plan moves %d, flat %d", seed, size, name, res[ci].Moves, flatMoves[ci])
+			}
+			if planIR[ci] != flatIR[ci] {
+				t.Fatalf("seed=%d size=%d config=%s: plan IR differs from flat:\n%s\nwant:\n%s", seed, size, name, planIR[ci], flatIR[ci])
 			}
 		}
 	})

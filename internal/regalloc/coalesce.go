@@ -3,16 +3,21 @@
 // ("repeated register coalescing", after Dupont de Dinechin et al.).
 // Outside the register-allocation context it is an aggressive coalescer:
 // any move whose source and destination do not interfere is eliminated,
-// with no conservatism about graph colorability, and the interference
-// graph is rebuilt and re-scanned until a fixed point ("repeated").
+// with no conservatism about graph colorability, and interference is
+// rebuilt and re-scanned until a fixed point ("repeated").
 //
-// It operates on non-SSA machine code (the output of the out-of-SSA
-// translators) where variables may have several definitions.
+// It operates on φ-free machine code (the output of the out-of-SSA
+// translators) where variables may have several definitions. The union
+// loop only ever asks whether two copy operands interfere, so each round
+// numbers the copy operands densely, solves their liveness with its own
+// backward dataflow, and builds their interference as one flat bit
+// matrix; no other value gets a row, a column or a liveness bit.
 package regalloc
 
 import (
-	"outofssa/internal/analysis"
-	"outofssa/internal/bitset"
+	"math/bits"
+
+	"outofssa/internal/cfg"
 	"outofssa/internal/ir"
 	"outofssa/internal/obs"
 )
@@ -33,17 +38,27 @@ func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
 		obs.Counter{Name: "Rounds", Value: int64(s.Rounds)})
 }
 
-// AggressiveCoalesce repeatedly builds the interference graph of f and
-// removes every move whose operands do not interfere, merging their live
-// ranges. Two dedicated registers are never merged; a virtual merged with
-// a dedicated register takes the register's name (partial coalescing of
+// fullGraphRound, when set, replaces every round of AggressiveCoalesce.
+// Only the package's tests set it (export_test.go), to the full
+// interference graph over all values that the copy-operand rounds must
+// match.
+var fullGraphRound func(f *ir.Func) int
+
+// AggressiveCoalesce repeatedly computes interference in f and removes
+// every move whose operands do not interfere, merging their live ranges.
+// Two dedicated registers are never merged; a virtual merged with a
+// dedicated register takes the register's name (partial coalescing of
 // the virtual onto the register is NOT possible here — this is precisely
-// limitation [CC1] that SSA-level pinning avoids).
+// limitation [CC1] that SSA-level pinning avoids). f must be φ-free.
 func AggressiveCoalesce(f *ir.Func) *Stats {
 	st := &Stats{}
+	round := fullGraphRound
+	if round == nil {
+		round = newCoalescer(f).round
+	}
 	for {
 		st.Rounds++
-		removed := coalesceRound(f)
+		removed := round(f)
 		st.MovesRemoved += removed
 		if removed == 0 {
 			return st
@@ -51,115 +66,319 @@ func AggressiveCoalesce(f *ir.Func) *Stats {
 	}
 }
 
-// coalesceRound does one pass: build the interference graph, then
-// union-coalesce copies greedily (merging adjacency conservatively), and
-// finally rewrite the function.
-func coalesceRound(f *ir.Func) int {
-	nv := f.NumValues()
-	live := analysis.Liveness(f)
+// coalescer holds the buffers of one AggressiveCoalesce call; every
+// round reuses them. Rounds remove moves and rename operands but never
+// touch the CFG, so reachability is found once per call.
+type coalescer struct {
+	// idx maps a value to its dense copy-operand index, -1 for every
+	// other value; vals maps an index back. A round numbers the copy
+	// operands afresh and resets idx when it ends.
+	idx  []int32
+	vals []ir.ValueID
+	// moves holds each copy's (def, use) indices in program order, and
+	// drop marks the copies the round removes.
+	moves  [][2]int32
+	drop   []bool
+	parent []int32
 
-	// Interference graph (Chaitin): at each definition point, the defined
-	// value interferes with everything live after the instruction; for a
-	// move d = s, d does not interfere with s on account of this def.
-	adj := make([]*bitset.Set, nv)
-	for i := range adj {
-		adj[i] = bitset.New(nv)
-	}
-	addEdge := func(a, b int) {
-		if a != b {
-			adj[a].Add(b)
-			adj[b].Add(a)
-		}
-	}
+	// order lists the blocks reachable from the entry in postorder, the
+	// dataflow's visiting order, and reach marks them. An unreachable
+	// block has empty liveness, as in package liveness.
+	order []*ir.Block
+	reach []bool
+
+	// words is the width of one set of copy operands. sets holds gen,
+	// kill and live-in for every block ID, one set each; adj is the
+	// interference matrix, one set per copy operand; cur is scratch.
+	words int
+	sets  []uint64
+	adj   []uint64
+	cur   []uint64
+}
+
+// newCoalescer sizes the buffers whose length the first round sets:
+// later rounds only see fewer copies.
+func newCoalescer(f *ir.Func) *coalescer {
+	n := 0
 	for _, b := range f.Blocks() {
-		cur := live.ExitLiveSet(b).Copy()
-		for i := b.NumInstrs() - 1; i >= 0; i-- {
-			in := b.Instr(i)
-			for _, d := range in.Defs() {
-				cur.Remove(int(d.Val))
-			}
-			for _, d := range in.Defs() {
-				dv := d.Val
-				cur.ForEach(func(l int) {
-					if in.Op() == ir.Copy && l == int(in.Use(0)) {
-						return // move exception
-					}
-					addEdge(int(dv), l)
-				})
-				// Multiple defs of one instruction are born simultaneously.
-				for _, d2 := range in.Defs() {
-					addEdge(int(dv), int(d2.Val))
-				}
-			}
-			for _, u := range in.Uses() {
-				cur.Add(int(u.Val))
+		for _, in := range b.Instrs() {
+			if in.Op() == ir.Copy {
+				n++
 			}
 		}
 	}
+	c := &coalescer{
+		idx:    make([]int32, f.NumValues()),
+		vals:   make([]ir.ValueID, 0, 2*n),
+		moves:  make([][2]int32, 0, n),
+		drop:   make([]bool, n),
+		parent: make([]int32, 0, 2*n),
+	}
+	for i := range c.idx {
+		c.idx[i] = -1
+	}
+	return c
+}
 
-	// Greedy union round over all moves.
-	parent := make([]int, nv)
-	for i := range parent {
-		parent[i] = i
+// round does one pass: number the copy operands, compute their
+// interference, union-coalesce copies greedily (merging adjacency
+// conservatively), and finally rewrite the function. When every copy
+// is a self-copy or joins two physical registers, nothing can merge,
+// and the round only drops the self-copies.
+func (c *coalescer) round(f *ir.Func) int {
+	if c.number(f) {
+		c.solveLiveness(f)
+		c.buildInterference(f)
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
+	removed := c.union(f)
+	if removed > 0 {
+		c.rewrite(f)
 	}
-	removedMoves := make(map[*ir.Instr]bool)
+	for _, v := range c.vals {
+		c.idx[v] = -1
+	}
+	return removed
+}
+
+// number indexes the operands of every copy and reports whether some
+// copy could merge two values.
+func (c *coalescer) number(f *ir.Func) bool {
+	c.vals, c.moves = c.vals[:0], c.moves[:0]
+	mergeable := false
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
 			if in.Op() != ir.Copy {
 				continue
 			}
-			d, s := find(int(in.Def(0))), find(int(in.Use(0)))
-			if d == s {
-				removedMoves[in] = true
-				continue
+			d, s := in.Def(0), in.Use(0)
+			if d != s && !(f.IsPhys(d) && f.IsPhys(s)) {
+				mergeable = true
 			}
-			if f.IsPhys(ir.ValueID(d)) && f.IsPhys(ir.ValueID(s)) {
-				continue
-			}
-			if adj[d].Has(s) {
-				continue
-			}
-			// Merge s into d (or d into s if s is the physical one).
-			root, child := d, s
-			if f.IsPhys(ir.ValueID(s)) {
-				root, child = s, d
-			}
-			parent[child] = root
-			adj[root].UnionWith(adj[child])
-			// Keep adjacency symmetric: everything adjacent to child is now
-			// adjacent to root.
-			adj[child].ForEach(func(n int) { adj[n].Add(root) })
-			removedMoves[in] = true
+			c.moves = append(c.moves, [2]int32{c.index(d), c.index(s)})
 		}
 	}
-	if len(removedMoves) == 0 {
-		return 0
-	}
-
-	// Rewrite operands through the union-find and drop coalesced moves.
-	for _, b := range f.Blocks() {
-		for idx := 0; idx < b.NumInstrs(); {
-			in := b.Instr(idx)
-			if removedMoves[in] {
-				b.RemoveAt(idx)
-				continue
-			}
-			for i := 0; i < in.NumDefs(); i++ {
-				in.SetDefVal(i, ir.ValueID(find(int(in.Def(i)))))
-			}
-			for i := 0; i < in.NumUses(); i++ {
-				in.SetUseVal(i, ir.ValueID(find(int(in.Use(i)))))
-			}
-			idx++
-		}
-	}
-	return len(removedMoves)
+	return mergeable
 }
+
+func (c *coalescer) index(v ir.ValueID) int32 {
+	if c.idx[v] < 0 {
+		c.idx[v] = int32(len(c.vals))
+		c.vals = append(c.vals, v)
+	}
+	return c.idx[v]
+}
+
+// set returns the i-th set of the per-block family (0 gen, 1 kill,
+// 2 live-in) of block id.
+func (c *coalescer) set(id ir.BlockID, i int) []uint64 {
+	off := (3*int(id) + i) * c.words
+	return c.sets[off : off+c.words]
+}
+
+func (c *coalescer) row(x int) []uint64 {
+	return c.adj[x*c.words : (x+1)*c.words]
+}
+
+// liveOut sets out to the union of the live-ins of b's successors.
+func (c *coalescer) liveOut(b *ir.Block, out []uint64) {
+	clear(out)
+	for _, s := range b.Succs() {
+		for j, w := range c.set(s, 2) {
+			out[j] |= w
+		}
+	}
+}
+
+// solveLiveness computes the live-in set of copy operands of every
+// reachable block: the backward dataflow of package liveness projected
+// onto these values, which is exact because liveness is solved per
+// value and, without φs, the engine treats every operand alike.
+func (c *coalescer) solveLiveness(f *ir.Func) {
+	if c.order == nil {
+		c.order = cfg.Postorder(f)
+		c.reach = make([]bool, f.NumBlocks())
+		for _, b := range c.order {
+			c.reach[b.ID] = true
+		}
+	}
+	c.words = (len(c.vals) + 63) / 64
+	c.sets = resize(c.sets, 3*f.NumBlocks()*c.words)
+	for _, b := range c.order {
+		gen, kill := c.set(b.ID, 0), c.set(b.ID, 1)
+		for _, in := range b.Instrs() {
+			for _, u := range in.Uses() {
+				if x := c.idx[u.Val]; x >= 0 && !has(kill, x) {
+					add(gen, x)
+				}
+			}
+			for _, d := range in.Defs() {
+				if x := c.idx[d.Val]; x >= 0 {
+					add(kill, x)
+				}
+			}
+		}
+	}
+	c.cur = resize(c.cur, c.words)
+	for changed := true; changed; {
+		changed = false
+		for _, b := range c.order {
+			c.liveOut(b, c.cur)
+			gen, kill, in := c.set(b.ID, 0), c.set(b.ID, 1), c.set(b.ID, 2)
+			for j, out := range c.cur {
+				if w := gen[j] | out&^kill[j]; w != in[j] {
+					in[j] = w
+					changed = true
+				}
+			}
+		}
+	}
+}
+
+// buildInterference fills the matrix (Chaitin): at each definition
+// point, the defined value interferes with everything live after the
+// instruction; for a move d = s, d does not interfere with s on account
+// of this def.
+func (c *coalescer) buildInterference(f *ir.Func) {
+	c.adj = resize(c.adj, len(c.vals)*c.words)
+	cur := c.cur
+	for _, b := range f.Blocks() {
+		if c.reach[b.ID] {
+			c.liveOut(b, cur)
+		} else {
+			clear(cur)
+		}
+		for i := b.NumInstrs() - 1; i >= 0; i-- {
+			in := b.Instr(i)
+			defs := in.Defs()
+			for _, d := range defs {
+				if x := c.idx[d.Val]; x >= 0 {
+					del(cur, x)
+				}
+			}
+			if in.Op() == ir.Copy {
+				// Move exception; the use loop below puts s back.
+				del(cur, c.idx[in.Use(0)])
+			}
+			for _, d := range defs {
+				x := c.idx[d.Val]
+				if x < 0 {
+					continue
+				}
+				c.interfere(x, cur)
+				// Multiple defs of one instruction are born simultaneously.
+				for _, d2 := range defs {
+					if y := c.idx[d2.Val]; y >= 0 && y != x {
+						add(c.row(int(x)), y)
+						add(c.row(int(y)), x)
+					}
+				}
+			}
+			for _, u := range in.Uses() {
+				if x := c.idx[u.Val]; x >= 0 {
+					add(cur, x)
+				}
+			}
+		}
+	}
+}
+
+// interfere makes x interfere with every member of s, keeping the
+// matrix symmetric.
+func (c *coalescer) interfere(x int32, s []uint64) {
+	row := c.row(int(x))
+	for j, w := range s {
+		row[j] |= w
+		for ; w != 0; w &= w - 1 {
+			add(c.row(64*j+bits.TrailingZeros64(w)), x)
+		}
+	}
+}
+
+func (c *coalescer) find(x int32) int32 {
+	for c.parent[x] != x {
+		c.parent[x] = c.parent[c.parent[x]]
+		x = c.parent[x]
+	}
+	return x
+}
+
+// union is the greedy union round over all moves, in program order.
+func (c *coalescer) union(f *ir.Func) int {
+	c.parent = c.parent[:0]
+	for i := range c.vals {
+		c.parent = append(c.parent, int32(i))
+	}
+	c.drop = resize(c.drop, len(c.moves))
+	removed := 0
+	for i, m := range c.moves {
+		d, s := c.find(m[0]), c.find(m[1])
+		if d == s {
+			c.drop[i] = true
+			removed++
+			continue
+		}
+		if f.IsPhys(c.vals[d]) && f.IsPhys(c.vals[s]) {
+			continue
+		}
+		if has(c.row(int(d)), s) {
+			continue
+		}
+		// Merge s into d (or d into s if s is the physical one).
+		root, child := d, s
+		if f.IsPhys(c.vals[s]) {
+			root, child = s, d
+		}
+		c.parent[child] = root
+		// Everything adjacent to child is now adjacent to root.
+		c.interfere(root, c.row(int(child)))
+		c.drop[i] = true
+		removed++
+	}
+	return removed
+}
+
+// rewrite renames operands through the union-find and drops the
+// coalesced moves.
+func (c *coalescer) rewrite(f *ir.Func) {
+	leader := func(v ir.ValueID) ir.ValueID {
+		if x := c.idx[v]; x >= 0 {
+			return c.vals[c.find(x)]
+		}
+		return v
+	}
+	move := 0
+	for _, b := range f.Blocks() {
+		for i := 0; i < b.NumInstrs(); {
+			in := b.Instr(i)
+			if in.Op() == ir.Copy {
+				move++
+				if c.drop[move-1] {
+					b.RemoveAt(i)
+					continue
+				}
+			}
+			for j := 0; j < in.NumDefs(); j++ {
+				in.SetDefVal(j, leader(in.Def(j)))
+			}
+			for j := 0; j < in.NumUses(); j++ {
+				in.SetUseVal(j, leader(in.Use(j)))
+			}
+			i++
+		}
+	}
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+func add(s []uint64, x int32)      { s[x>>6] |= 1 << (x & 63) }
+func del(s []uint64, x int32)      { s[x>>6] &^= 1 << (x & 63) }
+func has(s []uint64, x int32) bool { return s[x>>6]&(1<<(x&63)) != 0 }

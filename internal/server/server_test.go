@@ -604,28 +604,47 @@ func TestIllegalInputRejectedAtBoundary(t *testing.T) {
 // the only queue slot taken, a request for cached content is answered
 // from the handler — no decode, no snapshot, no shed.
 func TestCacheHitSkipsQueue(t *testing.T) {
-	s, hs, reg := startServer(t, Config{Workers: 1, QueueDepth: 1, AllowDebug: true})
+	s, hs, reg := startServer(t, Config{Workers: 1, QueueDepth: 1, AllowDebug: true, MaxDeadline: time.Minute})
 	if rep := postCompile(t, hs.URL, compileRequest{LAI: srcSimple}); rep.status != http.StatusOK {
 		t.Fatalf("first compile: status %d (%s)", rep.status, rep.errK)
 	}
-	// Two slow debug requests: one holds the worker, the other the
-	// queue slot. Their deadlines end both soon after the check.
+	// Two slow debug requests, sent one after the other: the first holds
+	// the worker, the second the queue slot. Each pass of the first
+	// sleeps 1.5 s, and its deadline is 30 s, so it holds the worker well
+	// past both 5 s polls; both clients are cancelled after the check.
+	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	for i := 0; i < 2; i++ {
+	defer cancel()
+	slow := func() {
+		buf, err := json.Marshal(compileRequest{LAI: srcSimple, DeadlineMS: 30000,
+			Debug: &debugRequest{SleepMS: 1500}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/compile", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			postCompile(t, hs.URL, compileRequest{LAI: srcSimple, DeadlineMS: 1000,
-				Debug: &debugRequest{SleepMS: 100}})
+			if hr, err := http.DefaultClient.Do(req); err == nil {
+				hr.Body.Close()
+			}
 		}()
 	}
-	for wait := time.Now().Add(5 * time.Second); len(s.queue) < 1 || s.inflight.Value() < 1; {
-		if time.Now().After(wait) {
-			t.Fatal("the slow requests never filled the worker and the queue")
+	waitFor := func(what string, cond func() bool) {
+		for wait := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(wait) {
+				t.Fatal(what)
+			}
 		}
-		time.Sleep(time.Millisecond)
 	}
+	slow()
+	waitFor("the first slow request never took the worker", func() bool { return s.inflight.Value() == 1 })
+	slow()
+	waitFor("the second slow request never took the queue slot", func() bool { return len(s.queue) == 1 })
 	// Let the running request take its entry snapshots and reach its
 	// first sleep.
 	time.Sleep(50 * time.Millisecond)
