@@ -1,6 +1,8 @@
 package cfg_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"outofssa/internal/cfg"
@@ -153,6 +155,102 @@ func TestLoopDepth(t *testing.T) {
 		b := blockByName(f, name)
 		if b.LoopDepth != d {
 			t.Errorf("depth(%s) = %d, want %d", name, b.LoopDepth, d)
+		}
+	}
+}
+
+// refLoopDepth is the definition SetLoopDepth implements, one natural
+// loop at a time: a block's depth is the number of distinct headers of
+// the back edges whose natural loop contains it.
+func refLoopDepth(f *ir.Func) map[ir.BlockID]int {
+	dom := cfg.Dominators(f)
+	reach := make(map[ir.BlockID]bool)
+	for _, b := range cfg.Postorder(f) {
+		reach[b.ID] = true
+	}
+	headers := make(map[ir.BlockID]map[ir.BlockID]bool)
+	for _, b := range cfg.Postorder(f) {
+		for _, sid := range b.Succs() {
+			h := f.Block(sid)
+			if !dom.Dominates(h, b) {
+				continue
+			}
+			loop := map[ir.BlockID]bool{h.ID: true}
+			stack := []ir.BlockID{}
+			if !loop[b.ID] {
+				loop[b.ID] = true
+				stack = append(stack, b.ID)
+			}
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, p := range f.Block(x).Preds() {
+					if reach[p] && !loop[p] {
+						loop[p] = true
+						stack = append(stack, p)
+					}
+				}
+			}
+			for id := range loop {
+				if headers[id] == nil {
+					headers[id] = make(map[ir.BlockID]bool)
+				}
+				headers[id][h.ID] = true
+			}
+		}
+	}
+	depth := make(map[ir.BlockID]int)
+	for _, b := range f.Blocks() {
+		depth[b.ID] = len(headers[b.ID])
+	}
+	return depth
+}
+
+// randomCFG builds a function over n blocks with random edges:
+// irreducible loops, self-loops, parallel edges and unreachable blocks
+// included. Only the block graph is meaningful.
+func randomCFG(seed int64, n int) *ir.Func {
+	rng := rand.New(rand.NewSource(seed))
+	bld := ir.NewBuilder(fmt.Sprintf("cfg%d", seed))
+	blocks := make([]*ir.Block, n)
+	for i := range blocks {
+		blocks[i] = bld.Block(fmt.Sprintf("b%d", i))
+	}
+	preds := make([][]ir.BlockID, n)
+	for i, b := range blocks {
+		var succs []ir.BlockID
+		for k := rng.Intn(3); k > 0; k-- {
+			s := blocks[rng.Intn(n)]
+			succs = append(succs, s.ID)
+			preds[s.ID] = append(preds[s.ID], b.ID)
+		}
+		blocks[i].SetSuccs(succs)
+	}
+	for i, b := range blocks {
+		b.SetPreds(preds[i])
+	}
+	return bld.Fn
+}
+
+// TestSetLoopDepthMatchesReference holds SetLoopDepth, over the
+// memoizable dominator tree, to the per-back-edge definition on random
+// block graphs and random programs.
+func TestSetLoopDepthMatchesReference(t *testing.T) {
+	var funcs []*ir.Func
+	for seed := int64(0); seed < 300; seed++ {
+		funcs = append(funcs, randomCFG(seed, 2+int(seed%12)))
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		funcs = append(funcs, testprog.Rand(seed, testprog.DefaultRandOptions()))
+	}
+	funcs = append(funcs, testprog.NestedLoops())
+	for _, f := range funcs {
+		want := refLoopDepth(f)
+		cfg.SetLoopDepth(f, cfg.Dominators(f))
+		for _, b := range f.Blocks() {
+			if b.LoopDepth != want[b.ID] {
+				t.Fatalf("%s: depth(%v) = %d, want %d", f.Name, b, b.LoopDepth, want[b.ID])
+			}
 		}
 	}
 }

@@ -3,67 +3,55 @@ package cfg
 import "outofssa/internal/ir"
 
 // ComputeLoopDepth computes the loop nesting depth of every block and
-// stores it in Block.LoopDepth. Loops are identified by back edges
-// (edges whose target dominates their source); the natural loop of a back
-// edge t->h is h plus every block that reaches t without passing through
-// h. Depth is the number of distinct loop headers whose natural loop
-// contains the block.
+// stores it in Block.LoopDepth: SetLoopDepth over a freshly computed
+// dominator tree. Passes that hold a memoized tree call SetLoopDepth.
+func ComputeLoopDepth(f *ir.Func) { SetLoopDepth(f, Dominators(f)) }
+
+// SetLoopDepth computes the loop nesting depth of every block from t,
+// the current dominator tree of f, and stores it in Block.LoopDepth.
+// Loops are identified by back edges (edges whose target dominates
+// their source); the natural loop of a back edge t->h is h plus every
+// block that reaches t without passing through h. Depth is the number
+// of distinct loop headers whose natural loop contains the block.
 //
 // The paper uses depth both for the inner-to-outer traversal of
 // Program_pinning and for the 5^depth move weights of Table 5.
-func ComputeLoopDepth(f *ir.Func) {
-	t := Dominators(f)
-	depth := make([]int, f.NumBlocks())
-
-	reach := reachable(f)
-	// Collect back edges in deterministic order.
-	type backEdge struct{ tail, head *ir.Block }
-	var backs []backEdge
-	for _, b := range reversePostorder(f) {
-		for _, sid := range b.Succs() {
-			s := f.Block(sid)
-			if t.Dominates(s, b) {
-				backs = append(backs, backEdge{b, s})
+func SetLoopDepth(f *ir.Func, t *DomTree) {
+	// seen[id] is one more than the ID of the last header whose loop
+	// reached block id, so each header's back edges share one marking
+	// and a block counts each header once.
+	seen := make([]int32, f.NumBlocks())
+	depth := make([]int32, f.NumBlocks())
+	var stack []ir.BlockID
+	for _, h := range f.Blocks() {
+		mark := int32(h.ID) + 1
+		for _, tail := range h.Preds() {
+			if !t.Dominates(h, f.Block(tail)) {
+				continue // not a back edge (or an unreachable tail)
 			}
-		}
-	}
-
-	// Natural loop of each back edge; a block's depth counts the distinct
-	// headers of loops containing it.
-	headersOf := make([]map[ir.BlockID]bool, f.NumBlocks())
-	for _, be := range backs {
-		inLoop := make([]bool, f.NumBlocks())
-		inLoop[be.head.ID] = true
-		stack := []*ir.Block{}
-		if !inLoop[be.tail.ID] {
-			inLoop[be.tail.ID] = true
-			stack = append(stack, be.tail)
-		}
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, p := range b.Preds() {
-				if reach[p] && !inLoop[p] {
-					inLoop[p] = true
-					stack = append(stack, f.Block(p))
+			if seen[h.ID] != mark {
+				seen[h.ID] = mark
+				depth[h.ID]++
+			}
+			stack = append(stack[:0], tail)
+			for len(stack) > 0 {
+				b := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if seen[b] == mark {
+					continue
+				}
+				seen[b] = mark
+				depth[b]++
+				for _, p := range f.Block(b).Preds() {
+					if seen[p] != mark && t.PreNum(f.Block(p)) >= 0 {
+						stack = append(stack, p)
+					}
 				}
 			}
 		}
-		for id, in := range inLoop {
-			if !in {
-				continue
-			}
-			if headersOf[id] == nil {
-				headersOf[id] = make(map[ir.BlockID]bool)
-			}
-			headersOf[id][be.head.ID] = true
-		}
-	}
-	for id := range depth {
-		depth[id] = len(headersOf[id])
 	}
 	for _, b := range f.Blocks() {
-		b.LoopDepth = depth[b.ID]
+		b.LoopDepth = int(depth[b.ID])
 	}
 }
 

@@ -84,7 +84,7 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 	// the liveness this phase reasons about identical to the liveness the
 	// translator will see.
 	cfg.SplitCriticalEdges(f)
-	cfg.ComputeLoopDepth(f)
+	cfg.SetLoopDepth(f, analysis.Dominators(f))
 
 	res, err := pin.NewResources(f)
 	if err != nil {

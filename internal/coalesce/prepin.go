@@ -47,7 +47,7 @@ func (s *PrePinStats) AppendCounters(dst []obs.Counter) []obs.Counter {
 // so contended resources go to the most frequently executed sites.
 func PrePinDefs(f *ir.Func, mode interference.Mode) (*PrePinStats, error) {
 	cfg.SplitCriticalEdges(f)
-	cfg.ComputeLoopDepth(f)
+	cfg.SetLoopDepth(f, analysis.Dominators(f))
 
 	res, err := pin.NewResources(f)
 	if err != nil {

@@ -671,3 +671,175 @@ func (g *ResourceGraph) interfereSweep(ma, mb []ir.ValueID) bool {
 	// Pinned-use clobbers across the merge.
 	return g.siteClobbers(ma, mb) || g.siteClobbers(mb, ma)
 }
+
+// ---------------------------------------------------------------------
+// Walk engine: the killed marks of every class at once, for Leung's
+// mark phase, which needs them all with the classes fixed. Instead of
+// asking a class's members about each other, it decides each kill
+// point against the values live there, as Boissinot et al. (CGO 2009)
+// decide interference from live sets instead of pairwise queries.
+
+// KilledAll returns the Resource_killed marks of every class of res:
+// the set of virtual values that IsKilled of a ResourceGraph over res
+// reports, computed from the current classes in one pass. A value is
+// marked when
+//
+//   - a non-φ definition of another member of its class executes while
+//     it is live, its own definition strictly dominating that one
+//     (Class 1);
+//   - a φ of its class is defined at the entry of a block it is live
+//     into, its definition strictly dominating the φ's block (Class 1),
+//     or it is live out of a predecessor whose φ argument is another
+//     value (Class 2; this includes the φ's own result, the lost-copy
+//     self-kill);
+//   - a use pinned to its resource executes while it is live across the
+//     instruction, it being neither the value read there nor a result
+//     of the instruction.
+//
+// Only blocks holding a def into a class with two or more virtual
+// members, or a pinned use into a class with a virtual member, are
+// walked; φs are answered with point queries over their class. The
+// analysis must be in mode Exact, the only mode whose marks it
+// computes, and KilledAll allocates none of its live-after tables.
+func (an *Analysis) KilledAll(res *pin.Resources) *bitset.Set {
+	if an.mode != Exact {
+		panic("interference: KilledAll needs an Exact analysis, not " + an.mode.String())
+	}
+	f := an.fn
+	killed := bitset.New(f.NumValues())
+	for _, b := range f.Blocks() {
+		an.phiKills(b, res, killed)
+		if an.hasKillPoint(b, res) {
+			an.walkKills(b, res, killed)
+		}
+	}
+	return killed
+}
+
+// virtualMembers returns v's class and the number of its virtual
+// members. A class holds at most one physical register, its root.
+func virtualMembers(f *ir.Func, res *pin.Resources, v ir.ValueID) ([]ir.ValueID, int) {
+	root := res.Find(v)
+	members := res.Members(root)
+	if f.IsPhys(root) {
+		return members, len(members) - 1
+	}
+	return members, len(members)
+}
+
+// hasKillPoint reports whether some non-φ instruction of b can kill a
+// value: a virtual def into a class with another virtual member, or a
+// use pinned to a class with a virtual member.
+func (an *Analysis) hasKillPoint(b *ir.Block, res *pin.Resources) bool {
+	f := an.fn
+	for _, in := range b.Instrs() {
+		if in.Op() == ir.Phi {
+			continue
+		}
+		for _, d := range in.Defs() {
+			if f.IsPhys(d.Val) {
+				continue
+			}
+			if _, n := virtualMembers(f, res, d.Val); n >= 2 {
+				return true
+			}
+		}
+		for _, u := range in.Uses() {
+			if !u.Pinned() {
+				continue
+			}
+			if _, n := virtualMembers(f, res, u.Pin()); n >= 1 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// walkKills walks b backward from its exit-live set and marks, at each
+// non-φ instruction, the values its definitions and pinned uses kill.
+func (an *Analysis) walkKills(b *ir.Block, res *pin.Resources, killed *bitset.Set) {
+	f := an.fn
+	cur := an.laPool.Get(f.NumValues())
+	cur.CopyFrom(an.live.ExitLiveSet(b))
+	for i := b.NumInstrs() - 1; i >= 0; i-- {
+		in := b.Instr(i)
+		if in.Op() == ir.Phi {
+			break
+		}
+		// cur is the live-after set of in. Strict dominance leaves out
+		// in's own results.
+		for _, d := range in.Defs() {
+			if f.IsPhys(d.Val) {
+				continue
+			}
+			members, n := virtualMembers(f, res, d.Val)
+			if n < 2 {
+				continue
+			}
+			for _, x := range members {
+				if f.IsPhys(x) || killed.Has(int(x)) || !cur.Has(int(x)) {
+					continue
+				}
+				if dx := an.defs[x]; dx != nil && an.instrDominates(dx, in, an.defIdx[x], i) {
+					killed.Add(int(x))
+				}
+			}
+		}
+		for _, u := range in.Uses() {
+			if !u.Pinned() {
+				continue
+			}
+			members, _ := virtualMembers(f, res, u.Pin())
+			for _, m := range members {
+				if f.IsPhys(m) || m == u.Val || killed.Has(int(m)) || !cur.Has(int(m)) || in.HasDef(m) {
+					continue
+				}
+				killed.Add(int(m))
+			}
+		}
+		for _, d := range in.Defs() {
+			cur.Remove(int(d.Val))
+		}
+		for _, u := range in.Uses() {
+			cur.Add(int(u.Val))
+		}
+	}
+	an.laPool.Put(cur)
+}
+
+// phiKills marks the values the φs of b kill, with point queries over
+// each φ's class: Class 1 by live-in to b, Class 2 by live-out of each
+// predecessor.
+func (an *Analysis) phiKills(b *ir.Block, res *pin.Resources, killed *bitset.Set) {
+	f := an.fn
+	for _, phi := range b.Phis() {
+		v := phi.Def(0)
+		if f.IsPhys(v) {
+			continue
+		}
+		members, n := virtualMembers(f, res, v)
+		if n >= 2 {
+			for _, x := range members {
+				if x == v || f.IsPhys(x) || killed.Has(int(x)) {
+					continue
+				}
+				dx := an.defs[x]
+				if dx != nil && an.instrDominates(dx, phi, an.defIdx[x], an.defIdx[v]) && an.live.LiveIn(x, b) {
+					killed.Add(int(x))
+				}
+			}
+		}
+		for i, u := range phi.Uses() {
+			pred := b.Pred(i)
+			for _, x := range members {
+				if f.IsPhys(x) || x == u.Val || killed.Has(int(x)) {
+					continue
+				}
+				if an.live.LiveOut(x, pred) {
+					killed.Add(int(x))
+				}
+			}
+		}
+	}
+}

@@ -110,7 +110,8 @@ type Analysis struct {
 	// Sparse snapshots replace the old per-def dense bitsets: queries are
 	// a binary search, construction is amortized over the block, and the
 	// footprint is the live-set size rather than O(|V|) words per def.
-	// laSnap is indexed by InstrID.
+	// laSnap is indexed by InstrID. Both tables are allocated by the
+	// first query that needs them; KilledAll never does.
 	laSnap  [][]int32
 	laBuilt []bool // block ID -> snapshots built
 	laPool  bitset.Pool
@@ -143,8 +144,6 @@ func New(f *ir.Func, live *liveness.Info, dom *cfg.DomTree, mode Mode) *Analysis
 		mode:     mode,
 		defs:     make([]*ir.Instr, f.NumValues()),
 		defIdx:   make([]int, f.NumValues()),
-		laSnap:   make([][]int32, f.NumInstrSlots()),
-		laBuilt:  make([]bool, f.NumBlocks()),
 		liveBase: live.QueryStats(),
 	}
 	for _, b := range f.Blocks() {
@@ -191,6 +190,10 @@ func (a *Analysis) liveAfterHas(def *ir.Instr, id ir.ValueID) bool {
 		return a.live.LiveIn(id, def.Block())
 	}
 	b := def.Block()
+	if a.laBuilt == nil {
+		a.laSnap = make([][]int32, a.fn.NumInstrSlots())
+		a.laBuilt = make([]bool, a.fn.NumBlocks())
+	}
 	if !a.laBuilt[b.ID] {
 		a.c.LiveAfterMisses++
 		a.buildBlockLiveAfter(b)

@@ -281,63 +281,65 @@ func (f *Func) Release() {
 // ArenaChecksum returns an FNV-1a hash over the function's entire
 // arena content: value metadata, operand slab, code slab, block spans
 // and edge lists, and per-instruction fields. Two Funcs that are deep
-// copies of each other hash identically; any single-byte divergence —
-// in particular a copy-on-write aliasing bug where a write through one
-// Func becomes visible through another — changes the sum. It is
-// ProbeCOWIsolation's witness.
+// copies of each other hash identically. It is ProbeCOWIsolation's
+// witness.
+//
+// The hash steps over 64-bit words, not bytes: one word per operand
+// (value and pin packed), one per instruction field or span pair, one
+// per code slot and edge; strings alone are hashed bytewise. A step
+// h' = (h ^ w) * prime is a bijection of h for a fixed word and of w
+// for a fixed h (XOR, then multiplication by an odd constant mod 2^64),
+// so two Funcs whose word streams differ in any single word — in
+// particular after a copy-on-write aliasing bug lets a write through
+// one Func become visible through another — hash differently.
 func (f *Func) ArenaChecksum() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	w := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	ws := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		w(uint64(len(s)))
-	}
-	ws(f.Name)
+	h := fnvWords(14695981039346656037)
+	h.str(f.Name)
 	for i := range f.vals {
-		ws(f.vals[i].name)
-		w(uint64(f.vals[i].kind))
+		h.str(f.vals[i].name)
+		h.word(uint64(f.vals[i].kind))
 	}
 	for _, o := range f.ops {
-		w(uint64(uint32(o.Val)))
-		w(uint64(uint32(o.pin)))
+		h.word(uint64(uint32(o.Val)) | uint64(uint32(o.pin))<<32)
 	}
 	for id := int32(0); id < f.numInstrs; id++ {
 		in := &f.instrChunks[id>>instrChunkShift][id&instrChunkMask]
-		w(uint64(in.op))
-		w(uint64(in.Imm))
-		ws(in.Callee)
-		w(uint64(uint32(in.blk)))
-		w(uint64(uint32(in.defOff))<<32 | uint64(uint32(in.defLen)))
-		w(uint64(uint32(in.useOff))<<32 | uint64(uint32(in.useLen)))
+		h.word(uint64(in.op))
+		h.word(uint64(in.Imm))
+		h.str(in.Callee)
+		h.word(uint64(uint32(in.blk)))
+		h.word(uint64(uint32(in.defOff))<<32 | uint64(uint32(in.defLen)))
+		h.word(uint64(uint32(in.useOff))<<32 | uint64(uint32(in.useLen)))
 	}
 	for _, b := range f.blockList {
-		w(uint64(uint32(b.ID)))
-		ws(b.Name)
-		w(uint64(b.LoopDepth))
-		for i := int32(0); i < b.codeLen; i++ {
-			w(uint64(uint32(f.code[b.codeOff+i])))
+		h.word(uint64(uint32(b.ID)))
+		h.str(b.Name)
+		h.word(uint64(b.LoopDepth))
+		for _, id := range f.code[b.codeOff : b.codeOff+b.codeLen] {
+			h.word(uint64(uint32(id)))
 		}
 		for _, p := range b.preds {
-			w(uint64(uint32(p)))
+			h.word(uint64(uint32(p)))
 		}
 		for _, s := range b.succs {
-			w(uint64(uint32(s)))
+			h.word(uint64(uint32(s)))
 		}
 	}
-	return h
+	return uint64(h)
+}
+
+// fnvWords is ArenaChecksum's FNV-1a state.
+type fnvWords uint64
+
+// word folds one 64-bit word into the hash.
+func (h *fnvWords) word(v uint64) { *h = (*h ^ fnvWords(v)) * 1099511628211 }
+
+// str folds s in bytewise, then its length.
+func (h *fnvWords) str(s string) {
+	for i := 0; i < len(s); i++ {
+		h.word(uint64(s[i]))
+	}
+	h.word(uint64(len(s)))
 }
 
 // ProbeCOWIsolation is checked mode's self-check of the copy-on-write

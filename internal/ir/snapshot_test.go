@@ -2,8 +2,10 @@ package ir
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // buildSnapshotFixture assembles a branchy function (so the edge lists
@@ -228,6 +230,71 @@ func TestSnapshotAllocsBelowClone(t *testing.T) {
 	}
 	if budget := f.snapshotSlabCount(); snapAllocs > budget {
 		t.Errorf("Snapshot made %d allocations, budget is %d", snapAllocs, budget)
+	}
+}
+
+// TestSnapshotBytesBounded pins Snapshot's up-front bytes to what the
+// function holds. A snapshot copies whole arena chunks, so it may
+// allocate the function's instruction and block entries rounded up to
+// whole chunks of at most 64 instructions and 8 blocks, plus an eighth
+// for the rounding of each chunk to its allocation size class and 1 KB
+// for the Func header, the chunk-pointer slices and the block list. A
+// 10-instruction function must not pay for hundreds of empty entries.
+func TestSnapshotBytesBounded(t *testing.T) {
+	const maxInstrChunk, maxBlockChunk = 64, 8
+	roundUp := func(n, chunk int) int { return (n + chunk - 1) / chunk * chunk }
+	for _, n := range []int{10, 92, 600} {
+		f := buildSnapshotFixture(n - 8) // the fixture adds 8 instructions around its chain
+		if got := f.NumInstrSlots(); got != n {
+			t.Fatalf("fixture holds %d instructions, want %d", got, n)
+		}
+		f.Freeze()
+		entries := roundUp(n, maxInstrChunk)*int(unsafe.Sizeof(Instr{})) +
+			roundUp(f.NumBlocks(), maxBlockChunk)*int(unsafe.Sizeof(Block{}))
+		bound := entries + entries/8 + 1024
+		if got := snapshotBytes(f); got > bound {
+			t.Errorf("%d instructions, %d blocks: Snapshot allocates %d bytes, bound %d", n, f.NumBlocks(), got, bound)
+		}
+	}
+}
+
+// snapshotBytes returns the bytes one Snapshot of frozen f allocates,
+// averaged over a few runs.
+func snapshotBytes(f *Func) int {
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f.Snapshot().Release()
+	}
+	runtime.ReadMemStats(&after)
+	return int((after.TotalAlloc - before.TotalAlloc) / runs)
+}
+
+// BenchmarkArenaChecksum times the COW probe's witness on a
+// 600-instruction function.
+func BenchmarkArenaChecksum(b *testing.B) {
+	f := buildSnapshotFixture(592)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkSum = f.ArenaChecksum()
+	}
+}
+
+var sinkSum uint64
+
+// BenchmarkProbeCOWIsolation times checked mode's whole COW self-check
+// (two snapshots, mutations on both sides, five checksums) on a
+// 92-instruction function, the suites' average size.
+func BenchmarkProbeCOWIsolation(b *testing.B) {
+	f := buildSnapshotFixture(84)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.ProbeCOWIsolation(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"outofssa/internal/analysis"
+	"outofssa/internal/bitset"
 	"outofssa/internal/cfg"
 	"outofssa/internal/interference"
 	"outofssa/internal/ir"
@@ -57,6 +58,12 @@ func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
 	return s.Interference.AppendCounters(dst)
 }
 
+// killMarks, when set, replaces the mark phase's walk
+// (interference.Analysis.KilledAll). Only the package's tests set it
+// (export_test.go), to the ResourceGraph's marks that the walk must
+// match.
+var killMarks func(an *interference.Analysis, res *pin.Resources) *bitset.Set
+
 // Translate converts the pinned SSA function f out of SSA form in place.
 // Definition pins become the variables' home resources; use pins are
 // enforced with copies; killed variables are repaired. The result
@@ -76,17 +83,15 @@ func Translate(f *ir.Func) (*Stats, error) {
 	live := analysis.Liveness(f)
 	dom := analysis.Dominators(f)
 	an := interference.New(f, live, dom, interference.Exact)
-	rg := interference.NewResourceGraph(an, res)
 
 	// ---- Mark phase: which variables are killed within their resource?
-	killed := make(map[ir.ValueID]bool)
-	numVals := f.NumValues()
-	for id := 0; id < numVals; id++ {
-		v := ir.ValueID(id)
-		if !f.IsPhys(v) && rg.IsKilled(v) {
-			killed[v] = true
-		}
+	var killed *bitset.Set
+	if killMarks != nil {
+		killed = killMarks(an, res)
+	} else {
+		killed = an.KilledAll(res)
 	}
+	numVals := f.NumValues()
 
 	// Only killed variables with at least one use need a repair variable.
 	used := make(map[ir.ValueID]bool)
@@ -100,12 +105,12 @@ func Translate(f *ir.Func) (*Stats, error) {
 	repair := make(map[ir.ValueID]ir.ValueID) // permanent: killed var -> repair var
 	for id := 0; id < numVals; id++ {
 		v := ir.ValueID(id)
-		if killed[v] && used[v] {
+		if killed.Has(id) && used[v] {
 			repair[v] = f.NewValue(f.ValueName(v) + "'")
 		}
 	}
 	st.Repairs = len(repair)
-	st.Killed = len(killed)
+	st.Killed = killed.Len()
 
 	home := func(v ir.ValueID) ir.ValueID { return res.Find(v) }
 	// src yields the location holding v's value at any point dominated by

@@ -1,12 +1,15 @@
 package leung_test
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"outofssa/internal/ir"
 	"outofssa/internal/outofssa/leung"
 	"outofssa/internal/pin"
 	"outofssa/internal/ssa"
+	"outofssa/internal/stats"
 	"outofssa/internal/testprog"
 )
 
@@ -266,5 +269,29 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if f.CountMoves() != 2 {
 		t.Fatalf("move count = %d, want 2", f.CountMoves())
+	}
+}
+
+// TestTablesUnderKillOracle renders Tables 2–5 with every mark phase
+// asking a ResourceGraph instead of walking (SetKillOracle) and
+// requires the committed rendering byte for byte. It must not run in
+// parallel with other tests of the package.
+func TestTablesUnderKillOracle(t *testing.T) {
+	want, err := os.ReadFile("../../stats/testdata/tables_2_5.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leung.SetKillOracle(true)()
+	ts, err := stats.AllTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, tb := range ts {
+		b.WriteString(tb.String())
+		b.WriteString("\n")
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("tables under the kill-mark oracle differ from stats/testdata/tables_2_5.txt\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -32,9 +32,12 @@ func fuzzOptions(size int64) testprog.RandOptions {
 // every experiment configuration in checked mode and differentially
 // compares observable behaviour (ir.Exec) before and after: the
 // pipeline as its own oracle. Any verifier violation, pass panic, or
-// semantic divergence on any configuration is a finding. Then every
-// configuration runs once more, all as the columns of one shared-prefix
-// Plan, and each column's moves and printed IR must equal its flat run.
+// semantic divergence on any configuration is a finding, and so is a
+// killed mark of Leung's mark phase that differs from the
+// ResourceGraph's (checked at the pass through the fault hook). Then
+// every configuration runs once more, all as the columns of one
+// shared-prefix Plan, and each column's moves and printed IR must
+// equal its flat run.
 //
 // Run locally with:
 //
@@ -78,9 +81,18 @@ func FuzzPipelineDifferential(f *testing.F) {
 			conf := pipeline.Configs[name]
 			conf.Verify = true
 			cols[ci] = pipeline.Column{Config: conf, Experiment: name}
+			var mismatch string
+			conf.FaultHook = atLeungPoint(func(f *ir.Func) {
+				if m, _ := killMarksMismatch(f); mismatch == "" {
+					mismatch = m
+				}
+			})
 			res, err := pipeline.Run(g, conf)
 			if err != nil {
 				t.Fatalf("seed=%d size=%d config=%s: %v", seed, size, name, err)
+			}
+			if mismatch != "" {
+				t.Fatalf("seed=%d size=%d config=%s: %s", seed, size, name, mismatch)
 			}
 			flatMoves[ci], flatIR[ci] = res.Moves, g.String()
 			for _, b := range g.Blocks() {

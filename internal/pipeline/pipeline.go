@@ -294,7 +294,7 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 // pressure on the final code, answered by the (cached) query liveness
 // engine; otherwise it returns 0.
 func finish(f *ir.Func, r *Result, metered bool) int64 {
-	cfg.ComputeLoopDepth(f)
+	cfg.SetLoopDepth(f, analysis.Dominators(f))
 	r.Moves = f.CountMoves()
 	r.WeightedMoves = f.WeightedMoves()
 	r.Instrs = f.NumInstrs()

@@ -357,11 +357,19 @@ func (c *coalescer) rewrite(f *ir.Func) {
 					continue
 				}
 			}
+			// Only operands whose class merged change; writing the rest
+			// would only cost a COW check and a generation bump each.
 			for j := 0; j < in.NumDefs(); j++ {
-				in.SetDefVal(j, leader(in.Def(j)))
+				v := in.Def(j)
+				if l := leader(v); l != v {
+					in.SetDefVal(j, l)
+				}
 			}
 			for j := 0; j < in.NumUses(); j++ {
-				in.SetUseVal(j, leader(in.Use(j)))
+				v := in.Use(j)
+				if l := leader(v); l != v {
+					in.SetUseVal(j, l)
+				}
 			}
 			i++
 		}

@@ -615,7 +615,7 @@ func (s *Server) runTask(t *task) {
 		exp = s.conf.Experiment + "/naive"
 	}
 	if t.debug != nil {
-		conf.FaultHook = debugHook(t.debug)
+		conf.FaultHook = debugHook(t.ctx, t.debug)
 	}
 	res, err := pipeline.Run(t.f, conf,
 		pipeline.WithExperiment(exp),
@@ -719,10 +719,18 @@ func execBudget(d time.Duration) int {
 }
 
 // debugHook turns the request debug block into a pipeline fault hook.
-func debugHook(d *debugRequest) func(string, *ir.Func) {
+// A sleep ends early when ctx does, so a request whose client has gone
+// or whose deadline has passed frees its worker at once: the pipeline
+// then stops at the pass boundary that follows the hook.
+func debugHook(ctx context.Context, d *debugRequest) func(string, *ir.Func) {
 	return func(pass string, f *ir.Func) {
 		if d.SleepMS > 0 {
-			time.Sleep(time.Duration(d.SleepMS) * time.Millisecond)
+			t := time.NewTimer(time.Duration(d.SleepMS) * time.Millisecond)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+			}
 		}
 		if d.PanicPass != "" && pass == d.PanicPass {
 			panic("debug: injected panic after " + pass)

@@ -663,6 +663,48 @@ func TestCacheHitSkipsQueue(t *testing.T) {
 	}
 }
 
+// TestCancelledDebugSleepFreesWorker: a debug sleep ends with its
+// request. Once the client of a request that sleeps 1.5 s after every
+// pass goes away, its worker is free within 300 ms, not at the end of
+// the sleep.
+func TestCancelledDebugSleepFreesWorker(t *testing.T) {
+	s, hs, _ := startServer(t, Config{Workers: 1, AllowDebug: true, MaxDeadline: time.Minute})
+	buf, err := json.Marshal(compileRequest{LAI: srcSimple, DeadlineMS: 30000,
+		Debug: &debugRequest{SleepMS: 1500}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/compile", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if hr, err := http.DefaultClient.Do(req); err == nil {
+			hr.Body.Close()
+		}
+	}()
+	defer func() { <-done }()
+	for wait := time.Now().Add(5 * time.Second); s.inflight.Value() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatal("the debug request never took the worker")
+		}
+	}
+	// Let it reach its first sleep, then hang up.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	start := time.Now()
+	for s.inflight.Value() != 0 {
+		if d := time.Since(start); d > 300*time.Millisecond {
+			t.Fatalf("the worker was still busy %v after the client went away", d)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestDrainRejectsNewWork(t *testing.T) {
 	conf := Config{Metrics: metrics.New()}
 	s, err := New(conf)
