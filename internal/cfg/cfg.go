@@ -163,42 +163,69 @@ func (t *DomTree) StrictlyDominates(a, b *ir.Block) bool {
 
 // DominanceFrontiers computes DF(b) for every block using the
 // Cooper–Harvey–Kennedy per-join formulation. The inner slices are
-// deduplicated and ordered by block ID.
+// deduplicated and ordered by block ID (the joins are visited in ID
+// order), nil for an empty frontier. They are capacity-capped
+// sub-slices of one backing array, filled by a counting pass and a
+// storing pass over the same walks.
 func DominanceFrontiers(f *ir.Func, t *DomTree) [][]*ir.Block {
-	df := make([][]*ir.Block, f.NumBlocks())
-	inDF := make([]map[ir.BlockID]bool, f.NumBlocks())
-	add := func(b, frontier *ir.Block) {
-		if inDF[b.ID] == nil {
-			inDF[b.ID] = make(map[ir.BlockID]bool)
-		}
-		if !inDF[b.ID][frontier.ID] {
-			inDF[b.ID][frontier.ID] = true
-			df[b.ID] = append(df[b.ID], frontier)
+	nb := f.NumBlocks()
+	tab := make([]int32, 2*nb+1)
+	pos, mark := tab[:nb+1], tab[nb+1:]
+	// Count block r's frontier into pos[r+1]; after the prefix sum pos[r]
+	// is where it starts, and the storing pass advances pos[r] to where
+	// it ends, which is where block r+1's starts.
+	total := frontierPairs(f, t, mark, pos[1:], nil)
+	for r := 1; r <= nb; r++ {
+		pos[r] += pos[r-1]
+	}
+	clear(mark)
+	out := make([]*ir.Block, total)
+	frontierPairs(f, t, mark, pos[:nb], out)
+	df := make([][]*ir.Block, nb)
+	start := int32(0)
+	for r, end := range pos[:nb] {
+		if end > start {
+			df[r] = out[start:end:end]
+			start = end
 		}
 	}
-	for _, b := range reversePostorder(f) {
+	return df
+}
+
+// frontierPairs walks, for every reachable join block b, each reachable
+// predecessor's dominator chain up to idom(b): b is in the frontier of
+// every block on the way. mark[r] holds 1 + the ID of the last join
+// entered into DF(r), since the walks from one join's predecessors can
+// meet. With out nil it counts DF(r) into cnt[r]; otherwise it stores
+// the join at out[cnt[r]] and advances cnt[r]. It returns the number of
+// (block, join) pairs.
+func frontierPairs(f *ir.Func, t *DomTree, mark, cnt []int32, out []*ir.Block) int {
+	n := 0
+	for id := range t.pre {
+		if t.pre[id] < 0 {
+			continue
+		}
+		b := f.Block(ir.BlockID(id))
 		if b.NumPreds() < 2 {
 			continue
 		}
+		stamp := int32(id) + 1
 		for _, pid := range b.Preds() {
 			if t.pre[pid] < 0 {
 				continue
 			}
 			for runner := f.Block(pid); runner != nil && runner != t.Idom[b.ID]; runner = t.Idom[runner.ID] {
-				add(runner, b)
+				if mark[runner.ID] == stamp {
+					continue
+				}
+				mark[runner.ID] = stamp
+				if out != nil {
+					out[cnt[runner.ID]] = b
+				}
+				cnt[runner.ID]++
+				n++
 			}
 		}
 	}
-	for _, l := range df {
-		sortBlocksByID(l)
-	}
-	return df
-}
-
-func sortBlocksByID(l []*ir.Block) {
-	for i := 1; i < len(l); i++ {
-		for j := i; j > 0 && l[j].ID < l[j-1].ID; j-- {
-			l[j], l[j-1] = l[j-1], l[j]
-		}
-	}
+	return n
 }

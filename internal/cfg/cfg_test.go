@@ -3,6 +3,7 @@ package cfg_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"outofssa/internal/cfg"
@@ -141,6 +142,53 @@ func TestDominanceFrontierLoop(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("DF(head) = %v, should contain head", df[head.ID])
+	}
+}
+
+// TestDominanceFrontiersMatchDefinition checks every frontier of random
+// block graphs and of random programs in both loop shapes against the
+// definition: Y is in DF(X) iff X dominates a predecessor of Y but does
+// not strictly dominate Y. The per-join formulation looks only at blocks
+// with two or more predecessors, which loses nothing except an entry
+// block whose one predecessor is a back edge; random block graphs have
+// those, so the definition skips them too. Each frontier lists its
+// blocks once, by ascending ID, and is capped, so an append to one
+// cannot write into the next.
+func TestDominanceFrontiersMatchDefinition(t *testing.T) {
+	var funcs []*ir.Func
+	for seed := int64(0); seed < 300; seed++ {
+		funcs = append(funcs, randomCFG(seed, 2+int(seed%12)))
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		opt := testprog.DefaultRandOptions()
+		opt.BottomTestedLoops = seed%2 == 1
+		funcs = append(funcs, testprog.Rand(seed, opt))
+	}
+	for _, f := range funcs {
+		dom := cfg.Dominators(f)
+		df := cfg.DominanceFrontiers(f, dom)
+		for _, x := range f.Blocks() {
+			var want []*ir.Block
+			for _, y := range f.Blocks() {
+				if y.NumPreds() < 2 || dom.StrictlyDominates(x, y) {
+					continue
+				}
+				for _, p := range y.Preds() {
+					if dom.Dominates(x, f.Block(p)) {
+						want = append(want, y)
+						break
+					}
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+			got := df[x.ID]
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: DF(%v) = %v, want %v", f.Name, x, got, want)
+			}
+			if len(got) > 0 && cap(got) != len(got) {
+				t.Fatalf("%s: DF(%v) has capacity %d beyond its %d blocks", f.Name, x, cap(got), len(got))
+			}
+		}
 	}
 }
 

@@ -8,10 +8,8 @@ import "outofssa/internal/ir"
 func RemoveUnreachable(f *ir.Func) int {
 	reach := reachable(f)
 	removed := 0
-	var kept []ir.BlockID
 	for _, b := range f.Blocks() {
 		if reach[b.ID] {
-			kept = append(kept, b.ID)
 			continue
 		}
 		removed++
@@ -34,6 +32,12 @@ func RemoveUnreachable(f *ir.Func) int {
 		}
 	}
 	if removed > 0 {
+		kept := make([]ir.BlockID, 0, len(f.Blocks())-removed)
+		for _, b := range f.Blocks() {
+			if reach[b.ID] {
+				kept = append(kept, b.ID)
+			}
+		}
 		f.SetBlockOrder(kept)
 	}
 	return removed

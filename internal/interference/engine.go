@@ -370,12 +370,12 @@ func (g *ResourceGraph) collectPoints(pts []*defPoint, members []ir.ValueID, sid
 		if an.fn.IsPhys(m) {
 			continue
 		}
-		def := an.defs[m]
+		def := an.Def(m)
 		if def == nil {
 			continue
 		}
 		b := def.Block()
-		idxKey := an.defIdx[m]
+		idxKey := an.defIndex(m)
 		if def.Op() == ir.Phi {
 			idxKey = -1
 		}
@@ -448,7 +448,7 @@ func (an *Analysis) killsAtPoint(p *defPoint, victim ir.ValueID) bool {
 		return an.live.LiveOut(victim, p.block)
 	default: // Pessimistic
 		return an.live.LiveIn(victim, p.block) ||
-			an.defs[victim].Block() == p.block
+			an.Def(victim).Block() == p.block
 	}
 }
 
@@ -493,7 +493,7 @@ func (g *ResourceGraph) killedSweep(members []ir.ValueID) {
 		if f.IsPhys(m) {
 			continue
 		}
-		def := an.defs[m]
+		def := an.Def(m)
 		if def == nil || def.Op() != ir.Phi {
 			continue
 		}
@@ -597,9 +597,9 @@ func (g *ResourceGraph) interfereSweep(ma, mb []ir.ValueID) bool {
 				continue
 			}
 			for _, x := range p.vals {
-				defX := an.defs[x]
+				defX := an.Def(x)
 				for _, y := range q.vals {
-					defY := an.defs[y]
+					defY := an.Def(y)
 					for i, u := range defX.Uses() {
 						j := defY.Block().PredIndex(defX.Block().Pred(i).ID)
 						if j >= 0 && u.Val != defY.Use(j) {
@@ -619,7 +619,7 @@ func (g *ResourceGraph) interfereSweep(ma, mb []ir.ValueID) bool {
 			if f.IsPhys(m) {
 				continue
 			}
-			def := an.defs[m]
+			def := an.Def(m)
 			if def == nil || def.Op() != ir.Phi {
 				continue
 			}
@@ -781,7 +781,7 @@ func (an *Analysis) walkKills(b *ir.Block, res *pin.Resources, killed *bitset.Se
 				if f.IsPhys(x) || killed.Has(int(x)) || !cur.Has(int(x)) {
 					continue
 				}
-				if dx := an.defs[x]; dx != nil && an.instrDominates(dx, in, an.defIdx[x], i) {
+				if dx := an.Def(x); dx != nil && an.instrDominates(dx, in, an.defIndex(x), i) {
 					killed.Add(int(x))
 				}
 			}
@@ -824,8 +824,8 @@ func (an *Analysis) phiKills(b *ir.Block, res *pin.Resources, killed *bitset.Set
 				if x == v || f.IsPhys(x) || killed.Has(int(x)) {
 					continue
 				}
-				dx := an.defs[x]
-				if dx != nil && an.instrDominates(dx, phi, an.defIdx[x], an.defIdx[v]) && an.live.LiveIn(x, b) {
+				dx := an.Def(x)
+				if dx != nil && an.instrDominates(dx, phi, an.defIndex(x), an.defIndex(v)) && an.live.LiveIn(x, b) {
 					killed.Add(int(x))
 				}
 			}

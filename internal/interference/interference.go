@@ -101,8 +101,9 @@ type Analysis struct {
 	dom  *cfg.DomTree
 	mode Mode
 
-	defs   []*ir.Instr // value ID -> unique SSA def
-	defIdx []int       // value ID -> index of def within its block
+	// defs[v] is where v's unique SSA def is: pointer-free, so the GC
+	// does not scan the table.
+	defs []defSite
 
 	// Live-after-definition sets, built lazily one block at a time: the
 	// first query into a block walks it backward once, snapshotting a
@@ -142,24 +143,40 @@ func New(f *ir.Func, live *liveness.Info, dom *cfg.DomTree, mode Mode) *Analysis
 		live:     live,
 		dom:      dom,
 		mode:     mode,
-		defs:     make([]*ir.Instr, f.NumValues()),
-		defIdx:   make([]int, f.NumValues()),
+		defs:     make([]defSite, f.NumValues()),
 		liveBase: live.QueryStats(),
+	}
+	for i := range a.defs {
+		a.defs[i].in = ir.NoInstr
 	}
 	for _, b := range f.Blocks() {
 		for idx, in := range b.Instrs() {
 			for _, d := range in.Defs() {
-				a.defs[d.Val] = in
-				a.defIdx[d.Val] = idx
+				a.defs[d.Val] = defSite{in: in.ID(), idx: int32(idx)}
 			}
 		}
 	}
 	return a
 }
 
+// defSite locates a definition: the instruction and its index in its
+// block.
+type defSite struct {
+	in  ir.InstrID
+	idx int32
+}
+
 // Def returns the unique SSA definition of v, or nil (e.g. physical
 // registers have none).
-func (a *Analysis) Def(v ir.ValueID) *ir.Instr { return a.defs[v] }
+func (a *Analysis) Def(v ir.ValueID) *ir.Instr {
+	if in := a.defs[v].in; in != ir.NoInstr {
+		return a.fn.Instr(in)
+	}
+	return nil
+}
+
+// defIndex returns the index of v's definition within its block.
+func (a *Analysis) defIndex(v ir.ValueID) int { return int(a.defs[v].idx) }
 
 // instrDominates reports whether definition x dominates definition y
 // strictly (x's value is available when y executes). φ definitions act at
@@ -267,10 +284,10 @@ func sparseHas(s []int32, id int) bool {
 //	        this is the lost-copy self-kill.
 func (an *Analysis) Kills(v, b ir.ValueID) bool {
 	an.c.KillQueries++
-	defV, defB := an.defs[v], an.defs[b]
+	defV, defB := an.Def(v), an.Def(b)
 	// Case 1.
 	if v != b && defV != nil && defB != nil &&
-		an.instrDominates(defB, defV, an.defIdx[b], an.defIdx[v]) {
+		an.instrDominates(defB, defV, an.defIndex(b), an.defIndex(v)) {
 		switch an.mode {
 		case Exact:
 			if an.liveAfterHas(defV, b) {
@@ -306,7 +323,13 @@ func (an *Analysis) StronglyInterfere(a, b ir.ValueID) bool {
 	if a == b {
 		return false
 	}
-	defA, defB := an.defs[a], an.defs[b]
+	return DefsStronglyInterfere(an.Def(a), an.Def(b))
+}
+
+// DefsStronglyInterfere decides Variable_stronglyInterfere for two
+// distinct values from their definitions alone (nil for a value without
+// one): Classes 3-4 read no liveness.
+func DefsStronglyInterfere(defA, defB *ir.Instr) bool {
 	if defA == nil || defB == nil {
 		return false
 	}
@@ -340,14 +363,14 @@ func (an *Analysis) Interfere(a, b ir.ValueID) bool {
 	if a == b {
 		return false
 	}
-	defA, defB := an.defs[a], an.defs[b]
+	defA, defB := an.Def(a), an.Def(b)
 	if defA == nil || defB == nil {
 		return false
 	}
-	if an.instrDominates(defA, defB, an.defIdx[a], an.defIdx[b]) {
+	if an.instrDominates(defA, defB, an.defIndex(a), an.defIndex(b)) {
 		return an.liveAfterHas(defB, a)
 	}
-	if an.instrDominates(defB, defA, an.defIdx[b], an.defIdx[a]) {
+	if an.instrDominates(defB, defA, an.defIndex(b), an.defIndex(a)) {
 		return an.liveAfterHas(defA, b)
 	}
 	// Same instruction or parallel φs: both values born together.

@@ -164,15 +164,6 @@ func (f *Func) VStr(v ValueID) string {
 	return f.vals[v].name
 }
 
-// operandString renders an operand as the printer does: "val" or
-// "val^pin".
-func (f *Func) operandString(o Operand) string {
-	if o.Pinned() {
-		return f.VStr(o.Val) + "^" + f.VStr(o.Pin())
-	}
-	return f.VStr(o.Val)
-}
-
 // ---- instructions ----
 
 // allocInstr reserves a fresh arena slot and returns its (zeroed,

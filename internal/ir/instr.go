@@ -1,7 +1,5 @@
 package ir
 
-import "strings"
-
 // Op is an instruction opcode. The set is a small ST120-flavoured subset:
 // enough arithmetic and memory traffic to write realistic DSP kernels,
 // plus the constrained instructions the paper's evaluation depends on
@@ -344,36 +342,6 @@ func (in *Instr) HasDef(v ValueID) bool {
 		}
 	}
 	return false
-}
-
-func (in *Instr) String() string {
-	var b strings.Builder
-	f := in.fn
-	b.WriteString(in.op.String())
-	sep := " "
-	for _, d := range in.Defs() {
-		b.WriteString(sep)
-		b.WriteString(f.operandString(d))
-		sep = ", "
-	}
-	if in.defLen > 0 && in.useLen > 0 {
-		b.WriteString(" =")
-		sep = " "
-	}
-	for _, u := range in.Uses() {
-		b.WriteString(sep)
-		b.WriteString(f.operandString(u))
-		sep = ", "
-	}
-	switch in.op {
-	case Const, Make, More, AutoAdd:
-		b.WriteString(sep)
-		b.WriteString(itoa64(in.Imm))
-	case Call:
-		b.WriteString(sep)
-		b.WriteString("@" + in.Callee)
-	}
-	return b.String()
 }
 
 func itoa64(v int64) string {

@@ -81,11 +81,10 @@ func (e *PanicError) Error() string {
 // runOpts carries the checked-mode switches into the pass runner.
 type runOpts struct {
 	// verify re-checks IR invariants after every pass and on entry.
-	// The entry state is checked at entryStage — whose zero value,
-	// verify.StageSSA, is correct for both the configured pipeline and
-	// the fallback (both start from a function in SSA form).
-	verify     bool
-	entryStage verify.Stage
+	// built says the run converted its own input with BuildSSA, so the
+	// entry check skips what BuildSSA's ssa.Verify checked
+	// (verifyInput).
+	verify, built bool
 	// faultHook, when non-nil, runs after each pass body and before
 	// verification — the seam the fault-injection tests corrupt the IR
 	// through.
@@ -131,9 +130,18 @@ func cowProbe(f *ir.Func, exp string) error {
 
 // verifyInput is checked mode's entry check: a function that fails it
 // is not legal input, so the failure is an *InputError for the
-// pseudo-pass "<input>".
-func verifyInput(f *ir.Func, exp string, stage verify.Stage) error {
-	if err := verify.Func(f, stage); err != nil {
+// pseudo-pass "<input>". The function is in SSA form. built says it
+// comes straight from BuildSSA, whose ssa.Verify already checked its
+// structure and SSA form; the check then skips those two and reports
+// what the full one would.
+func verifyInput(f *ir.Func, exp string, built bool) error {
+	var err error
+	if built {
+		err = verify.AfterSSAVerify(f)
+	} else {
+		err = verify.Func(f, verify.StageSSA)
+	}
+	if err != nil {
 		return &InputError{&PassError{Func: f.Name, Config: exp, Pass: "<input>",
 			Cause: err, Snapshot: obs.Snapshot(f)}}
 	}

@@ -10,6 +10,7 @@ import (
 	"outofssa/internal/lai"
 	"outofssa/internal/obs"
 	"outofssa/internal/pipeline"
+	"outofssa/internal/ssa"
 	"outofssa/internal/testprog"
 )
 
@@ -268,6 +269,23 @@ func TestInvalidInputSkipsFallback(t *testing.T) {
 	bld.Output(p)
 	if _, err := pipeline.Run(bld.Fn, conf); !errors.As(err, &invalid) {
 		t.Fatalf("entry φ: got %v, want an *InputError", err)
+	}
+}
+
+// TestDeclaredSSAGetsFullEntryCheck: only a run that converts its own
+// input skips the entry check's structure and SSA-form parts, which
+// BuildSSA just made. A function declared to be in SSA form
+// (WithSSAInfo) gets all of them: a pre-SSA loop, whose s has two
+// definitions, is an *InputError for "<input>".
+func TestDeclaredSSAGetsFullEntryCheck(t *testing.T) {
+	conf := pipeline.Configs[pipeline.ExpLphiABIC]
+	conf.Verify = true
+	_, err := pipeline.Run(testprog.Loop(), conf, pipeline.WithSSAInfo(ssa.EmptyInfo()))
+	var invalid *pipeline.InputError
+	var pe *pipeline.PassError
+	if !errors.As(err, &invalid) || !errors.As(err, &pe) || pe.Pass != "<input>" ||
+		!strings.Contains(err.Error(), "ssa: loop: s has two definitions") {
+		t.Fatalf("got %v, want an *InputError for pass <input> naming s's two definitions", err)
 	}
 }
 

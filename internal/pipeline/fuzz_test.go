@@ -11,8 +11,9 @@ import (
 
 // fuzzOptions derives generator knobs from the fuzzed size parameter,
 // clamped so every generated program stays interpretable within the
-// step budget. The mapping is deterministic: a crasher reproduces from
-// its two integers alone.
+// step budget, and picks the loop shape: bottom-tested loops have the
+// critical back edges where a φ can kill its own result. The mapping is
+// deterministic: a crasher reproduces from its two integers alone.
 func fuzzOptions(size int64) testprog.RandOptions {
 	if size < 0 {
 		size = -size
@@ -21,10 +22,11 @@ func fuzzOptions(size int64) testprog.RandOptions {
 		MaxDepth: 1 + int(size%3),
 		// The generator draws up to three parameters from the variable
 		// pool, so Vars must never go below 3.
-		Vars:          3 + int((size/3)%5),
-		StmtsPerBlock: 1 + int((size/18)%5),
-		Calls:         size%2 == 0,
-		Stack:         (size/2)%2 == 0,
+		Vars:              3 + int((size/3)%5),
+		StmtsPerBlock:     1 + int((size/18)%5),
+		Calls:             size%2 == 0,
+		Stack:             (size/2)%2 == 0,
+		BottomTestedLoops: (size/4)%2 == 1,
 	}
 }
 

@@ -61,9 +61,9 @@ func killMarksMismatch(f *ir.Func) (mismatch string, killed int) {
 }
 
 // TestKilledAllMatchesResourceGraph runs every preset over the 228
-// suite functions and 300 random programs and, at each out-of-pinned-
-// SSA pass, holds the walk's killed mark of every value to the
-// ResourceGraph's.
+// suite functions and 300 random programs, about half of them with
+// bottom-tested loops, and, at each out-of-pinned-SSA pass, holds the
+// walk's killed mark of every value to the ResourceGraph's.
 func TestKilledAllMatchesResourceGraph(t *testing.T) {
 	var funcs []*ir.Func
 	for _, build := range []func() *workload.Suite{

@@ -263,7 +263,7 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 	if reg != nil {
 		runCellsFor(reg, exp).runs.Inc()
 	}
-	opts := runOpts{verify: conf.Verify, faultHook: conf.FaultHook, metrics: reg,
+	opts := runOpts{verify: conf.Verify, built: !rc.inSSA, faultHook: conf.FaultHook, metrics: reg,
 		ctx: rc.ctx, execBudget: rc.execBudget}
 	if err := runPasses(f, info, r, exp, conf.passes(), tr, opts); err != nil {
 		var invalid *InputError
@@ -518,7 +518,7 @@ func (conf Config) passes() []pass {
 // Verifier time is charged to the pass it checks.
 func runPasses(f *ir.Func, info *ssa.Info, r *Result, exp string, ps []pass, tr obs.Tracer, opts runOpts) error {
 	if opts.verify && len(ps) > 0 {
-		if err := verifyInput(f, exp, opts.entryStage); err != nil {
+		if err := verifyInput(f, exp, opts.built); err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
 	"outofssa/internal/ssa"
-	"outofssa/internal/verify"
 )
 
 // Column is one table column: the configuration its cells run and the
@@ -147,7 +146,7 @@ func (rc *runConfig) runPlan(f *ir.Func, p *Plan) ([]*Result, error) {
 		w.maxLive = make([]int64, len(p.cols))
 	}
 	if checked {
-		err = verifyInput(f, first.Experiment, verify.StageSSA)
+		err = verifyInput(f, first.Experiment, !rc.inSSA)
 	}
 	if err == nil {
 		if w.tr != nil {

@@ -7,16 +7,23 @@ import (
 	"outofssa/internal/ir"
 )
 
-// Verify checks SSA invariants on f:
+// Verify checks that f is structurally well formed (ir.Func.Verify) and
+// in SSA form (VerifyForm).
+func Verify(f *ir.Func) error {
+	if err := f.Verify(); err != nil {
+		return err
+	}
+	return VerifyForm(f)
+}
+
+// VerifyForm checks SSA invariants on f, which must already have passed
+// ir.Func.Verify:
 //   - every virtual value has at most one definition;
 //   - every use is dominated by its definition (φ uses are checked
 //     against the end of the corresponding predecessor block);
 //   - no physical register appears as an operand value (dedicated
 //     registers must have been renamed; they may appear as pins).
-func Verify(f *ir.Func) error {
-	if err := f.Verify(); err != nil {
-		return err
-	}
+func VerifyForm(f *ir.Func) error {
 	dom := analysis.Dominators(f)
 
 	defAt := make([]*ir.Instr, f.NumValues())

@@ -18,6 +18,12 @@ type RandOptions struct {
 	Calls bool
 	// Stack enables SP-relative stores/loads (dedicated-register pressure).
 	Stack bool
+	// BottomTestedLoops makes every loop test its condition in the latch
+	// instead of the header. The latch then branches to the header or
+	// the exit, so the back edge is critical: the place where a φ can
+	// kill its own result (the lost-copy shape). The zero value keeps
+	// head-tested loops, whose latch only jumps back.
+	BottomTestedLoops bool
 }
 
 // DefaultRandOptions are small enough for exhaustive interpretation but
@@ -222,6 +228,19 @@ func (g *randGen) countedLoop(depth int) {
 	bld.Const(i, 0)
 	bld.Const(bound, int64(1+g.rng.Intn(3)))
 	bld.Const(one, 1)
+
+	if g.opt.BottomTestedLoops {
+		body := f.NewBlock("")
+		exit := f.NewBlock("")
+		bld.Jump(body)
+		bld.SetBlock(body)
+		g.region(depth)
+		bld.Binary(ir.Add, i, i, one)
+		bld.Binary(ir.CmpLT, c, i, bound)
+		bld.Br(c, body, exit)
+		bld.SetBlock(exit)
+		return
+	}
 
 	head := f.NewBlock("")
 	body := f.NewBlock("")

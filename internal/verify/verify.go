@@ -9,7 +9,8 @@
 //     dominator/interference cache in the repository is built on;
 //   - parallel-copy consistency (paired slots, no duplicated
 //     destination — parcopy.Check);
-//   - SSA form: single definitions and dominance of uses (ssa.Verify);
+//   - SSA form: single definitions and dominance of uses
+//     (ssa.VerifyForm);
 //   - pin legality: the Figure 4 pinning rules (pin.Validate) plus the
 //     paper's central safety claim — no two variables pinned to one
 //     resource may *strongly* interfere (Classes 3–4,
@@ -24,7 +25,6 @@ package verify
 import (
 	"fmt"
 
-	"outofssa/internal/analysis"
 	"outofssa/internal/interference"
 	"outofssa/internal/ir"
 	"outofssa/internal/parcopy"
@@ -61,6 +61,19 @@ func Func(f *ir.Func, stage Stage) error {
 	if err := f.Verify(); err != nil {
 		return fmt.Errorf("structure: %w", err)
 	}
+	return check(f, stage, true)
+}
+
+// AfterSSAVerify returns what Func(f, StageSSA) returns for a function
+// that passed ssa.Verify and has not changed since. It skips the
+// structure and SSA-form checks, which ssa.Verify made, so a function
+// fresh from SSA construction (which ends with ssa.Verify) is checked
+// once for each.
+func AfterSSAVerify(f *ir.Func) error { return check(f, StageSSA, false) }
+
+// check runs Func's checks after the structural one; form says whether
+// StageSSA includes the SSA-form check.
+func check(f *ir.Func, stage Stage, form bool) error {
 	if err := checkDenseTables(f); err != nil {
 		return fmt.Errorf("tables: %w", err)
 	}
@@ -69,8 +82,10 @@ func Func(f *ir.Func, stage Stage) error {
 	}
 	switch stage {
 	case StageSSA:
-		if err := ssa.Verify(f); err != nil {
-			return fmt.Errorf("ssa: %w", err)
+		if form {
+			if err := ssa.VerifyForm(f); err != nil {
+				return fmt.Errorf("ssa: %w", err)
+			}
 		}
 		if err := checkPins(f); err != nil {
 			return fmt.Errorf("pins: %w", err)
@@ -97,12 +112,12 @@ func checkDenseTables(f *ir.Func) error {
 	if f.NumValues() < 0 {
 		return fmt.Errorf("%s: negative value count", f.Name)
 	}
-	seen := make(map[ir.BlockID]*ir.Block, len(f.Blocks()))
+	seen := make([]*ir.Block, f.NumBlocks())
 	for _, b := range f.Blocks() {
 		if int(b.ID) < 0 || int(b.ID) >= f.NumBlocks() {
 			return fmt.Errorf("%s: block %v has ID %d outside [0,%d)", f.Name, b, b.ID, f.NumBlocks())
 		}
-		if prev, dup := seen[b.ID]; dup {
+		if prev := seen[b.ID]; prev != nil {
 			return fmt.Errorf("%s: blocks %v and %v share ID %d", f.Name, prev, b, b.ID)
 		}
 		seen[b.ID] = b
@@ -136,7 +151,8 @@ func checkParCopies(f *ir.Func) error {
 // checkPins verifies pin legality: resource classes are buildable (no
 // two dedicated registers merged), the Figure 4 textual rules hold, and
 // no resource class contains a strongly interfering pair — the claim
-// that pinning-based coalescing never produces incorrect code.
+// that pinning-based coalescing never produces incorrect code. Strong
+// interference reads only definitions, so the scan builds no liveness.
 func checkPins(f *ir.Func) error {
 	if f.CountPins() == 0 {
 		return nil
@@ -149,7 +165,7 @@ func checkPins(f *ir.Func) error {
 		return err
 	}
 	// Strong interference scan: only multi-member classes can violate it.
-	var an *interference.Analysis
+	var defs []*ir.Instr
 	for _, root := range res.Roots() {
 		members := res.Members(root)
 		virt := members[:0:0]
@@ -161,13 +177,19 @@ func checkPins(f *ir.Func) error {
 		if len(virt) < 2 {
 			continue
 		}
-		if an == nil {
-			live := analysis.Liveness(f)
-			an = interference.New(f, live, analysis.Dominators(f), interference.Exact)
+		if defs == nil {
+			defs = make([]*ir.Instr, f.NumValues())
+			for _, b := range f.Blocks() {
+				for _, in := range b.Instrs() {
+					for _, d := range in.Defs() {
+						defs[d.Val] = in
+					}
+				}
+			}
 		}
 		for i := 0; i < len(virt); i++ {
 			for j := i + 1; j < len(virt); j++ {
-				if an.StronglyInterfere(virt[i], virt[j]) {
+				if interference.DefsStronglyInterfere(defs[virt[i]], defs[virt[j]]) {
 					return fmt.Errorf("%s: %v and %v pinned to resource %v but strongly interfere (Classes 3-4)",
 						f.Name, f.VStr(virt[i]), f.VStr(virt[j]), f.VStr(res.Find(root)))
 				}

@@ -7,17 +7,25 @@ import (
 	"outofssa/internal/ir"
 	"outofssa/internal/pin"
 	"outofssa/internal/pipeline"
+	"outofssa/internal/ssa"
+	"outofssa/internal/testprog"
 	"outofssa/internal/verify"
 	"outofssa/internal/workload"
 )
 
 // wantViolation fails t unless verify.Func rejects f at stage with an
-// error containing want.
+// error containing want. At StageSSA, when f passes ssa.Verify,
+// verify.AfterSSAVerify must report the same error.
 func wantViolation(t *testing.T, f *ir.Func, stage verify.Stage, want string) {
 	t.Helper()
 	err := verify.Func(f, stage)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("verify.Func(%s, %v) = %v, want an error containing %q", f.Name, stage, err, want)
+	}
+	if stage == verify.StageSSA && ssa.Verify(f) == nil {
+		if got := verify.AfterSSAVerify(f); got == nil || got.Error() != err.Error() {
+			t.Fatalf("verify.AfterSSAVerify(%s) = %v, verify.Func %v", f.Name, got, err)
+		}
 	}
 }
 
@@ -109,6 +117,54 @@ func TestStrongInterferenceScan(t *testing.T) {
 	wantViolation(t, bld.Fn, verify.StageSSA, "Fig.4 case 3")
 }
 
+// TestSSAStageViolations: at StageSSA the structure is checked once,
+// before the SSA form, and each kind of violation is reported under its
+// own prefix: a structural one never reaches the SSA checks, and a
+// function that is well formed but not in SSA form fails them.
+func TestSSAStageViolations(t *testing.T) {
+	f := testprog.Loop() // pre-SSA: s and i have two definitions
+	wantViolation(t, f, verify.StageSSA, `ssa: loop: s has two definitions: "const s, 0" and "add s = s, i"`)
+
+	bld := ir.NewBuilder("undominated")
+	entry := bld.Block("entry")
+	l, join := bld.Fn.NewBlock("l"), bld.Fn.NewBlock("join")
+	c, x := bld.Val("c"), bld.Val("x")
+	bld.SetBlock(entry)
+	bld.Input(c)
+	bld.Br(c, l, join)
+	bld.SetBlock(l)
+	bld.Const(x, 1)
+	bld.Jump(join)
+	bld.SetBlock(join)
+	bld.Output(x)
+	wantViolation(t, bld.Fn, verify.StageSSA, "ssa: undominated: use of x in \".output x\" (block join) not dominated by its definition")
+
+	bld, join, _, _, x = diamond("arity")
+	bld.Output(x)
+	join.Instr(0).RemoveUseAt(1)
+	err := verify.Func(bld.Fn, verify.StageSSA)
+	if err == nil || !strings.HasPrefix(err.Error(), "structure: arity: φ \"phi x = a1\" has 1 args for 2 preds of join") {
+		t.Fatalf("verify.Func = %v, want the structural φ arity violation", err)
+	}
+}
+
+// TestDenseTablesRejectSharedIDs: a block listed twice in the layout is
+// two blocks sharing an ID, which every dense table would alias.
+func TestDenseTablesRejectSharedIDs(t *testing.T) {
+	bld, join, _, _, x := diamond("shared")
+	bld.Output(x)
+	f := bld.Fn
+	if err := verify.Func(f, verify.StageSSA); err != nil {
+		t.Fatalf("the diamond is legal: %v", err)
+	}
+	var ids []ir.BlockID
+	for _, b := range f.Blocks() {
+		ids = append(ids, b.ID)
+	}
+	f.SetBlockOrder(append(ids, join.ID))
+	wantViolation(t, f, verify.StageSSA, "tables: shared: blocks join and join share ID 3")
+}
+
 // TestUnknownStage: a stage the verifier does not know is an error, not
 // a pass.
 func TestUnknownStage(t *testing.T) {
@@ -153,6 +209,9 @@ func TestFuncLeavesArenaUnchanged(t *testing.T) {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
 			check(f, verify.StageSSA)
+			if err := verify.AfterSSAVerify(f); err != nil {
+				t.Fatalf("%s: AfterSSAVerify: %v", f.Name, err)
+			}
 			if _, err := pipeline.Run(f, conf, pipeline.WithSSAInfo(info)); err != nil {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
