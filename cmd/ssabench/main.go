@@ -24,8 +24,8 @@
 // The reference engines render the tables in tests, not here, and so
 // does the golden of every deterministic counter:
 //
-//	go test -run TestTablesUnderPairwiseOracle ./internal/interference/
-//	go test -run TestTablesUnderIterativeOracle ./internal/liveness/
+//	go test -run TestTablesUnderFullGraphOracle ./internal/regalloc/
+//	go test -run TestTablesUnderKillOracle ./internal/outofssa/leung/
 //	go test -run TestCountersGolden ./internal/stats/
 //
 // perfbench/ is the repository's benchmark.

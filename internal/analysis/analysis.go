@@ -2,8 +2,8 @@
 // the function's mutation generation counter (ir.Func.Generation).
 //
 // Passes request an analysis — analysis.Liveness(f) instead of
-// liveness.NewQuery(f, dom) — and get the memoized result back as long
-// as the function has not changed since it was computed. Every mutator in
+// liveness.Compute(f) — and get the memoized result back as long as the
+// function has not changed since it was computed. Every mutator in
 // package ir bumps the generation inside the arena accessors — operand
 // rewrites included, since SetDefVal/SetUseVal are the only way to
 // write an operand (the contract is spelled out in DESIGN.md §8 and
@@ -41,12 +41,10 @@ type memo struct {
 }
 
 // liveEntry is one memoized liveness result: the Info plus the
-// generation pair it was computed under. Revalidation replaces the
-// entry.
+// generation it was computed under.
 type liveEntry struct {
-	gen    uint64
-	cfgGen uint64
-	info   *liveness.Info
+	gen  uint64
+	info *liveness.Info
 }
 
 type domEntry struct {
@@ -72,18 +70,6 @@ type CacheStats struct {
 	LivenessComputes uint64
 	LivenessReused   uint64
 
-	// A liveness compute is either a full build (a from-scratch
-	// query-engine construction) or an incremental revalidation of a
-	// query-engine Info after a code-only mutation:
-	// LivenessComputes = LivenessFullBuilds + LivenessRevalidations.
-	// VarsKept/VarsInvalidated split the per-variable memos across all
-	// revalidations: kept walks cost nothing to reuse, invalidated ones
-	// are recomputed lazily on their next query.
-	LivenessFullBuilds      uint64
-	LivenessRevalidations   uint64
-	LivenessVarsKept        uint64
-	LivenessVarsInvalidated uint64
-
 	DominatorsRequests uint64
 	DominatorsComputes uint64
 	DominatorsReused   uint64
@@ -96,26 +82,18 @@ type CacheStats struct {
 // and the counters appear in every metrics snapshot/exposition for
 // free. CacheStats/Stats remain the stable programmatic API.
 var (
-	cLiveRequests  = metrics.Default.Counter("laoc_analysis_liveness_requests_total")
-	cLiveComputes  = metrics.Default.Counter("laoc_analysis_liveness_computes_total")
-	cLiveReused    = metrics.Default.Counter("laoc_analysis_liveness_reused_total")
-	cLiveFull      = metrics.Default.Counter("laoc_analysis_liveness_full_builds_total")
-	cLiveReval     = metrics.Default.Counter("laoc_analysis_liveness_revalidations_total")
-	cLiveVarsKept  = metrics.Default.Counter("laoc_analysis_liveness_var_walks_kept_total")
-	cLiveVarsInval = metrics.Default.Counter("laoc_analysis_liveness_var_walks_invalidated_total")
-	cDomRequests   = metrics.Default.Counter("laoc_analysis_dominators_requests_total")
-	cDomComputes   = metrics.Default.Counter("laoc_analysis_dominators_computes_total")
-	cDomReused     = metrics.Default.Counter("laoc_analysis_dominators_reused_total")
+	cLiveRequests = metrics.Default.Counter("laoc_analysis_liveness_requests_total")
+	cLiveComputes = metrics.Default.Counter("laoc_analysis_liveness_computes_total")
+	cLiveReused   = metrics.Default.Counter("laoc_analysis_liveness_reused_total")
+	cDomRequests  = metrics.Default.Counter("laoc_analysis_dominators_requests_total")
+	cDomComputes  = metrics.Default.Counter("laoc_analysis_dominators_computes_total")
+	cDomReused    = metrics.Default.Counter("laoc_analysis_dominators_reused_total")
 )
 
 func init() {
 	metrics.Default.SetHelp("laoc_analysis_liveness_requests_total", "Liveness analysis requests (computes + reuses).")
-	metrics.Default.SetHelp("laoc_analysis_liveness_computes_total", "Liveness computes: full builds + incremental revalidations.")
+	metrics.Default.SetHelp("laoc_analysis_liveness_computes_total", "Liveness fixed points computed.")
 	metrics.Default.SetHelp("laoc_analysis_liveness_reused_total", "Liveness requests served from the per-function memo.")
-	metrics.Default.SetHelp("laoc_analysis_liveness_full_builds_total", "Liveness Infos built from scratch.")
-	metrics.Default.SetHelp("laoc_analysis_liveness_revalidations_total", "Query-engine Infos revalidated incrementally after code-only mutations.")
-	metrics.Default.SetHelp("laoc_analysis_liveness_var_walks_kept_total", "Memoized per-variable walks kept across revalidations.")
-	metrics.Default.SetHelp("laoc_analysis_liveness_var_walks_invalidated_total", "Memoized per-variable walks dropped by revalidations.")
 	metrics.Default.SetHelp("laoc_analysis_dominators_requests_total", "Dominator tree requests.")
 	metrics.Default.SetHelp("laoc_analysis_dominators_computes_total", "Dominator trees computed.")
 	metrics.Default.SetHelp("laoc_analysis_dominators_reused_total", "Dominator requests served from the per-function memo.")
@@ -124,16 +102,12 @@ func init() {
 // Stats returns a snapshot of the package-wide cache counters.
 func Stats() CacheStats {
 	return CacheStats{
-		LivenessRequests:        uint64(cLiveRequests.Value()),
-		LivenessComputes:        uint64(cLiveComputes.Value()),
-		LivenessReused:          uint64(cLiveReused.Value()),
-		LivenessFullBuilds:      uint64(cLiveFull.Value()),
-		LivenessRevalidations:   uint64(cLiveReval.Value()),
-		LivenessVarsKept:        uint64(cLiveVarsKept.Value()),
-		LivenessVarsInvalidated: uint64(cLiveVarsInval.Value()),
-		DominatorsRequests:      uint64(cDomRequests.Value()),
-		DominatorsComputes:      uint64(cDomComputes.Value()),
-		DominatorsReused:        uint64(cDomReused.Value()),
+		LivenessRequests:   uint64(cLiveRequests.Value()),
+		LivenessComputes:   uint64(cLiveComputes.Value()),
+		LivenessReused:     uint64(cLiveReused.Value()),
+		DominatorsRequests: uint64(cDomRequests.Value()),
+		DominatorsComputes: uint64(cDomComputes.Value()),
+		DominatorsReused:   uint64(cDomReused.Value()),
 	}
 }
 
@@ -141,38 +115,22 @@ func Stats() CacheStats {
 // if f changed since the last request. The returned Info is shared:
 // callers must treat it as read-only, and it describes f as of this
 // call — a later mutation of f makes it stale without invalidating the
-// pointer (exactly like calling liveness.NewQuery directly).
+// pointer (exactly like calling liveness.Compute directly).
 //
-// Only the goroutine that owns f may call it: the memo and the lazy
-// query engine fill in on reads, without locks. Another goroutine that
-// wants f's analyses takes a Snapshot of frozen f and asks for those of
-// the snapshot.
+// Only the goroutine that owns f may call it: the memo fills in without
+// locks. Another goroutine that wants f's analyses takes a Snapshot of
+// frozen f and asks for those of the snapshot.
 func Liveness(f *ir.Func) *liveness.Info {
 	m := memoOf(f)
 	gen := f.Generation()
 	cLiveRequests.Inc()
-	e := m.live
-	if e != nil && e.gen == gen {
+	if e := m.live; e != nil && e.gen == gen {
 		cLiveReused.Inc()
 		return e.info
 	}
 	cLiveComputes.Inc()
-	ne := &liveEntry{gen: gen, cfgGen: f.CFGGeneration()}
-	if e != nil && e.cfgGen == ne.cfgGen && e.info.Incremental() {
-		// Code-only mutation under an unchanged CFG: revalidate the
-		// per-variable summaries and keep every walk whose summary is
-		// unchanged instead of rebuilding the whole engine.
-		live, kept, dropped := e.info.Revalidate()
-		ne.info = live
-		cLiveReval.Inc()
-		cLiveVarsKept.Add(int64(kept))
-		cLiveVarsInval.Add(int64(dropped))
-	} else {
-		ne.info = liveness.NewQuery(f, Dominators(f))
-		cLiveFull.Inc()
-	}
-	m.live = ne
-	return ne.info
+	m.live = &liveEntry{gen: gen, info: liveness.Compute(f)}
+	return m.live.info
 }
 
 // Dominators returns the dominator tree of f under the same memoization

@@ -178,27 +178,19 @@ func TestSilentMutationGoesStale(t *testing.T) {
 	}
 }
 
-// TestStaleVarLivenessCaught is the stale-cache hazard test for the
-// query engine's per-variable memos: a silent φ-argument swap
-// (faultinject.StaleVarLiveness) leaves the cached Info's walks
-// describing live ranges that no longer exist. The cache must keep
-// serving the stale Info (that is the documented failure mode of a
-// contract-violating pass), the stale answers must demonstrably differ
-// from ground truth, and the checked pipeline's verifier must reject
-// the corrupted function so the damage cannot propagate.
+// TestStaleVarLivenessCaught is the stale-cache hazard test for an
+// operand-only corruption: a silent φ-argument swap
+// (faultinject.StaleVarLiveness) leaves the cached Info describing live
+// ranges that no longer exist. The cache must keep serving the stale
+// Info (that is the documented failure mode of a contract-violating
+// pass), the stale answers must demonstrably differ from ground truth,
+// and the checked pipeline's verifier must reject the corrupted function
+// so the damage cannot propagate.
 func TestStaleVarLivenessCaught(t *testing.T) {
 	f := testprog.Diamond()
 	ssa.MustBuild(f)
 
 	stale := analysis.Liveness(f)
-	if !stale.Incremental() {
-		t.Fatal("the cache built an Info without per-variable memos, want a lazy query Info")
-	}
-	// Force the per-variable walks to be memoized before the corruption
-	// lands, so the stale answers below come from the old memos.
-	for _, b := range f.Blocks() {
-		stale.LiveOutSet(b)
-	}
 	if !faultinject.InjectSilent(f, faultinject.StaleVarLiveness) {
 		t.Fatal("no stale-var-liveness site in the diamond")
 	}
@@ -221,7 +213,7 @@ func TestStaleVarLivenessCaught(t *testing.T) {
 		}
 	}
 	if !differs {
-		t.Fatal("stale per-variable memos still agree with ground truth — the corruption did not move any live range")
+		t.Fatal("the stale Info still agrees with ground truth — the corruption did not move any live range")
 	}
 
 	if err := verify.Func(f, verify.StageSSA); err == nil {

@@ -155,9 +155,9 @@ func (s *Set) Elems() []int {
 	return out
 }
 
-// Pool recycles scratch sets so query-heavy code (interference sweeps,
-// liveness walks) doesn't allocate a fresh Set per query. Not safe for
-// concurrent use; each analysis owns its own Pool.
+// Pool recycles scratch sets so query-heavy code (the interference
+// analysis' backward block walks) doesn't allocate a fresh Set per
+// query. Not safe for concurrent use; each analysis owns its own Pool.
 type Pool struct {
 	free []*Set
 }

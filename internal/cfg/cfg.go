@@ -141,13 +141,6 @@ func Dominators(f *ir.Func) *DomTree {
 	return t
 }
 
-// PreNum returns the dominator-tree preorder number of b, or -1 if b is
-// unreachable from the entry. Sorting definition sites by PreNum
-// linearizes the dominator tree so that every block's dominance subtree
-// is a contiguous interval — the property behind the interference
-// engine's stack sweep.
-func (t *DomTree) PreNum(b *ir.Block) int { return t.pre[b.ID] }
-
 // Dominates reports whether a dominates b (reflexively).
 func (t *DomTree) Dominates(a, b *ir.Block) bool {
 	if t.pre[a.ID] < 0 || t.pre[b.ID] < 0 {

@@ -43,7 +43,7 @@ func SetLoopDepth(f *ir.Func, t *DomTree) {
 				seen[b] = mark
 				depth[b]++
 				for _, p := range f.Block(b).Preds() {
-					if seen[p] != mark && t.PreNum(f.Block(p)) >= 0 {
+					if seen[p] != mark && t.pre[p] >= 0 {
 						stack = append(stack, p)
 					}
 				}

@@ -64,13 +64,12 @@ type Counters struct {
 	// served from the per-class memo without recomputation.
 	KilledMemoHits    int64
 	InterfereMemoHits int64
-	// LiveQueryHits/Misses/VarRecomputes report the traffic this analysis
-	// drove into the query-based liveness engine (zero when liveness is
-	// the iterative fixed point, liveness.Compute): memo-served point/set queries, queries that had
-	// to compute first, and the per-variable walks actually executed.
-	LiveQueryHits     int64
-	LiveQueryMisses   int64
-	LiveVarRecomputes int64
+	// LiveQueryHits and LiveQueryMisses read 0: liveness is one fixed
+	// point per function, with no query memo to hit or miss. They remain
+	// only because perfbench reads them, until ROADMAP item 6 takes its
+	// liveness.query_hit_ratio out.
+	LiveQueryHits   int64
+	LiveQueryMisses int64
 }
 
 // AppendCounters appends the query counters to dst as trace counters,
@@ -88,8 +87,7 @@ func (c *Counters) AppendCounters(dst []obs.Counter) []obs.Counter {
 		obs.Counter{Name: "Interference.KilledMemoHits", Value: c.KilledMemoHits},
 		obs.Counter{Name: "Interference.InterfereMemoHits", Value: c.InterfereMemoHits},
 		obs.Counter{Name: "Interference.LiveQueryHits", Value: c.LiveQueryHits},
-		obs.Counter{Name: "Interference.LiveQueryMisses", Value: c.LiveQueryMisses},
-		obs.Counter{Name: "Interference.LiveVarRecomputes", Value: c.LiveVarRecomputes})
+		obs.Counter{Name: "Interference.LiveQueryMisses", Value: c.LiveQueryMisses})
 }
 
 // Analysis answers variable-level interference queries on an SSA
@@ -117,34 +115,20 @@ type Analysis struct {
 	laBuilt []bool // block ID -> snapshots built
 	laPool  bitset.Pool
 
-	// liveBase is the liveness engine's counter state when this analysis
-	// was created; Counters reports the delta, so per-pass traces stay
-	// deterministic even though the Info (and its counters) is shared
-	// across passes by the analysis cache.
-	liveBase liveness.QueryStats
-
 	c Counters
 }
 
 // Counters returns a snapshot of the query counters accumulated so far.
-func (a *Analysis) Counters() Counters {
-	c := a.c
-	qs := a.live.QueryStats()
-	c.LiveQueryHits = qs.Hits - a.liveBase.Hits
-	c.LiveQueryMisses = qs.Misses - a.liveBase.Misses
-	c.LiveVarRecomputes = qs.VarRecomputes - a.liveBase.VarRecomputes
-	return c
-}
+func (a *Analysis) Counters() Counters { return a.c }
 
 // New builds an analysis. live and dom must describe the current f.
 func New(f *ir.Func, live *liveness.Info, dom *cfg.DomTree, mode Mode) *Analysis {
 	a := &Analysis{
-		fn:       f,
-		live:     live,
-		dom:      dom,
-		mode:     mode,
-		defs:     make([]defSite, f.NumValues()),
-		liveBase: live.QueryStats(),
+		fn:   f,
+		live: live,
+		dom:  dom,
+		mode: mode,
+		defs: make([]defSite, f.NumValues()),
 	}
 	for i := range a.defs {
 		a.defs[i].in = ir.NoInstr
@@ -404,13 +388,12 @@ type PinSite struct {
 // live across the instruction — values defined by the instruction itself
 // are born after the clobber, and values dying at the instruction are
 // rescued locally by the translator. The live-across test goes through
-// the analysis' lazy snapshots (and, under the query engine, its
-// memoized per-variable walks) instead of an eagerly stored set.
+// the analysis' lazy snapshots instead of an eagerly stored set.
 func (s PinSite) kills(an *Analysis, m ir.ValueID) bool {
 	return m != s.Val && an.liveAfterHas(s.In, m) && !s.In.HasDef(m)
 }
 
 // The resource-level lifting of these queries — Resource_killed and
-// Resource_interfere over pin.Resources classes — lives in engine.go,
-// which provides both the original pairwise expansion and the
-// dominance-ordered sweep.
+// Resource_interfere over pin.Resources classes — lives in engine.go:
+// the pairwise expansion of §3.3 behind ResourceGraph, and the one-walk
+// KilledAll for Leung's mark phase.

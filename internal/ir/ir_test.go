@@ -7,6 +7,7 @@ import (
 	"outofssa/internal/ir"
 	"outofssa/internal/lai"
 	"outofssa/internal/testprog"
+	"outofssa/internal/verify"
 )
 
 func TestVerifyStructured(t *testing.T) {
@@ -220,6 +221,51 @@ func TestTwoOperandClassification(t *testing.T) {
 	for _, op := range []ir.Op{ir.Add, ir.Copy, ir.Phi, ir.Call} {
 		if op.IsTwoOperand() {
 			t.Errorf("%v should not be 2-operand", op)
+		}
+	}
+}
+
+// entryLoop is a function whose entry block is also a loop header, with
+// b used before it is defined. SSA construction gave b an implicit
+// definition on .input, which the back edge runs again, so the compiled
+// loop reset b on every iteration and never ended; no φ was placed at
+// the entry either. .input runs once, before any loop: Verify rejects an
+// entry block with predecessors.
+const entryLoop = ".func entryloop\n.input five:R0\nentry:\n    const  one, 1\n    add    b, b, one\n    blt    b, five, entry\n    ret    b\n"
+
+// TestVerifyRejectsEntryLoop: the LAI parser, both decoders and the
+// checked pipeline's verifier refuse a function whose entry block has a
+// predecessor.
+func TestVerifyRejectsEntryLoop(t *testing.T) {
+	const want = "entry block entry has predecessors"
+	if _, err := lai.Parse(entryLoop); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("lai.Parse = %v, want an error containing %q", err, want)
+	}
+	bld := ir.NewBuilder("entryloop")
+	entry := bld.Block("entry")
+	exit := bld.Fn.NewBlock("exit")
+	five, one, b, c := bld.Val("five"), bld.Val("one"), bld.Val("b"), bld.Val("c")
+	bld.Input(five)
+	bld.Const(one, 1)
+	bld.Binary(ir.Add, b, b, one)
+	bld.Binary(ir.CmpLT, c, b, five)
+	bld.Br(c, entry, exit)
+	bld.SetBlock(exit)
+	bld.Output(b)
+	f := bld.Fn
+	if err := f.Verify(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Verify = %v, want an error containing %q", err, want)
+	}
+	if err := verify.Func(f, verify.StagePostSSA); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("verify.Func = %v, want an error containing %q", err, want)
+	}
+	for _, marshal := range []func(*ir.Func) ([]byte, error){ir.MarshalV1, ir.MarshalBinary} {
+		doc, err := marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ir.Unmarshal(doc); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Unmarshal = %v, want an error containing %q", err, want)
 		}
 	}
 }

@@ -3,7 +3,8 @@ package ir
 import "fmt"
 
 // Verify checks structural invariants of the function:
-//   - Preds/Succs are mutually consistent;
+//   - Preds/Succs are mutually consistent, and the entry block has no
+//     predecessors (.input runs once, before any loop);
 //   - every block is terminated (Br with 2 successors, Jump with 1,
 //     Output with 0) and terminators appear only in final position;
 //   - φ instructions form a prefix of their block and have exactly one
@@ -98,6 +99,9 @@ func (f *Func) Verify() error {
 				return err
 			}
 		}
+	}
+	if e := f.blockList[0]; e.NumPreds() > 0 {
+		return fmt.Errorf("%s: entry block %v has predecessors", f.Name, e)
 	}
 	return nil
 }

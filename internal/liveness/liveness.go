@@ -13,15 +13,9 @@ import (
 	"outofssa/internal/ir"
 )
 
-// Info holds per-block liveness sets plus enough structure for precise
-// per-instruction queries. It is backed by one of two engines: the
-// iterative fixed point (Compute) fills the dense per-block sets
-// eagerly; the query engine (NewQuery) leaves them nil and answers
-// through memoized per-variable walks in engine.go. Both expose the
-// same API and produce identical answers.
+// Info holds the per-block liveness sets of one function, from which
+// every point query and LiveAfter are answered.
 type Info struct {
-	fn *ir.Func
-
 	// liveIn[b.ID]: values live at block entry, before φ definitions take
 	// effect (φ defs and φ uses are never live-in).
 	liveIn []*bitset.Set
@@ -31,25 +25,19 @@ type Info struct {
 	// exitLive[b.ID] = liveOut[b] plus the φ uses flowing out of b — the
 	// live set just before the parallel-copy point at the end of b.
 	exitLive []*bitset.Set
-
-	// q is the query-engine state when this Info was built by NewQuery;
-	// nil for iterative Infos. Revalidate returns a new wrapper sharing q.
-	q *queryState
 }
 
-// Compute runs the backward dataflow to a fixed point. It is the
-// reference the query engine must match bit for bit: analysis.Liveness
-// never runs it on a cache miss, except under the package tests'
-// iterative oracle, where TestTablesUnderIterativeOracle renders every
-// table through it. The per-block sets come from two slab allocations
-// (one for the three escaping families, one for the transient
-// gen/kill), and the iteration reuses a single scratch set instead of
-// allocating a candidate live-in per block per pass.
+// Compute runs the backward dataflow to a fixed point; analysis.Liveness
+// runs it on every cache miss. It sweeps only blocks reachable from the
+// entry, so an unreachable block keeps empty sets, and a φ use flowing
+// from it is live nowhere. The per-block sets come from two slab
+// allocations (one for the three escaping families, one for the
+// transient gen/kill), and the iteration reuses a single scratch set
+// instead of allocating a candidate live-in per block per pass.
 func Compute(f *ir.Func) *Info {
 	nb := f.NumBlocks()
 	nv := f.NumValues()
 	info := &Info{
-		fn:       f,
 		liveIn:   make([]*bitset.Set, nb),
 		liveOut:  make([]*bitset.Set, nb),
 		exitLive: make([]*bitset.Set, nb),
@@ -120,61 +108,25 @@ func Compute(f *ir.Func) *Info {
 // LiveIn reports whether v is live at the entry of b (φ defs of b are not
 // live-in; φ uses flowing into b are not live-in).
 func (l *Info) LiveIn(v ir.ValueID, b *ir.Block) bool {
-	if l.q != nil {
-		return l.q.liveIn(int(v), b)
-	}
 	return l.liveIn[b.ID].Has(int(v))
 }
 
 // LiveOut reports whether v is live at the exit of b, after the φ-copy
 // point (paper Class 2 uses exactly this query).
 func (l *Info) LiveOut(v ir.ValueID, b *ir.Block) bool {
-	if l.q != nil {
-		return l.q.liveOut(int(v), b)
-	}
 	return l.liveOut[b.ID].Has(int(v))
-}
-
-// ExitLive reports whether v is live just before the φ parallel-copy
-// point at the end of b.
-func (l *Info) ExitLive(v ir.ValueID, b *ir.Block) bool {
-	if l.q != nil {
-		return l.q.exitLive(int(v), b)
-	}
-	return l.exitLive[b.ID].Has(int(v))
 }
 
 // LiveInSet returns the live-in set of b (do not mutate).
 func (l *Info) LiveInSet(b *ir.Block) *bitset.Set {
-	if l.q != nil {
-		in, _, _ := l.q.blockSets(b)
-		return in
-	}
 	return l.liveIn[b.ID]
-}
-
-// LiveOutSet returns the live-out set of b (do not mutate).
-func (l *Info) LiveOutSet(b *ir.Block) *bitset.Set {
-	if l.q != nil {
-		_, out, _ := l.q.blockSets(b)
-		return out
-	}
-	return l.liveOut[b.ID]
 }
 
 // ExitLiveSet returns the set live just before the φ parallel-copy point
 // at the end of b: LiveOut(b) plus φ uses flowing out of b.
 func (l *Info) ExitLiveSet(b *ir.Block) *bitset.Set {
-	if l.q != nil {
-		_, _, exit := l.q.blockSets(b)
-		return exit
-	}
 	return l.exitLive[b.ID]
 }
-
-// Incremental reports whether this Info supports Revalidate (query
-// engine only).
-func (l *Info) Incremental() bool { return l.q != nil }
 
 // LiveAfter returns the set of values live immediately after the idx-th
 // instruction of b. φ instructions are transparent (their defs are live

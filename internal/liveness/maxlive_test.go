@@ -3,7 +3,6 @@ package liveness_test
 import (
 	"testing"
 
-	"outofssa/internal/cfg"
 	"outofssa/internal/ir"
 	"outofssa/internal/liveness"
 	"outofssa/internal/ssa"
@@ -38,23 +37,31 @@ func TestMaxLiveKnownValues(t *testing.T) {
 	}
 }
 
-// TestMaxLiveEnginesAgree: MAXLIVE is a pure function of the program,
-// so the iterative and query engines must report the same value on
-// every shared test program and a pile of random ones.
-func TestMaxLiveEnginesAgree(t *testing.T) {
+// TestMaxLiveMatchesLiveAfter: MAXLIVE is the largest live set at any
+// program point, so on every shared test program and a pile of random
+// ones it must equal the largest exit-live or LiveAfter set (index -1 is
+// the block's entry point), and be positive.
+func TestMaxLiveMatchesLiveAfter(t *testing.T) {
 	funcs := testprog.All()
 	for seed := int64(0); seed < 20; seed++ {
 		funcs = append(funcs, testprog.Rand(seed, testprog.DefaultRandOptions()))
 	}
 	for _, f := range funcs {
 		ssa.MustBuild(f)
-		it := liveness.MaxLive(f, liveness.Compute(f))
-		q := liveness.MaxLive(f, liveness.NewQuery(f, cfg.Dominators(f)))
-		if it != q {
-			t.Fatalf("%s: MAXLIVE diverges: iterative %d, query %d", f.Name, it, q)
+		live := liveness.Compute(f)
+		want := 0
+		for _, b := range f.Blocks() {
+			want = max(want, live.ExitLiveSet(b).Len())
+			for i := -1; i < b.NumInstrs(); i++ {
+				want = max(want, live.LiveAfter(b, i).Len())
+			}
 		}
-		if it <= 0 {
-			t.Fatalf("%s: MAXLIVE = %d, want positive", f.Name, it)
+		got := liveness.MaxLive(f, live)
+		if got != want {
+			t.Fatalf("%s: MAXLIVE = %d, want %d", f.Name, got, want)
+		}
+		if got <= 0 {
+			t.Fatalf("%s: MAXLIVE = %d, want positive", f.Name, got)
 		}
 	}
 }

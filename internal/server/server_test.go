@@ -531,6 +531,10 @@ const (
 	srcSPClash = ".func spclash\n.input A:R0\nentry:\n    mov X, R0\n    add C, A, X\n    ret C\n.endfunc\n"
 	// srcAlias is the function aliasedB1 breaks.
 	srcAlias = ".func alias\n.input A:R0, B:R1\nentry:\n    add C, A, B\n    add D, C, A\n    ret D\n.endfunc\n"
+	// srcEntryLoop branches back to its entry block, which was served
+	// as code that never terminates (b's implicit definition on .input
+	// ran on every iteration).
+	srcEntryLoop = ".func entryloop\n.input five:R0\nentry:\n    const  one, 1\n    add    b, b, one\n    blt    b, five, entry\n    ret    b\n"
 )
 
 // aliasedB1 is the b1 encoding of srcAlias with instruction 2's def
@@ -565,10 +569,10 @@ func aliasedB1(t testing.TB) []byte {
 
 // TestIllegalInputRejectedAtBoundary: each shape gets a 400, never a
 // 200 that fell back, a worker panic or a breaker failure. The aliased
-// b1 body and an .input that declares more parameters than it defines
-// fail decoding ("parse"); pins that clash with the ABI or SP pins fail
-// as invalid input, sent often enough to trip the breaker if they fed
-// it.
+// b1 body, an .input that declares more parameters than it defines and
+// an entry block with a predecessor fail decoding ("parse"); pins that
+// clash with the ABI or SP pins fail as invalid input, sent often
+// enough to trip the breaker if they fed it.
 func TestIllegalInputRejectedAtBoundary(t *testing.T) {
 	_, hs, reg := startServer(t, Config{BreakerThreshold: 5})
 	if rep := postRawCompile(t, hs.URL, aliasedB1(t)); rep.status != http.StatusBadRequest || rep.errK != "parse" {
@@ -585,6 +589,9 @@ func TestIllegalInputRejectedAtBoundary(t *testing.T) {
 	}
 	if rep := postCompile(t, hs.URL, compileRequest{IR: doc}); rep.status != http.StatusBadRequest || rep.errK != "parse" {
 		t.Fatalf(".input declaring 4 of 2 defs: status=%d kind=%q, want 400/parse", rep.status, rep.errK)
+	}
+	if rep := postCompile(t, hs.URL, compileRequest{LAI: srcEntryLoop}); rep.status != http.StatusBadRequest || rep.errK != "parse" {
+		t.Fatalf("entry loop: status=%d kind=%q, want 400/parse", rep.status, rep.errK)
 	}
 	for i := 0; i < 5; i++ {
 		for _, src := range []string{srcABIClash, srcSPClash} {

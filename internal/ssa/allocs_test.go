@@ -13,8 +13,7 @@ import (
 // requests, Build allocates a bounded number of times per call, whatever
 // the size of the function: it sizes its tables once per call, and only
 // the function's own slabs grow, by doubling. The test requests those
-// analyses first, with every variable walk of the liveness, so that
-// Build finds them memoized. It would skip a function for which Build
+// analyses first, so that Build finds them memoized. It would skip a function for which Build
 // adds implicit entry definitions, since that changes the function and
 // so its liveness, but none of the reference inputs needs one: all of
 // them are measured. On these inputs (up to 586 instructions), the
@@ -31,9 +30,6 @@ func TestBuildAllocsBounded(t *testing.T) {
 			continue
 		}
 		analysis.Dominators(f)
-		for _, b := range f.Blocks() {
-			live.LiveInSet(b)
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := ssa.Build(f)

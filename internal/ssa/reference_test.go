@@ -171,7 +171,7 @@ func referenceFrontiers(f *ir.Func, t *cfg.DomTree) [][]*ir.Block {
 		}
 		for _, pid := range b.Preds() {
 			p := f.Block(pid)
-			if t.PreNum(p) < 0 {
+			if !t.Dominates(f.Entry(), p) {
 				continue
 			}
 			for runner := p; runner != nil && runner != t.Idom[b.ID]; runner = t.Idom[runner.ID] {

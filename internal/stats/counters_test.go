@@ -18,8 +18,8 @@ var update = flag.Bool("update", false, "rewrite testdata/counters_*.txt")
 // TestCountersGolden pins every deterministic count the table runs
 // produce: checked Table 2, plain Table 2 and all four tables, each run
 // serially with a fresh registry attached. A counter that moves — a
-// kill query more, a snapshot more per job, a liveness revalidation
-// less — shows as a one-line diff against
+// kill query more, a snapshot more per job, a liveness compute less —
+// shows as a one-line diff against
 // testdata/counters_{t2_checked,t2,all}.txt. After a deliberate change,
 // regenerate them with
 //
