@@ -100,21 +100,29 @@ func pinnedRand(t *testing.T, seed int64, opt testprog.RandOptions) *ir.Func {
 
 var allModes = []interference.Mode{interference.Exact, interference.Optimistic, interference.Pessimistic}
 
-// TestMergeMatchesFreshGraph is the property test: in all three modes,
-// over random pinned-SSA functions and the deterministic test programs
-// (lost copy, swap), a ResourceGraph that merges φ-related classes must
-// keep answering as a freshly built graph does.
-func TestMergeMatchesFreshGraph(t *testing.T) {
+// TestEnginesAgreeOnRandomFunctions is the property test: over random
+// pinned-SSA functions, in all three modes, the two ways a ResourceGraph
+// reaches its verdicts must agree: incrementally, through Merge, its
+// carried killed marks and its memo, and from scratch, in a graph built
+// fresh over the merged classes (checkMerges).
+func TestEnginesAgreeOnRandomFunctions(t *testing.T) {
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			for seed := int64(0); seed < 40; seed++ {
 				checkMerges(t, pinnedRand(t, seed, testprog.DefaultRandOptions()), mode)
 			}
-			for _, f := range testprog.All() {
-				ssa.MustBuild(f)
-				checkMerges(t, f, mode)
-			}
 		})
+	}
+}
+
+// TestEnginesAgreeOnSuites makes the same check on the deterministic
+// test programs, which carry hand-built corner cases (lost copy, swap).
+func TestEnginesAgreeOnSuites(t *testing.T) {
+	for _, mode := range allModes {
+		for _, f := range testprog.All() {
+			ssa.MustBuild(f)
+			checkMerges(t, f, mode)
+		}
 	}
 }
 

@@ -94,12 +94,11 @@ func ssaRand(t *testing.T, seed int64, opt testprog.RandOptions) *ir.Func {
 	return f
 }
 
-// TestLivenessAgainstReference is the property test: over random
-// functions, in the raw pre-SSA form (variables defined on every
-// assignment) and in the pinned SSA form, and over the deterministic
-// test programs (lost copy, swap, nesting), Compute must match the path
-// definition of liveness exactly.
-func TestLivenessAgainstReference(t *testing.T) {
+// TestLivenessEnginesAgree is the property test: over random functions,
+// in the pinned SSA form and in the raw pre-SSA form (variables defined
+// on every assignment), the fixed point (Compute) and the path-walking
+// definition of liveness (refLiveIn) must agree exactly.
+func TestLivenessEnginesAgree(t *testing.T) {
 	t.Run("ssa", func(t *testing.T) {
 		for seed := int64(0); seed < 40; seed++ {
 			checkAgainstReference(t, ssaRand(t, seed, testprog.DefaultRandOptions()))
@@ -110,12 +109,25 @@ func TestLivenessAgainstReference(t *testing.T) {
 			checkAgainstReference(t, testprog.Rand(seed, testprog.DefaultRandOptions()))
 		}
 	})
-	t.Run("suites", func(t *testing.T) {
-		for _, f := range testprog.All() {
-			ssa.MustBuild(f)
-			checkAgainstReference(t, f)
-		}
-	})
+}
+
+// TestLivenessEnginesAgreeOnSuites makes the same check on the
+// deterministic test programs (lost copy, swap, nesting).
+func TestLivenessEnginesAgreeOnSuites(t *testing.T) {
+	for _, f := range testprog.All() {
+		ssa.MustBuild(f)
+		checkAgainstReference(t, f)
+	}
+}
+
+// TestLivenessAgainstReference makes the same check on random functions
+// in the SSA form ssa.Build leaves, before any pin is collected.
+func TestLivenessAgainstReference(t *testing.T) {
+	for seed := int64(0); seed < 15; seed++ {
+		f := testprog.Rand(seed, testprog.DefaultRandOptions())
+		ssa.MustBuild(f)
+		checkAgainstReference(t, f)
+	}
 }
 
 // TestLivenessUnreachableBlocks pins the unreachable-block contract: the
