@@ -22,7 +22,7 @@ func SetLoopDepth(f *ir.Func, t *DomTree) {
 	// and a block counts each header once.
 	seen := make([]int32, f.NumBlocks())
 	depth := make([]int32, f.NumBlocks())
-	var stack []ir.BlockID
+	stack := make([]ir.BlockID, 0, f.NumBlocks())
 	for _, h := range f.Blocks() {
 		mark := int32(h.ID) + 1
 		for _, tail := range h.Preds() {

@@ -16,7 +16,8 @@
 package coalesce
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"outofssa/internal/analysis"
 	"outofssa/internal/cfg"
@@ -75,11 +76,44 @@ func (s *Stats) AppendCounters(dst []obs.Counter) []obs.Counter {
 	return s.Interference.AppendCounters(dst)
 }
 
+// lifting answers the resource-level questions of the pinning phases:
+// Resource_killed membership, Resource_interfere, and the merge it
+// guards. interference.Table is the engine; the ResourceGraph oracle
+// answers the same questions pair by pair.
+type lifting interface {
+	IsKilled(v ir.ValueID) bool
+	Interfere(a, b ir.ValueID) bool
+	Merge(a, b ir.ValueID) bool
+}
+
+// wrapper replaces the table a pinning phase has built, for its
+// analysis and classes, by another lifting: the ResourceGraph oracle,
+// or a twin that asks both (CheckDecisions).
+type wrapper func(t *interference.Table, an *interference.Analysis, res *pin.Resources) lifting
+
+// liftWith, when set, wraps the table of every pinning phase. Only the
+// package's tests set it (export_test.go).
+var liftWith wrapper
+
+// newLifting builds the table over the classes of the seeds, and hands
+// it to wrap when wrap is set.
+func newLifting(an *interference.Analysis, res *pin.Resources, seeds []ir.ValueID, wrap wrapper) lifting {
+	t := interference.NewTable(an, res, seeds)
+	if wrap != nil {
+		return wrap(t, an, res)
+	}
+	return t
+}
+
 // ProgramPinning runs the paper's Algorithm 1 on f (pinned SSA form): an
 // inner-to-outer traversal of the confluence points, coalescing the φ
 // resources of each block. Definition pins are rewritten to the merged
 // representatives (pin.RepinDefs), ready for the out-of-pinned-SSA phase.
 func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
+	return programPinning(f, opt, liftWith)
+}
+
+func programPinning(f *ir.Func, opt Options, wrap wrapper) (*Stats, error) {
 	// The translator splits critical edges anyway; doing it first makes
 	// the liveness this phase reasons about identical to the liveness the
 	// translator will see.
@@ -93,18 +127,21 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 	live := analysis.Liveness(f)
 	dom := analysis.Dominators(f)
 	an := interference.New(f, live, dom, opt.Mode)
-	rg := interference.NewResourceGraph(an, res)
+	// Merges only join the classes of φ results and arguments, so their
+	// initial classes are the values every question is about.
+	lift := newLifting(an, res, phiValues(f), wrap)
 
 	st := &Stats{}
+	g := newGraph(f)
 
 	// Inner-to-outer traversal: blocks ordered by decreasing loop depth
 	// (ties broken by block ID for determinism).
-	blocks := append([]*ir.Block(nil), f.Blocks()...)
-	sort.SliceStable(blocks, func(i, j int) bool {
-		if blocks[i].LoopDepth != blocks[j].LoopDepth {
-			return blocks[i].LoopDepth > blocks[j].LoopDepth
+	blocks := slices.Clone(f.Blocks())
+	slices.SortStableFunc(blocks, func(x, y *ir.Block) int {
+		if x.LoopDepth != y.LoopDepth {
+			return cmp.Compare(y.LoopDepth, x.LoopDepth)
 		}
-		return blocks[i].ID < blocks[j].ID
+		return cmp.Compare(x.ID, y.ID)
 	})
 
 	if opt.DepthConstraint {
@@ -119,9 +156,9 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 				if b.NumPhis() == 0 {
 					continue
 				}
-				g := createAffinityGraph(b, res, rg, an, d)
+				g.build(b, res, lift, an, d)
 				st.EdgesBuilt += len(g.edges)
-				pinBlock(g, res, rg, st)
+				g.pin(res, lift, st)
 			}
 		}
 	} else {
@@ -129,9 +166,9 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 			if b.NumPhis() == 0 {
 				continue
 			}
-			g := createAffinityGraph(b, res, rg, an, -1)
+			g.build(b, res, lift, an, -1)
 			st.EdgesBuilt += len(g.edges)
-			pinBlock(g, res, rg, st)
+			g.pin(res, lift, st)
 		}
 	}
 
@@ -144,14 +181,15 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 	for {
 		merged := false
 		for _, b := range blocks {
-			for _, phi := range b.Phis() {
+			for i, n := 0, b.NumPhis(); i < n; i++ {
+				phi := b.Instr(i)
 				x := res.Find(phi.Def(0))
 				for _, u := range phi.Uses() {
-					if rg.IsKilled(u.Val) {
+					if lift.IsKilled(u.Val) {
 						continue // repaired argument: nothing to gain
 					}
 					a := res.Find(u.Val)
-					if a == x || !rg.Merge(a, x) {
+					if a == x || !lift.Merge(a, x) {
 						continue
 					}
 					x = res.Find(phi.Def(0))
@@ -172,11 +210,12 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 	// shares the φ's resource AND still reaches the φ point in it (not
 	// through a repair variable).
 	for _, b := range f.Blocks() {
-		for _, phi := range b.Phis() {
+		for i, n := 0, b.NumPhis(); i < n; i++ {
+			phi := b.Instr(i)
 			x := res.Find(phi.Def(0))
 			for _, u := range phi.Uses() {
 				st.PhiSlots++
-				if res.Find(u.Val) == x && !rg.IsKilled(u.Val) {
+				if res.Find(u.Val) == x && !lift.IsKilled(u.Val) {
 					st.Gain++
 				}
 			}
@@ -186,12 +225,52 @@ func ProgramPinning(f *ir.Func, opt Options) (*Stats, error) {
 	return st, nil
 }
 
-// graph is the affinity multigraph of one confluence point: vertices are
-// resources (represented by their current root), edges carry the copy
-// multiplicity between a φ-def resource and a φ-arg resource.
+// phiValues returns every φ result and argument of f.
+func phiValues(f *ir.Func) []ir.ValueID {
+	n := 0
+	for _, b := range f.Blocks() {
+		for i, np := 0, b.NumPhis(); i < np; i++ {
+			n += 1 + b.Instr(i).NumUses()
+		}
+	}
+	vals := make([]ir.ValueID, 0, n)
+	for _, b := range f.Blocks() {
+		for i, np := 0, b.NumPhis(); i < np; i++ {
+			phi := b.Instr(i)
+			vals = append(vals, phi.Def(0))
+			for _, u := range phi.Uses() {
+				vals = append(vals, u.Val)
+			}
+		}
+	}
+	return vals
+}
+
+// graph is the affinity multigraph of one confluence point: edges
+// between resources (represented by their root when the graph is built)
+// carry the copy multiplicity between a φ-def resource and a φ-arg
+// resource. One graph serves every confluence point of a call: build
+// resets it, and its edge and index lists keep their storage.
 type graph struct {
-	verts []ir.ValueID
-	edges []*edge
+	edges []edge
+	// live and order are index lists into edges: the edges the initial
+	// pruning left, and the survivors in merge order.
+	live, order []int32
+}
+
+// newGraph returns a graph whose lists hold the φ slots of any one
+// block of f without growing.
+func newGraph(f *ir.Func) *graph {
+	slots := 0
+	for _, b := range f.Blocks() {
+		n := 0
+		for i, np := 0, b.NumPhis(); i < np; i++ {
+			n += b.Instr(i).NumUses()
+		}
+		slots = max(slots, n)
+	}
+	idx := make([]int32, 0, 2*slots)
+	return &graph{edges: make([]edge, 0, slots), live: idx[:0:slots], order: idx[slots:slots]}
 }
 
 type edge struct {
@@ -201,7 +280,7 @@ type edge struct {
 	deleted  bool
 }
 
-// createAffinityGraph implements Create_affinity_graph (Algorithms 2-3).
+// build implements Create_affinity_graph (Algorithms 2-3) for block b.
 // depth < 0 means no depth constraint; otherwise only arguments whose
 // definition lives at the given loop depth contribute edges.
 //
@@ -211,27 +290,11 @@ type edge struct {
 // slot has zero gain and would only import the argument's conflicts into
 // the φ's class (this refinement keeps e.g. a φ over two call results
 // from being dragged into R0's class for nothing).
-func createAffinityGraph(b *ir.Block, res *pin.Resources, rg *interference.ResourceGraph, an *interference.Analysis, depth int) *graph {
-	g := &graph{}
-	seen := make(map[ir.ValueID]bool)
-	addVert := func(v ir.ValueID) ir.ValueID {
-		r := res.Find(v)
-		if !seen[r] {
-			seen[r] = true
-			g.verts = append(g.verts, r)
-		}
-		return r
-	}
-	findEdge := func(d, a ir.ValueID) *edge {
-		for _, e := range g.edges {
-			if e.def == d && e.arg == a {
-				return e
-			}
-		}
-		return nil
-	}
-	for _, phi := range b.Phis() {
-		rX := addVert(phi.Def(0))
+func (g *graph) build(b *ir.Block, res *pin.Resources, lift lifting, an *interference.Analysis, depth int) {
+	g.edges = g.edges[:0]
+	for i, n := 0, b.NumPhis(); i < n; i++ {
+		phi := b.Instr(i)
+		rX := res.Find(phi.Def(0))
 		for _, u := range phi.Uses() {
 			if depth >= 0 {
 				def := an.Def(u.Val)
@@ -239,70 +302,60 @@ func createAffinityGraph(b *ir.Block, res *pin.Resources, rg *interference.Resou
 					continue
 				}
 			}
-			if rg.IsKilled(u.Val) {
+			if lift.IsKilled(u.Val) {
 				continue // repair move is unavoidable: no gain possible
 			}
-			rx := addVert(u.Val)
+			rx := res.Find(u.Val)
 			if rx == rX {
 				continue // already coalesced
 			}
-			e := findEdge(rX, rx)
-			if e == nil {
-				e = &edge{def: rX, arg: rx}
-				g.edges = append(g.edges, e)
+			i := slices.IndexFunc(g.edges, func(e edge) bool { return e.def == rX && e.arg == rx })
+			if i < 0 {
+				i = len(g.edges)
+				g.edges = append(g.edges, edge{def: rX, arg: rx})
 			}
-			e.mult++
+			g.edges[i].mult++
 		}
 	}
-	return g
 }
 
-// pinBlock prunes the graph (Graph_InitialPruning + BipartiteGraph_
-// pruning) and merges the surviving connected components
-// (PrunedGraph_pinning), re-checking interference before each union.
-func pinBlock(g *graph, res *pin.Resources, rg *interference.ResourceGraph, st *Stats) {
+// pin prunes the graph (Graph_InitialPruning + BipartiteGraph_pruning)
+// and merges the surviving connected components (PrunedGraph_pinning),
+// re-checking interference before each union.
+func (g *graph) pin(res *pin.Resources, lift lifting, st *Stats) {
 	// Initial pruning: drop edges whose endpoints interfere.
-	for _, e := range g.edges {
-		if rg.Interfere(e.def, e.arg) {
+	g.live = g.live[:0]
+	for i := range g.edges {
+		e := &g.edges[i]
+		if lift.Interfere(e.def, e.arg) {
 			e.deleted = true
 			st.EdgesInterfering++
+		} else {
+			g.live = append(g.live, int32(i))
 		}
 	}
 
 	// Weight evaluation: for every pair of live edges sharing a vertex,
 	// an endpoint interfering with the pair's other endpoint adds the
 	// sibling's multiplicity.
-	liveEdges := func() []*edge {
-		var out []*edge
-		for _, e := range g.edges {
-			if !e.deleted {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-	edges := liveEdges()
-	for _, e := range edges {
-		e.weight = 0
-	}
-	for i := 0; i < len(edges); i++ {
-		for j := i + 1; j < len(edges); j++ {
-			e1, e2 := edges[i], edges[j]
-			var common, o1, o2 ir.ValueID
+	for i, ei := range g.live {
+		e1 := &g.edges[ei]
+		for _, ej := range g.live[i+1:] {
+			e2 := &g.edges[ej]
+			var o1, o2 ir.ValueID
 			switch {
 			case e1.def == e2.def:
-				common, o1, o2 = e1.def, e1.arg, e2.arg
+				o1, o2 = e1.arg, e2.arg
 			case e1.arg == e2.arg:
-				common, o1, o2 = e1.arg, e1.def, e2.def
+				o1, o2 = e1.def, e2.def
 			case e1.def == e2.arg:
-				common, o1, o2 = e1.def, e1.arg, e2.def
+				o1, o2 = e1.arg, e2.def
 			case e1.arg == e2.def:
-				common, o1, o2 = e1.arg, e1.def, e2.arg
+				o1, o2 = e1.def, e2.arg
 			default:
 				continue
 			}
-			_ = common
-			if o1 != o2 && rg.Interfere(o1, o2) {
+			if o1 != o2 && lift.Interfere(o1, o2) {
 				e1.weight += e2.mult
 				e2.weight += e1.mult
 			}
@@ -312,7 +365,8 @@ func pinBlock(g *graph, res *pin.Resources, rg *interference.ResourceGraph, st *
 	// Greedy pruning in decreasing weight order, updating neighbours.
 	for {
 		var ep *edge
-		for _, e := range edges {
+		for _, i := range g.live {
+			e := &g.edges[i]
 			if e.deleted || e.weight <= 0 {
 				continue
 			}
@@ -325,7 +379,8 @@ func pinBlock(g *graph, res *pin.Resources, rg *interference.ResourceGraph, st *
 		}
 		ep.deleted = true
 		st.EdgesPruned++
-		for _, e := range edges {
+		for _, i := range g.live {
+			e := &g.edges[i]
 			if e.deleted {
 				continue
 			}
@@ -338,34 +393,43 @@ func pinBlock(g *graph, res *pin.Resources, rg *interference.ResourceGraph, st *
 	// Merge the surviving edges, largest multiplicity first; the
 	// incremental recheck guarantees Condition 2 against long-range
 	// interferences the weights cannot see.
-	remaining := liveEdges()
+	g.order = g.order[:0]
+	for _, i := range g.live {
+		if !g.edges[i].deleted {
+			g.order = append(g.order, i)
+		}
+	}
 	f := res.Func()
 	isPhysEdge := func(e *edge) bool {
 		return f.IsPhys(res.Find(e.def)) || f.IsPhys(res.Find(e.arg))
 	}
-	sort.SliceStable(remaining, func(i, j int) bool {
+	slices.SortStableFunc(g.order, func(i, j int32) int {
+		x, y := &g.edges[i], &g.edges[j]
 		// Virtual-virtual merges first: joining a dedicated register's
 		// class is maximally constraining (every later candidate must
 		// tolerate all of the register's occupancies), so those edges go
 		// last at equal multiplicity.
-		pi, pj := isPhysEdge(remaining[i]), isPhysEdge(remaining[j])
-		if pi != pj {
-			return !pi
+		if px, py := isPhysEdge(x), isPhysEdge(y); px != py {
+			if px {
+				return 1
+			}
+			return -1
 		}
-		if remaining[i].mult != remaining[j].mult {
-			return remaining[i].mult > remaining[j].mult
+		if x.mult != y.mult {
+			return cmp.Compare(y.mult, x.mult)
 		}
-		if remaining[i].def != remaining[j].def {
-			return remaining[i].def < remaining[j].def
+		if x.def != y.def {
+			return cmp.Compare(x.def, y.def)
 		}
-		return remaining[i].arg < remaining[j].arg
+		return cmp.Compare(x.arg, y.arg)
 	})
-	for _, e := range remaining {
+	for _, i := range g.order {
+		e := &g.edges[i]
 		a, b := res.Find(e.def), res.Find(e.arg)
 		if a == b {
 			continue
 		}
-		if !rg.Merge(a, b) {
+		if !lift.Merge(a, b) {
 			st.EdgesDeferred++
 			continue
 		}

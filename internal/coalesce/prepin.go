@@ -46,6 +46,10 @@ func (s *PrePinStats) AppendCounters(dst []obs.Counter) []obs.Counter {
 // Candidates are visited innermost-loop first, like the main algorithm,
 // so contended resources go to the most frequently executed sites.
 func PrePinDefs(f *ir.Func, mode interference.Mode) (*PrePinStats, error) {
+	return prePinDefs(f, mode, liftWith)
+}
+
+func prePinDefs(f *ir.Func, mode interference.Mode, wrap wrapper) (*PrePinStats, error) {
 	cfg.SplitCriticalEdges(f)
 	cfg.SetLoopDepth(f, analysis.Dominators(f))
 
@@ -56,7 +60,9 @@ func PrePinDefs(f *ir.Func, mode interference.Mode) (*PrePinStats, error) {
 	live := analysis.Liveness(f)
 	dom := analysis.Dominators(f)
 	an := interference.New(f, live, dom, mode)
-	rg := interference.NewResourceGraph(an, res)
+	// A merge joins the class of a value with a pinned use and the class
+	// it is pinned to, so those are the classes every question is about.
+	lift := newLifting(an, res, pinnedUses(f), wrap)
 
 	blocks := append([]*ir.Block(nil), f.Blocks()...)
 	for i := 1; i < len(blocks); i++ {
@@ -90,7 +96,7 @@ func PrePinDefs(f *ir.Func, mode interference.Mode) (*PrePinStats, error) {
 				// The value must not be killed in its own resource at this
 				// point (then the repair move is unavoidable anyway), and
 				// merging must not create a new interference.
-				if rg.IsKilled(v) || !rg.Merge(v, want) {
+				if lift.IsKilled(v) || !lift.Merge(v, want) {
 					st.Skipped++
 					continue
 				}
@@ -101,6 +107,22 @@ func PrePinDefs(f *ir.Func, mode interference.Mode) (*PrePinStats, error) {
 	pin.RepinDefs(f, res)
 	st.Interference = an.Counters()
 	return st, nil
+}
+
+// pinnedUses returns the value and the pin of every pinned use outside
+// a φ.
+func pinnedUses(f *ir.Func) []ir.ValueID {
+	var vals []ir.ValueID
+	for _, b := range f.Blocks() {
+		for i := b.NumPhis(); i < b.NumInstrs(); i++ {
+			for _, u := range b.Instr(i).Uses() {
+				if u.Pinned() {
+					vals = append(vals, u.Val, u.Pin())
+				}
+			}
+		}
+	}
+	return vals
 }
 
 func deeperFirst(a, b *ir.Block) bool {

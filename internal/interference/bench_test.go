@@ -1,6 +1,7 @@
 package interference_test
 
 import (
+	"slices"
 	"testing"
 
 	"outofssa/internal/cfg"
@@ -37,65 +38,82 @@ func pinnedSuite(build func() *workload.Suite) []*ir.Func {
 	return s.Funcs
 }
 
-// BenchmarkInterferenceQueries isolates the resource-level lifting on
-// the raw Resource_killed / Resource_interfere workload: for every
-// function of the suite, a fresh ResourceGraph (empty memos) answers
-// IsKilled for every value (one Resource_killed computation per class)
-// plus Interfere over a root-pair sample. This is the hot path
-// Program_pinning and the Leung mark phase sit on;
-// BENCH_interference.json is a dated record of an earlier run.
+// BenchmarkInterferenceQueries isolates the resource-level lifting
+// Program_pinning sits on: for every function of the suite, over the
+// classes of its φ results and arguments, IsKilled of every member plus
+// Interfere over a sample of pairs of their roots, answered by a row
+// table built for the call ("table", as ProgramPinning builds one) and
+// by a fresh ResourceGraph with empty memos ("oracle").
+// BENCH_interference.json is a dated record of an earlier engine.
 func BenchmarkInterferenceQueries(b *testing.B) {
+	type prep struct {
+		an           *interference.Analysis
+		res          *pin.Resources
+		seeds, roots []ir.ValueID
+	}
+	type lifting interface {
+		IsKilled(v ir.ValueID) bool
+		Interfere(a, b ir.ValueID) bool
+	}
+	engines := []struct {
+		name string
+		lift func(p prep) lifting
+	}{
+		{"table", func(p prep) lifting { return interference.NewTable(p.an, p.res, p.seeds) }},
+		{"oracle", func(p prep) lifting { return interference.NewResourceGraph(p.an, p.res) }},
+	}
 	for _, suite := range benchSuites {
-		b.Run(suite.name, func(b *testing.B) {
-			b.StopTimer()
-			type prep struct {
-				an    *interference.Analysis
-				res   *pin.Resources
-				roots []ir.ValueID
-				nv    int
+		var ps []prep
+		for _, f := range pinnedSuite(suite.build) {
+			cfg.SplitCriticalEdges(f)
+			res, err := pin.NewResources(f)
+			if err != nil {
+				b.Fatal(err)
 			}
-			var ps []prep
-			for _, f := range pinnedSuite(suite.build) {
-				cfg.SplitCriticalEdges(f)
-				res, err := pin.NewResources(f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				an := interference.New(f, liveness.Compute(f), cfg.Dominators(f), interference.Exact)
-				seen := make(map[ir.ValueID]bool)
-				var roots []ir.ValueID
-				for id := 0; id < f.NumValues(); id++ {
-					if r := res.Find(ir.ValueID(id)); !seen[r] {
-						seen[r] = true
-						roots = append(roots, r)
+			p := prep{an: interference.New(f, liveness.Compute(f), cfg.Dominators(f), interference.Exact), res: res}
+			for _, blk := range f.Blocks() {
+				for _, phi := range blk.Phis() {
+					p.seeds = append(p.seeds, phi.Def(0))
+					for _, u := range phi.Uses() {
+						p.seeds = append(p.seeds, u.Val)
 					}
 				}
-				ps = append(ps, prep{an, res, roots, f.NumValues()})
 			}
-			b.StartTimer()
-			verdicts := 0
-			for i := 0; i < b.N; i++ {
-				for _, p := range ps {
-					g := interference.NewResourceGraph(p.an, p.res)
-					for id := 0; id < p.nv; id++ {
-						if g.IsKilled(ir.ValueID(id)) {
-							verdicts++
+			for _, v := range p.seeds {
+				if r := res.Find(v); !slices.Contains(p.roots, r) {
+					p.roots = append(p.roots, r)
+				}
+			}
+			ps = append(ps, p)
+		}
+		for _, e := range engines {
+			b.Run(suite.name+"/"+e.name, func(b *testing.B) {
+				verdicts := 0
+				for i := 0; i < b.N; i++ {
+					for _, p := range ps {
+						g := e.lift(p)
+						for _, v := range p.seeds {
+							for _, m := range p.res.Members(v) {
+								if g.IsKilled(m) {
+									verdicts++
+								}
+							}
 						}
-					}
-					step := len(p.roots)/48 + 1
-					for x := 0; x < len(p.roots); x += step {
-						for y := x + 1; y < len(p.roots); y += step {
-							if g.Interfere(p.roots[x], p.roots[y]) {
-								verdicts++
+						step := len(p.roots)/48 + 1
+						for x := 0; x < len(p.roots); x += step {
+							for y := x + 1; y < len(p.roots); y += step {
+								if g.Interfere(p.roots[x], p.roots[y]) {
+									verdicts++
+								}
 							}
 						}
 					}
 				}
-			}
-			if verdicts < 0 {
-				b.Fatal("impossible")
-			}
-		})
+				if verdicts < 0 {
+					b.Fatal("impossible")
+				}
+			})
+		}
 	}
 }
 

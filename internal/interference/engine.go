@@ -9,9 +9,11 @@ import (
 	"outofssa/internal/pin"
 )
 
-// ResourceGraph lifts variable interference to resources (§3.3). It
-// consults pin.Resources for membership, so queries remain correct as
-// the coalescer merges classes. Resource-level results are memoized per
+// ResourceGraph lifts variable interference to resources (§3.3), pair
+// by pair. It is the test oracle of Table, which the pinning phases use,
+// and of KilledAll, which Leung's mark phase uses; no binary builds one.
+// It consults pin.Resources for membership, so queries remain correct
+// as classes merge. Resource-level results are memoized per
 // class: the killed marks of a root, and the verdict for a pair of
 // roots, stay valid until a Union grows one of those classes
 // (pin.Resources.Changed), so merging two other classes evicts nothing,

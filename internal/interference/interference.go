@@ -57,11 +57,15 @@ type Counters struct {
 	LiveAfterHits   int64
 	LiveAfterMisses int64
 	// ResourceKilled and ResourceInterfere count the resource-level
-	// liftings (each expands to many variable queries).
+	// liftings: calls to IsKilled and Interfere of a Table (a lookup and
+	// a few word-wise ANDs each), or of a ResourceGraph, where each
+	// expands to many variable queries and Interfere computes both
+	// classes' killed marks as well.
 	ResourceKilled    int64
 	ResourceInterfere int64
 	// KilledMemoHits and InterfereMemoHits count resource-level verdicts
-	// served from the per-class memo without recomputation.
+	// a ResourceGraph served from its per-class memo without
+	// recomputation.
 	KilledMemoHits    int64
 	InterfereMemoHits int64
 	// LiveQueryHits and LiveQueryMisses read 0: liveness is one fixed
@@ -394,6 +398,7 @@ func (s PinSite) kills(an *Analysis, m ir.ValueID) bool {
 }
 
 // The resource-level lifting of these queries — Resource_killed and
-// Resource_interfere over pin.Resources classes — lives in engine.go:
-// the pairwise expansion of §3.3 behind ResourceGraph, and the one-walk
-// KilledAll for Leung's mark phase.
+// Resource_interfere over pin.Resources classes — lives in table.go, the
+// rows the pinning phases answer from, and in engine.go: the pairwise
+// expansion of §3.3 behind ResourceGraph, their test oracle, and the
+// one-walk KilledAll for Leung's mark phase.

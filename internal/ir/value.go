@@ -90,8 +90,9 @@ func Ops(vals ...ValueID) []Operand {
 
 // MergeIDs merges two ascending lists of distinct value IDs into a new
 // ascending list with len == cap, so an append to the result never
-// writes into memory another holder of it can see. The union-finds over
-// values keep their classes' member lists with it.
+// writes into memory another holder of it can see. Sreedhar's φ
+// congruence classes keep their member lists with it; pin.Resources
+// appends its merged lists to a slab of its own.
 func MergeIDs(a, b []ValueID) []ValueID {
 	out := make([]ValueID, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {

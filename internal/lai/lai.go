@@ -236,8 +236,9 @@ func (p *parser) parseFunc() (*ir.Func, error) {
 		}
 	}
 
+	// Every Verify error already starts with the function's name.
 	if err := p.fn.Verify(); err != nil {
-		return nil, fmt.Errorf("lai: %s: %v", p.fn.Name, err)
+		return nil, fmt.Errorf("lai: %w", err)
 	}
 	return p.fn, nil
 }

@@ -143,6 +143,17 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestVerifyErrorNamesFunctionOnce: a structural error of a parsed
+// function reads as Func.Verify reports it, which starts with the
+// function's name, behind the package prefix alone.
+func TestVerifyErrorNamesFunctionOnce(t *testing.T) {
+	const src = ".func entryloop\n.input five:R0\nentry:\n    const  one, 1\n    add    b, b, one\n    blt    b, five, entry\n    ret    b\n"
+	const want = "lai: entryloop: entry block entry has predecessors"
+	if _, err := lai.Parse(src); err == nil || err.Error() != want {
+		t.Fatalf("lai.Parse = %v, want %q", err, want)
+	}
+}
+
 func TestParsedThroughPipeline(t *testing.T) {
 	f, err := lai.Parse(fig1)
 	if err != nil {

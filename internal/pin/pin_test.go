@@ -1,6 +1,8 @@
 package pin_test
 
 import (
+	"math/bits"
+	"runtime/debug"
 	"testing"
 
 	"outofssa/internal/ir"
@@ -362,6 +364,45 @@ func TestCollectPhiCSSA(t *testing.T) {
 					t.Fatalf("φ web not unified: %v vs %v", f.VStr(phi.Def(0)), f.VStr(u.Val))
 				}
 			}
+		}
+	}
+}
+
+// TestResourcesAllocsBounded: NewResources followed by k Unions
+// allocates as often whatever k is, apart from the doublings of the
+// slab that holds the class lists. The unions grow one class by one
+// value at a time, the worst case for the lists: the i-th writes a list
+// of i+1 members, so k unions write k(k+3)/2 entries after the n
+// initial ones, and the slab, starting with room for those n, doubles
+// at most ceil(log2(total/n)) times. The garbage collector is off while
+// it measures: a cycle that a large allocation starts can add the
+// runtime's own allocations to the count.
+func TestResourcesAllocsBounded(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f := ir.NewFunc("chain")
+	vals := make([]ir.ValueID, 1000)
+	for i := range vals {
+		vals[i] = f.NewValue("")
+	}
+	n := f.NumValues()
+	allocs := func(k int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			res, err := pin.NewResources(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vals[1 : k+1] {
+				res.Union(vals[0], v)
+			}
+		})
+	}
+	base := allocs(0)
+	for _, k := range []int{1, 10, 100, 999} {
+		total := n + k*(k+3)/2
+		doublings := bits.Len(uint((total - 1) / n))
+		if got := allocs(k); got > base+float64(doublings) {
+			t.Errorf("NewResources and %d Unions: %.0f allocations, want at most %.0f (no unions) + %d slab doublings",
+				k, got, base, doublings)
 		}
 	}
 }

@@ -12,7 +12,6 @@ package pin
 
 import (
 	"fmt"
-	"sort"
 
 	"outofssa/internal/ir"
 )
@@ -21,11 +20,19 @@ import (
 // class is a resource: the set of variables pinned together, possibly
 // anchored by one dedicated physical register.
 type Resources struct {
-	fn      *ir.Func
-	parent  []ir.ValueID
-	rank    []int
-	members map[ir.ValueID][]ir.ValueID // root -> member values, ascending ID order
-	ids     []ir.ValueID                // ids[v] == v: backs the singleton lists
+	fn     *ir.Func
+	parent []ir.ValueID
+	rank   []uint8
+
+	// Every class's ascending member list is a window on slab: root r's
+	// list is slab[lo[r]:hi[r]]. NewResources lays out the lists of its
+	// classes in one pass, in value order; each later Union appends the
+	// merged list, and grow a new value's singleton list, past the end.
+	// Nothing is ever written below len(slab), so a list stays valid
+	// after the class it described has been merged away, and the slab
+	// grows by doubling (see appendList).
+	slab   []ir.ValueID
+	lo, hi []int32
 
 	// gen counts class-changing operations (successful Unions), and
 	// changed records, per root, the generation of the last Union that
@@ -34,39 +41,42 @@ type Resources struct {
 	// and cannot retroactively change an existing class), so a
 	// resource-level verdict about some roots recorded at generation g
 	// stays valid while Changed of each of them is at most g: merging two
-	// other classes leaves it alone.
-	gen     uint64
-	changed []uint64
+	// other classes leaves it alone. Each successful Union joins two
+	// classes, so gen never exceeds the number of values.
+	gen     uint32
+	changed []uint32
 }
 
 // Gen returns the class-mutation generation counter. Two calls returning
 // the same value guarantee no class was merged in between.
-func (r *Resources) Gen() uint64 { return r.gen }
+func (r *Resources) Gen() uint64 { return uint64(r.gen) }
 
 // Changed returns the generation of the last Union that grew root's
 // class, or 0 if none has. root must be a representative (a Find
 // result): the class of a value that is no longer one has been merged
 // away.
-func (r *Resources) Changed(root ir.ValueID) uint64 { return r.changed[root] }
+func (r *Resources) Changed(root ir.ValueID) uint64 { return uint64(r.changed[root]) }
 
 // Func returns the function whose values the classes partition.
 func (r *Resources) Func() *ir.Func { return r.fn }
 
 // NewResources builds the classes implied by the current definition pins
 // of f: for every definition operand with a pin, the defined value joins
-// the pin's class.
+// the pin's class. The unions link parents only; the member lists of
+// all classes are then laid out at once.
 func NewResources(f *ir.Func) (*Resources, error) {
+	n := f.NumValues()
 	r := &Resources{
 		fn:      f,
-		parent:  make([]ir.ValueID, f.NumValues()),
-		rank:    make([]int, f.NumValues()),
-		members: make(map[ir.ValueID][]ir.ValueID),
-		changed: make([]uint64, f.NumValues()),
-		ids:     make([]ir.ValueID, f.NumValues()),
+		parent:  make([]ir.ValueID, n),
+		rank:    make([]uint8, n),
+		changed: make([]uint32, n),
+		lo:      make([]int32, n),
+		hi:      make([]int32, n),
+		slab:    make([]ir.ValueID, n),
 	}
 	for i := range r.parent {
 		r.parent[i] = ir.ValueID(i)
-		r.ids[i] = ir.ValueID(i)
 	}
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
@@ -74,11 +84,28 @@ func NewResources(f *ir.Func) (*Resources, error) {
 				if !d.Pinned() {
 					continue
 				}
-				if _, err := r.Union(d.Val, d.Pin()); err != nil {
+				if _, _, err := r.link(d.Val, d.Pin()); err != nil {
 					return nil, fmt.Errorf("%s: %q: %v", f.Name, in, err)
 				}
 			}
 		}
+	}
+	// Lay the lists out by root: hi counts each class's members, then
+	// serves as its fill cursor, so visiting the values in ascending
+	// order sorts every list.
+	for v := range r.parent {
+		r.hi[r.Find(ir.ValueID(v))]++
+	}
+	off := int32(0)
+	for v, p := range r.parent {
+		if int(p) == v {
+			r.lo[v], r.hi[v], off = off, off, off+r.hi[v]
+		}
+	}
+	for v := range r.parent {
+		root := r.Find(ir.ValueID(v))
+		r.slab[r.hi[root]] = ir.ValueID(v)
+		r.hi[root]++
 	}
 	return r, nil
 }
@@ -87,10 +114,14 @@ func NewResources(f *ir.Func) (*Resources, error) {
 // variables, parallel-copy temporaries); they start as singletons.
 func (r *Resources) grow(id ir.ValueID) {
 	for len(r.parent) <= int(id) {
-		r.parent = append(r.parent, ir.ValueID(len(r.parent)))
+		v := ir.ValueID(len(r.parent))
+		r.parent = append(r.parent, v)
 		r.rank = append(r.rank, 0)
 		r.changed = append(r.changed, 0)
-		r.ids = append(r.ids, ir.ValueID(len(r.ids)))
+		at := r.reserve(1)
+		r.slab = append(r.slab, v)
+		r.lo = append(r.lo, at)
+		r.hi = append(r.hi, at+1)
 	}
 }
 
@@ -105,17 +136,18 @@ func (r *Resources) Find(v ir.ValueID) ir.ValueID {
 	return v
 }
 
-// Union merges the resources of a and b and returns the representative.
-// Merging two classes that both contain a physical register is an error
-// (two distinct dedicated registers always strongly interfere).
-func (r *Resources) Union(a, b ir.ValueID) (ir.ValueID, error) {
+// link joins the classes of a and b in the union-find alone, and
+// returns the surviving root and the root it absorbed (the same root
+// twice when a and b already share a class). Merging two classes that
+// both contain a physical register is an error.
+func (r *Resources) link(a, b ir.ValueID) (root, absorbed ir.ValueID, err error) {
 	ra, rb := r.Find(a), r.Find(b)
 	if ra == rb {
-		return ra, nil
+		return ra, ra, nil
 	}
 	f := r.fn
 	if f.IsPhys(ra) && f.IsPhys(rb) {
-		return ir.NoValue, fmt.Errorf("pin: cannot merge physical registers %s and %s", f.VStr(ra), f.VStr(rb))
+		return ir.NoValue, ir.NoValue, fmt.Errorf("pin: cannot merge physical registers %s and %s", f.VStr(ra), f.VStr(rb))
 	}
 	// The physical register, if any, must be the root so Find reports it.
 	switch {
@@ -130,30 +162,60 @@ func (r *Resources) Union(a, b ir.ValueID) (ir.ValueID, error) {
 	if r.rank[ra] == r.rank[rb] {
 		r.rank[ra]++
 	}
-	r.members[ra] = ir.MergeIDs(r.classOf(ra), r.classOf(rb))
-	delete(r.members, rb)
 	r.gen++
 	r.changed[ra] = r.gen
-	return ra, nil
+	return ra, rb, nil
+}
+
+// Union merges the resources of a and b and returns the representative.
+// Merging two classes that both contain a physical register is an error
+// (two distinct dedicated registers always strongly interfere).
+func (r *Resources) Union(a, b ir.ValueID) (ir.ValueID, error) {
+	root, absorbed, err := r.link(a, b)
+	if err != nil || root == absorbed {
+		return root, err
+	}
+	x, y := r.classOf(root), r.classOf(absorbed)
+	at := r.reserve(len(x) + len(y))
+	for len(x) > 0 && len(y) > 0 {
+		if x[0] < y[0] {
+			r.slab, x = append(r.slab, x[0]), x[1:]
+		} else {
+			r.slab, y = append(r.slab, y[0]), y[1:]
+		}
+	}
+	r.slab = append(append(r.slab, x...), y...)
+	r.lo[root], r.hi[root] = at, int32(len(r.slab))
+	return root, nil
+}
+
+// reserve makes room for n more entries at the end of the slab and
+// returns where they start. A full slab moves to a new array of twice
+// its capacity (or more, if n needs it); lists already handed out keep
+// reading the old one, which is never written again.
+func (r *Resources) reserve(n int) int32 {
+	if len(r.slab)+n > cap(r.slab) {
+		s := make([]ir.ValueID, len(r.slab), max(2*cap(r.slab), len(r.slab)+n))
+		copy(s, r.slab)
+		r.slab = s
+	}
+	return int32(len(r.slab))
 }
 
 // Members returns every value in v's resource class, in ascending ID
 // order. Singleton classes return just the value itself. The slice is
 // the class's own list, returned without a copy: callers must not write
-// into it. It stays valid across later Unions, which build each merged
-// list afresh (with len == cap) and never write into a list already
-// handed out.
+// into it. It stays valid across later Unions, which write each merged
+// list afresh and never into a list already handed out; its capacity
+// ends with it, so an append to it copies.
 func (r *Resources) Members(v ir.ValueID) []ir.ValueID {
 	return r.classOf(r.Find(v))
 }
 
-// classOf returns root's member list; a singleton has none stored, and
-// its one-element list is a window on ids.
+// classOf returns root's member list.
 func (r *Resources) classOf(root ir.ValueID) []ir.ValueID {
-	if m := r.members[root]; m != nil {
-		return m
-	}
-	return r.ids[root : root+1 : root+1]
+	lo, hi := r.lo[root], r.hi[root]
+	return r.slab[lo:hi:hi]
 }
 
 // Roots returns the representative of every multi-member class, in
@@ -161,9 +223,10 @@ func (r *Resources) classOf(root ir.ValueID) []ir.ValueID {
 // interference scan.
 func (r *Resources) Roots() []ir.ValueID {
 	var out []ir.ValueID
-	for id := range r.members {
-		out = append(out, id)
+	for v, p := range r.parent {
+		if int(p) == v && r.hi[v]-r.lo[v] > 1 {
+			out = append(out, p)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -50,7 +50,10 @@ type Job struct {
 	// SSA, when non-nil, says Build returns a snapshot of a function
 	// BuildSSA already converted, and is the Info that conversion
 	// returned: the job runs as with WithSSAInfo(SSA) and skips SSA
-	// construction. Jobs of one master share its Info, so it must stay
+	// construction, and checked mode's entry check skips the structure
+	// and SSA-form checks BuildSSA's ssa.Verify made. A snapshot that
+	// is not the master it claims fails at the first pass's verify
+	// instead. Jobs of one master share its Info, so it must stay
 	// read-only.
 	SSA *ssa.Info
 }
@@ -219,7 +222,7 @@ func runJob(ctx context.Context, j *Job, out *JobResult, tr obs.Tracer, bm *batc
 	// One runConfig serves both paths, its options applied directly:
 	// WithTracer and WithContext always, WithMetrics on the metered
 	// path, and WithSSAInfo for a converted master.
-	rc := runConfig{tracer: tr, ctx: ctx, info: j.SSA, inSSA: j.SSA != nil}
+	rc := runConfig{tracer: tr, ctx: ctx, info: j.SSA, inSSA: j.SSA != nil, ssaVerified: j.SSA != nil}
 	var t0 time.Time
 	if bm != nil {
 		bm.queue.Dec()

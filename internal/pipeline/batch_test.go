@@ -243,6 +243,47 @@ func TestRunBatchFromSSAMasters(t *testing.T) {
 	}
 }
 
+// TestRunBatchBrokenSnapshotFailsChecked: a job's entry check trusts
+// that Job.SSA's snapshot is the structurally sound master BuildSSA
+// checked, and skips the structure check. A Build that hands out a
+// broken snapshot instead (here, one whose entry block gains a
+// predecessor that does not branch to it) must still fail checked mode,
+// as a one-column run and as a Plan walk.
+func TestRunBatchBrokenSnapshotFailsChecked(t *testing.T) {
+	m := testprog.Loop()
+	info, err := pipeline.BuildSSA(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Freeze()
+	conf := pipeline.Configs[pipeline.ExpLphiABIC]
+	conf.Verify = true
+	other := pipeline.Configs[pipeline.ExpLABIC]
+	other.Verify = true
+	for _, p := range []*pipeline.Plan{
+		plan(t, pipeline.Column{Config: conf, Experiment: pipeline.ExpLphiABIC}),
+		plan(t, pipeline.Column{Config: conf, Experiment: pipeline.ExpLphiABIC},
+			pipeline.Column{Config: other, Experiment: pipeline.ExpLABIC}),
+	} {
+		job := pipeline.Job{
+			Build: func() *ir.Func {
+				f := m.Snapshot()
+				last := f.Blocks()[f.NumBlocks()-1]
+				f.Entry().SetPreds([]ir.BlockID{last.ID})
+				return f
+			},
+			Plan: p,
+			SSA:  info,
+		}
+		res := pipeline.RunBatch(context.Background(), []pipeline.Job{job})
+		var pe *pipeline.PassError
+		if !errors.As(res[0].Err, &pe) {
+			t.Fatalf("%d-column plan: err = %v, want a *PassError", len(res[0].Results), res[0].Err)
+		}
+		t.Logf("%d-column plan: %v", len(res[0].Results), res[0].Err)
+	}
+}
+
 // TestRunBatchErrorIsolation: one corrupt job fails on its own; its
 // neighbours complete, and the failure lands at the right index.
 func TestRunBatchErrorIsolation(t *testing.T) {

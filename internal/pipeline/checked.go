@@ -81,9 +81,10 @@ func (e *PanicError) Error() string {
 // runOpts carries the checked-mode switches into the pass runner.
 type runOpts struct {
 	// verify re-checks IR invariants after every pass and on entry.
-	// built says the run converted its own input with BuildSSA, so the
-	// entry check skips what BuildSSA's ssa.Verify checked
-	// (verifyInput).
+	// built says the run's input comes unchanged from BuildSSA (the run
+	// converted it, or it is a batch job's snapshot of a converted
+	// master), so the entry check skips what BuildSSA's ssa.Verify
+	// checked (verifyInput).
 	verify, built bool
 	// faultHook, when non-nil, runs after each pass body and before
 	// verification — the seam the fault-injection tests corrupt the IR
@@ -131,7 +132,7 @@ func cowProbe(f *ir.Func, exp string) error {
 // verifyInput is checked mode's entry check: a function that fails it
 // is not legal input, so the failure is an *InputError for the
 // pseudo-pass "<input>". The function is in SSA form. built says it
-// comes straight from BuildSSA, whose ssa.Verify already checked its
+// comes unchanged from BuildSSA, whose ssa.Verify already checked its
 // structure and SSA form; the check then skips those two and reports
 // what the full one would.
 func verifyInput(f *ir.Func, exp string, built bool) error {

@@ -36,7 +36,9 @@ func fuzzOptions(size int64) testprog.RandOptions {
 // pipeline as its own oracle. Any verifier violation, pass panic, or
 // semantic divergence on any configuration is a finding, and so is a
 // killed mark of Leung's mark phase that differs from the
-// ResourceGraph's (checked at the pass through the fault hook). Then
+// ResourceGraph's, or a decision of Program_pinning's row table that
+// differs from the ResourceGraph oracle's (both checked at the input
+// of their pass through the fault hook). Then
 // every configuration runs once more, all as the columns of one
 // shared-prefix Plan, and each column's moves and printed IR must
 // equal its flat run.
@@ -84,17 +86,24 @@ func FuzzPipelineDifferential(f *testing.F) {
 			conf.Verify = true
 			cols[ci] = pipeline.Column{Config: conf, Experiment: name}
 			var mismatch string
-			conf.FaultHook = atLeungPoint(func(f *ir.Func) {
-				if m, _ := killMarksMismatch(f); mismatch == "" {
+			conf.FaultHook = atPassInputs(func(pass string, f *ir.Func) {
+				var m string
+				switch pass {
+				case "out-of-pinned-ssa":
+					m, _ = killMarksMismatch(f)
+				case "pinning-phi":
+					m = pinningMismatch(f, conf.Coalesce)
+				}
+				if mismatch == "" {
 					mismatch = m
 				}
 			})
 			res, err := pipeline.Run(g, conf)
-			if err != nil {
-				t.Fatalf("seed=%d size=%d config=%s: %v", seed, size, name, err)
-			}
 			if mismatch != "" {
 				t.Fatalf("seed=%d size=%d config=%s: %s", seed, size, name, mismatch)
+			}
+			if err != nil {
+				t.Fatalf("seed=%d size=%d config=%s: %v", seed, size, name, err)
 			}
 			flatMoves[ci], flatIR[ci] = res.Moves, g.String()
 			for _, b := range g.Blocks() {

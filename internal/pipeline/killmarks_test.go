@@ -14,15 +14,15 @@ import (
 	"outofssa/internal/workload"
 )
 
-// atLeungPoint returns a fault hook that hands check a copy of the
-// function as the out-of-pinned-SSA translation received it: the hook
-// keeps a clone of each pass's output and, when that pass ends, passes
-// on the clone its predecessor left.
-func atLeungPoint(check func(f *ir.Func)) func(string, *ir.Func) {
+// atPassInputs returns a fault hook that hands check each pass's name
+// with a copy of the function as that pass received it: the hook keeps
+// a clone of each pass's output and, when the next pass ends, passes
+// on the clone its predecessor left. The first pass is not checked.
+func atPassInputs(check func(pass string, f *ir.Func)) func(string, *ir.Func) {
 	var prev *ir.Func
 	return func(pass string, f *ir.Func) {
-		if pass == "out-of-pinned-ssa" && prev != nil {
-			check(prev)
+		if prev != nil {
+			check(pass, prev)
 		}
 		prev = f.Clone()
 	}
@@ -60,11 +60,10 @@ func killMarksMismatch(f *ir.Func) (mismatch string, killed int) {
 	return "", killed
 }
 
-// TestKilledAllMatchesResourceGraph runs every preset over the 228
-// suite functions and 300 random programs, about half of them with
-// bottom-tested loops, and, at each out-of-pinned-SSA pass, holds the
-// walk's killed mark of every value to the ResourceGraph's.
-func TestKilledAllMatchesResourceGraph(t *testing.T) {
+// oracleInputs returns the 228 suite functions and 300 random programs,
+// about half of them with bottom-tested loops.
+func oracleInputs(t *testing.T) []*ir.Func {
+	t.Helper()
 	var funcs []*ir.Func
 	for _, build := range []func() *workload.Suite{
 		workload.VALcc1, workload.VALcc2, workload.Examples, workload.LAILarge, workload.SPECint,
@@ -77,12 +76,24 @@ func TestKilledAllMatchesResourceGraph(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		funcs = append(funcs, testprog.Rand(seed, fuzzOptions(seed)))
 	}
+	return funcs
+}
+
+// TestKilledAllMatchesResourceGraph runs every preset over the 228
+// suite functions and 300 random programs, about half of them with
+// bottom-tested loops, and, at each out-of-pinned-SSA pass, holds the
+// walk's killed mark of every value to the ResourceGraph's.
+func TestKilledAllMatchesResourceGraph(t *testing.T) {
+	funcs := oracleInputs(t)
 	checks, killed := 0, 0
 	for _, name := range expNames() {
 		for _, src := range funcs {
 			var mismatch string
 			conf := pipeline.Configs[name]
-			conf.FaultHook = atLeungPoint(func(f *ir.Func) {
+			conf.FaultHook = atPassInputs(func(pass string, f *ir.Func) {
+				if pass != "out-of-pinned-ssa" {
+					return
+				}
 				m, k := killMarksMismatch(f)
 				if mismatch == "" {
 					mismatch = m

@@ -123,13 +123,19 @@ type Result struct {
 type Option func(*runConfig)
 
 type runConfig struct {
-	tracer     obs.Tracer
-	exp        string
-	info       *ssa.Info
-	inSSA      bool
-	metrics    *metrics.Registry
-	ctx        context.Context
-	execBudget int
+	tracer obs.Tracer
+	exp    string
+	info   *ssa.Info
+	inSSA  bool
+	// ssaVerified says the input in SSA form passed ssa.Verify when
+	// BuildSSA converted it and has not changed since: a batch job's
+	// snapshot of a converted master (Job.SSA). Checked mode's entry
+	// check then skips what ssa.Verify checked, as it does for a run
+	// that converts its own input.
+	ssaVerified bool
+	metrics     *metrics.Registry
+	ctx         context.Context
+	execBudget  int
 	// ended, when set, sees each column's final function in a Plan walk
 	// (export_test.go sets it; no Option does).
 	ended func(col int, f *ir.Func)
@@ -263,7 +269,7 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 	if reg != nil {
 		runCellsFor(reg, exp).runs.Inc()
 	}
-	opts := runOpts{verify: conf.Verify, built: !rc.inSSA, faultHook: conf.FaultHook, metrics: reg,
+	opts := runOpts{verify: conf.Verify, built: !rc.inSSA || rc.ssaVerified, faultHook: conf.FaultHook, metrics: reg,
 		ctx: rc.ctx, execBudget: rc.execBudget}
 	if err := runPasses(f, info, r, exp, conf.passes(), tr, opts); err != nil {
 		var invalid *InputError

@@ -146,7 +146,7 @@ func (rc *runConfig) runPlan(f *ir.Func, p *Plan) ([]*Result, error) {
 		w.maxLive = make([]int64, len(p.cols))
 	}
 	if checked {
-		err = verifyInput(f, first.Experiment, !rc.inSSA)
+		err = verifyInput(f, first.Experiment, !rc.inSSA || rc.ssaVerified)
 	}
 	if err == nil {
 		if w.tr != nil {

@@ -61,6 +61,7 @@ type compileReply struct {
 	status int
 	resp   compileResponse
 	errK   string
+	errMsg string
 }
 
 func postCompile(t *testing.T, url string, body any) compileReply {
@@ -88,7 +89,7 @@ func postCompile(t *testing.T, url string, body any) compileReply {
 	if err := json.NewDecoder(hr.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	rep.errK = env.Error.Kind
+	rep.errK, rep.errMsg = env.Error.Kind, env.Error.Message
 	return rep
 }
 
@@ -590,8 +591,9 @@ func TestIllegalInputRejectedAtBoundary(t *testing.T) {
 	if rep := postCompile(t, hs.URL, compileRequest{IR: doc}); rep.status != http.StatusBadRequest || rep.errK != "parse" {
 		t.Fatalf(".input declaring 4 of 2 defs: status=%d kind=%q, want 400/parse", rep.status, rep.errK)
 	}
-	if rep := postCompile(t, hs.URL, compileRequest{LAI: srcEntryLoop}); rep.status != http.StatusBadRequest || rep.errK != "parse" {
-		t.Fatalf("entry loop: status=%d kind=%q, want 400/parse", rep.status, rep.errK)
+	const entryLoopMsg = "lai: entryloop: entry block entry has predecessors"
+	if rep := postCompile(t, hs.URL, compileRequest{LAI: srcEntryLoop}); rep.status != http.StatusBadRequest || rep.errK != "parse" || rep.errMsg != entryLoopMsg {
+		t.Fatalf("entry loop: status=%d kind=%q message=%q, want 400/parse %q", rep.status, rep.errK, rep.errMsg, entryLoopMsg)
 	}
 	for i := 0; i < 5; i++ {
 		for _, src := range []string{srcABIClash, srcSPClash} {
