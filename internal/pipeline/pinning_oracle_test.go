@@ -14,12 +14,15 @@ import (
 
 // pinningMismatch holds the row table to the ResourceGraph oracle on f,
 // as the pinning-phi pass received it, under opt, twice: directly, on
-// f with its critical edges (tableMismatch), and through
+// f with its critical edges (tableMismatch, which the depth constraint
+// does not change, so it runs without it), and through
 // coalesce.CheckDecisions, which runs Program_pinning on a copy of f.
 // It describes the first disagreement, or returns "".
 func pinningMismatch(f *ir.Func, opt coalesce.Options) string {
-	if m := tableMismatch(f.Clone(), opt.Mode); m != "" {
-		return m
+	if !opt.DepthConstraint {
+		if m := tableMismatch(f.Clone(), opt.Mode); m != "" {
+			return m
+		}
 	}
 	m, err := coalesce.CheckDecisions(f.Clone(), opt)
 	if err != nil {
