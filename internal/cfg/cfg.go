@@ -50,19 +50,26 @@ type DomTree struct {
 	// Idom[b.ID] is the immediate dominator of b, nil for the entry and
 	// for unreachable blocks.
 	Idom []*ir.Block
-	// Children[b.ID] lists the dominator-tree children of b in block ID
-	// order (deterministic).
+	// Children[b.ID] lists the dominator-tree children of b in reverse
+	// postorder (deterministic), nil for a leaf. The lists are
+	// capacity-capped sub-slices of one backing array, so an append to
+	// one never writes into another.
 	Children [][]*ir.Block
-	// rpoNum[b.ID] is the reverse-postorder number used for O(1)-ish
-	// dominance queries via the pre/post numbering below.
+	// pre and post number the dominator tree for O(1) Dominates
+	// queries; pre is -1 for unreachable blocks.
 	pre, post []int
 }
 
 // Dominators computes the dominator tree of f using the Cooper, Harvey
 // and Kennedy iterative algorithm ("A Simple, Fast Dominance Algorithm").
 func Dominators(f *ir.Func) *DomTree {
+	nb := f.NumBlocks()
 	rpo := reversePostorder(f)
-	rpoNum := make([]int, f.NumBlocks())
+	// One table holds the reverse-postorder numbers while the tree is
+	// computed, then the children's group bounds (one entry more), and
+	// the pre/post numbering for good.
+	tab := make([]int, 3*nb+1)
+	rpoNum := tab[:nb]
 	for i := range rpoNum {
 		rpoNum[i] = -1
 	}
@@ -70,7 +77,7 @@ func Dominators(f *ir.Func) *DomTree {
 		rpoNum[b.ID] = i
 	}
 
-	idom := make([]*ir.Block, f.NumBlocks())
+	idom := make([]*ir.Block, nb)
 	entry := f.Entry()
 	idom[entry.ID] = entry // sentinel: entry "dominated by itself" during iteration
 
@@ -112,33 +119,61 @@ func Dominators(f *ir.Func) *DomTree {
 	}
 	idom[entry.ID] = nil
 
-	t := &DomTree{fn: f, Idom: idom}
-	t.Children = make([][]*ir.Block, f.NumBlocks())
-	for _, b := range rpo { // rpo order; children end up ordered by rpo
-		if p := idom[b.ID]; p != nil {
-			t.Children[p.ID] = append(t.Children[p.ID], b)
-		}
-	}
+	t := &DomTree{fn: f, Idom: idom, pre: tab[nb+1 : 2*nb+1], post: tab[2*nb+1:]}
+	t.Children = children(rpo, idom, tab[:nb+1])
 
 	// Pre/post numbering of the dominator tree for O(1) Dominates.
-	t.pre = make([]int, f.NumBlocks())
-	t.post = make([]int, f.NumBlocks())
 	for i := range t.pre {
 		t.pre[i] = -1
 	}
-	clock := 0
-	var number func(*ir.Block)
-	number = func(b *ir.Block) {
-		t.pre[b.ID] = clock
-		clock++
-		for _, c := range t.Children[b.ID] {
-			number(c)
-		}
-		t.post[b.ID] = clock
-		clock++
-	}
-	number(entry)
+	t.number(entry, 0)
 	return t
+}
+
+// children lays out the dominator-tree children of every block, grouped
+// by parent, in one array: it counts each block p's children into
+// pos[p+1]; after the prefix sum pos[p] is where p's group starts, and
+// storing the children in reverse postorder advances pos[p] to where the
+// group ends, which is where block p+1's starts.
+func children(rpo, idom []*ir.Block, pos []int) [][]*ir.Block {
+	nb := len(idom)
+	clear(pos)
+	for _, b := range rpo {
+		if p := idom[b.ID]; p != nil {
+			pos[p.ID+1]++
+		}
+	}
+	for i := 1; i <= nb; i++ {
+		pos[i] += pos[i-1]
+	}
+	kids := make([]*ir.Block, pos[nb])
+	for _, b := range rpo {
+		if p := idom[b.ID]; p != nil {
+			kids[pos[p.ID]] = b
+			pos[p.ID]++
+		}
+	}
+	out := make([][]*ir.Block, nb)
+	start := 0
+	for p, end := range pos[:nb] {
+		if end > start {
+			out[p] = kids[start:end:end]
+			start = end
+		}
+	}
+	return out
+}
+
+// number gives b's dominator subtree pre and post numbers from clock on
+// and returns the next free number.
+func (t *DomTree) number(b *ir.Block, clock int) int {
+	t.pre[b.ID] = clock
+	clock++
+	for _, c := range t.Children[b.ID] {
+		clock = t.number(c, clock)
+	}
+	t.post[b.ID] = clock
+	return clock + 1
 }
 
 // Dominates reports whether a dominates b (reflexively).

@@ -93,23 +93,29 @@ func Translate(f *ir.Func) (*Stats, error) {
 	}
 	numVals := f.NumValues()
 
-	// Only killed variables with at least one use need a repair variable.
-	used := make(map[ir.ValueID]bool)
+	// repair[v] is v's repair variable, NoValue if v needs none. Only
+	// killed variables with at least one use need one: the walk over the
+	// uses marks them with themselves, and their repair variables are
+	// then created in ascending value order.
+	repair := make([]ir.ValueID, numVals)
+	for i := range repair {
+		repair[i] = ir.NoValue
+	}
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
 			for _, u := range in.Uses() {
-				used[u.Val] = true
+				if killed.Has(int(u.Val)) {
+					repair[u.Val] = u.Val
+				}
 			}
 		}
 	}
-	repair := make(map[ir.ValueID]ir.ValueID) // permanent: killed var -> repair var
-	for id := 0; id < numVals; id++ {
-		v := ir.ValueID(id)
-		if killed.Has(id) && used[v] {
-			repair[v] = f.NewValue(f.ValueName(v) + "'")
+	for id, r := range repair {
+		if r != ir.NoValue {
+			repair[id] = f.NewValue(f.ValueName(r) + "'")
+			st.Repairs++
 		}
 	}
-	st.Repairs = len(repair)
 	st.Killed = killed.Len()
 
 	home := func(v ir.ValueID) ir.ValueID { return res.Find(v) }
@@ -117,34 +123,39 @@ func Translate(f *ir.Func) (*Stats, error) {
 	// its repair snapshot: the repair variable if v was killed, else its
 	// home resource.
 	src := func(v ir.ValueID) ir.ValueID {
-		if r, ok := repair[v]; ok {
+		if r := repair[v]; r != ir.NoValue {
 			return r
 		}
 		return home(v)
 	}
 
 	// Instructions created by the translation carry final names and must
-	// not be rewritten again when their block is processed later.
-	emitted := make(map[*ir.Instr]bool)
+	// not be rewritten again when their block is processed later. Arena
+	// handles are handed out in increasing order, so they are exactly
+	// those from firstNew on.
+	firstNew := ir.InstrID(f.NumInstrSlots())
 	newCopy := func(d, s ir.ValueID) *ir.Instr {
-		c := f.NewInstr(ir.Copy,
+		return f.NewInstr(ir.Copy,
 			[]ir.Operand{{Val: d}}, []ir.Operand{{Val: s}})
-		emitted[c] = true
-		return c
 	}
+
+	// Scratch lists reused across blocks, edges and instructions:
+	// NewInstr copies its operand slices.
+	phis, snaps := make([]*ir.Instr, 0, 16), make([]*ir.Instr, 0, 16)
+	defs, uses := make([]ir.Operand, 0, 16), make([]ir.Operand, 0, 16)
 
 	// ---- Reconstruct phase.
 	for _, b := range f.Blocks() {
 		// Replace the φs of b by parallel copies at the end of each pred.
 		nphis := b.NumPhis()
 		if nphis > 0 {
-			var phis []*ir.Instr
-			for _, phi := range b.Phis() {
-				phis = append(phis, phi)
+			phis = phis[:0]
+			for k := 0; k < nphis; k++ {
+				phis = append(phis, b.Instr(k))
 			}
 			for pi := 0; pi < b.NumPreds(); pi++ {
 				pred := b.Pred(pi)
-				var defs, uses []ir.Operand
+				defs, uses = defs[:0], uses[:0]
 				for _, phi := range phis {
 					dst := home(phi.Def(0))
 					s := src(phi.Use(pi))
@@ -156,18 +167,16 @@ func Translate(f *ir.Func) (*Stats, error) {
 				}
 				if len(defs) > 0 {
 					st.PhiMoves += len(defs)
-					pc := f.NewInstr(ir.ParCopy, defs, uses)
-					emitted[pc] = true
-					pred.InsertBeforeTerminator(pc)
+					pred.InsertBeforeTerminator(f.NewInstr(ir.ParCopy, defs, uses))
 				}
 			}
 			// Remove the φs; killed φ results (lost-copy self-kill) get
 			// their snapshot right after the φ point, before anything can
 			// clobber the resource.
-			var snaps []*ir.Instr
+			snaps = snaps[:0]
 			for _, phi := range phis {
 				x := phi.Def(0)
-				if r, ok := repair[x]; ok {
+				if r := repair[x]; r != ir.NoValue {
 					snaps = append(snaps, newCopy(r, home(x)))
 				}
 			}
@@ -181,13 +190,13 @@ func Translate(f *ir.Func) (*Stats, error) {
 
 		for idx := 0; idx < b.NumInstrs(); idx++ {
 			in := b.Instr(idx)
-			if emitted[in] {
+			if in.ID() >= firstNew {
 				continue
 			}
 
 			// Enforce use pins: needed (resource <- location) moves
 			// execute in parallel just before the instruction.
-			var preDefs, preUses []ir.Operand
+			defs, uses = defs[:0], uses[:0]
 			scheduled := make(map[ir.ValueID]ir.ValueID) // dst -> src
 			pinnedIdx := make(map[int]bool)              // operand indexes rewritten to pinned resources
 			for ui := 0; ui < in.NumUses(); ui++ {
@@ -200,7 +209,7 @@ func Translate(f *ir.Func) (*Stats, error) {
 				pinnedIdx[ui] = true
 				want := res.Find(u.Pin())
 				in.SetUse(ui, ir.Operand{Val: want})
-				if _, wasKilled := repair[v]; home(v) == want && !wasKilled {
+				if home(v) == want && repair[v] == ir.NoValue {
 					continue // value already lives in the pinned resource
 				}
 				s := src(v)
@@ -215,10 +224,10 @@ func Translate(f *ir.Func) (*Stats, error) {
 					continue
 				}
 				scheduled[want] = s
-				preDefs = append(preDefs, ir.Operand{Val: want})
-				preUses = append(preUses, ir.Operand{Val: s})
+				defs = append(defs, ir.Operand{Val: want})
+				uses = append(uses, ir.Operand{Val: s})
 			}
-			if len(preDefs) > 0 {
+			if len(defs) > 0 {
 				// The parallel pre-copy writes pinned resources. Any other
 				// operand of this instruction still reading one of those
 				// resources must be rescued into a temporary first (the
@@ -243,10 +252,8 @@ func Translate(f *ir.Func) (*Stats, error) {
 						in.SetUseVal(ui, t)
 					}
 				}
-				st.PinMoves += len(preDefs)
-				pre := f.NewInstr(ir.ParCopy, preDefs, preUses)
-				emitted[pre] = true
-				b.InsertAt(idx, pre)
+				st.PinMoves += len(defs)
+				b.InsertAt(idx, f.NewInstr(ir.ParCopy, defs, uses))
 				idx++
 			}
 
@@ -257,7 +264,7 @@ func Translate(f *ir.Func) (*Stats, error) {
 				v := in.Def(di)
 				h := home(v)
 				in.SetDef(di, ir.Operand{Val: h})
-				if r, ok := repair[v]; ok {
+				if r := repair[v]; r != ir.NoValue {
 					b.InsertAt(idx+1+post, newCopy(r, h))
 					post++
 				}

@@ -42,6 +42,12 @@ func Check(pc *ir.Instr) error {
 // copy cycle. Self copies are dropped. Returns the number of Copy
 // instructions emitted.
 func Sequentialize(f *ir.Func) int {
+	var after func()
+	if twin != nil {
+		after = twin(f)
+	}
+	// Scratch lists reused across the parallel copies of the call.
+	seq, pending := make([]*ir.Instr, 0, 16), make([]move, 0, 16)
 	emitted := 0
 	for _, b := range f.Blocks() {
 		for idx := 0; idx < b.NumInstrs(); idx++ {
@@ -49,7 +55,7 @@ func Sequentialize(f *ir.Func) int {
 			if in.Op() != ir.ParCopy {
 				continue
 			}
-			seq := lower(f, in)
+			seq, pending = lower(f, in, seq[:0], pending[:0])
 			b.RemoveAt(idx)
 			for k, c := range seq {
 				b.InsertAt(idx+k, c)
@@ -58,27 +64,32 @@ func Sequentialize(f *ir.Func) int {
 			emitted += len(seq)
 		}
 	}
+	if after != nil {
+		after()
+	}
 	return emitted
 }
 
-// lower returns the sequential Copy list equivalent to the parallel copy
-// pc. The algorithm repeatedly emits copies whose destination is not a
-// pending source; when none exists every pending destination is also a
-// source — a cycle — which is broken by saving one destination to a fresh
-// temporary.
-func lower(f *ir.Func, pc *ir.Instr) []*ir.Instr {
-	type cp struct{ dst, src ir.ValueID }
-	var pending []cp
+// twin, when set, is called with f before Sequentialize lowers it, and
+// the function it returns after. Only the package's tests set it
+// (export_test.go), to hold every lowering to the reference lowering.
+var twin func(f *ir.Func) (after func())
+
+// move is one pending destination ← source pair of a parallel copy.
+type move struct{ dst, src ir.ValueID }
+
+// lower appends to out the sequential Copy list equivalent to the
+// parallel copy pc, and returns it with pending, an empty list it uses
+// as scratch. The algorithm repeatedly emits copies whose destination is
+// not a pending source; when none exists every pending destination is
+// also a source — a cycle — which is broken by saving one destination to
+// a fresh temporary.
+func lower(f *ir.Func, pc *ir.Instr, out []*ir.Instr, pending []move) ([]*ir.Instr, []move) {
 	for i := 0; i < pc.NumDefs(); i++ {
 		d, s := pc.Def(i), pc.Use(i)
 		if d != s {
-			pending = append(pending, cp{d, s})
+			pending = append(pending, move{d, s})
 		}
-	}
-	var out []*ir.Instr
-	emit := func(d, s ir.ValueID) {
-		out = append(out, f.NewInstr(ir.Copy,
-			[]ir.Operand{{Val: d}}, []ir.Operand{{Val: s}}))
 	}
 	for len(pending) > 0 {
 		progress := false
@@ -95,7 +106,7 @@ func lower(f *ir.Func, pc *ir.Instr) []*ir.Instr {
 				i++
 				continue
 			}
-			emit(d, pending[i].src)
+			out = append(out, newCopy(f, d, pending[i].src))
 			pending = append(pending[:i], pending[i+1:]...)
 			progress = true
 		}
@@ -103,7 +114,7 @@ func lower(f *ir.Func, pc *ir.Instr) []*ir.Instr {
 			// Pure cycle(s): break one by parking a destination in a temp.
 			tmp := f.NewValue("")
 			broken := pending[0]
-			emit(tmp, broken.dst)
+			out = append(out, newCopy(f, tmp, broken.dst))
 			for j := range pending {
 				if pending[j].src == broken.dst {
 					pending[j].src = tmp
@@ -111,5 +122,9 @@ func lower(f *ir.Func, pc *ir.Instr) []*ir.Instr {
 			}
 		}
 	}
-	return out
+	return out, pending
+}
+
+func newCopy(f *ir.Func, d, s ir.ValueID) *ir.Instr {
+	return f.NewInstr(ir.Copy, []ir.Operand{{Val: d}}, []ir.Operand{{Val: s}})
 }

@@ -9,8 +9,6 @@
 package ssaopt
 
 import (
-	"strconv"
-
 	"outofssa/internal/bitset"
 	"outofssa/internal/ir"
 	"outofssa/internal/obs"
@@ -239,12 +237,14 @@ func FoldSelects(f *ir.Func) int {
 // localCSE performs local value numbering within each block: a pure
 // instruction computing an expression already computed in the block is
 // replaced by a copy of the earlier result (which copy propagation then
-// dissolves). Returns the number of replacements.
+// dissolves). Returns the number of replacements. One map, cleared
+// between blocks, serves the whole call, so it grows only to the
+// largest block's expression count.
 func localCSE(f *ir.Func, info *ssa.Info) int {
 	n := 0
-	var buf [64]byte
+	avail := make(map[expr]ir.ValueID)
 	for _, b := range f.Blocks() {
-		avail := make(map[string]ir.ValueID)
+		clear(avail)
 		for _, in := range b.Instrs() {
 			if !pureOp(in.Op()) || in.NumDefs() != 1 {
 				continue
@@ -252,27 +252,49 @@ func localCSE(f *ir.Func, info *ssa.Info) int {
 			if in.DefOp(0).Pinned() || protected(f, in.Def(0), info) {
 				continue
 			}
-			pinned := false
-			for _, u := range in.Uses() {
-				if u.Pinned() {
-					pinned = true
-				}
-			}
-			if pinned {
+			key, ok := exprOf(in)
+			if !ok {
 				continue
 			}
-			key := exprKey(buf[:0], in)
-			if prev, ok := avail[string(key)]; ok {
+			if prev, ok := avail[key]; ok {
 				in.SetOp(ir.Copy)
 				in.SetOperands([]ir.Operand{in.DefOp(0)}, []ir.Operand{{Val: prev}})
 				in.Imm = 0
 				n++
 				continue
 			}
-			avail[string(key)] = in.Def(0)
+			avail[key] = in.Def(0)
 		}
 	}
 	return n
+}
+
+// expr is the value-numbering key of a pure instruction: its opcode,
+// immediate and use values. Verify admits at most three uses for every
+// op pureOp accepts.
+type expr struct {
+	op    ir.Op
+	nuses uint16
+	imm   int64
+	uses  [3]ir.ValueID
+}
+
+// exprOf returns in's expression key, or false if a use is pinned or
+// in has more uses than a key holds, which no verified pure instruction
+// has.
+func exprOf(in *ir.Instr) (expr, bool) {
+	e := expr{op: in.Op(), imm: in.Imm}
+	if in.NumUses() > len(e.uses) {
+		return expr{}, false
+	}
+	for i, u := range in.Uses() {
+		if u.Pinned() {
+			return expr{}, false
+		}
+		e.uses[i] = u.Val
+	}
+	e.nuses = uint16(in.NumUses())
+	return e, true
 }
 
 func pureOp(op ir.Op) bool {
@@ -284,19 +306,6 @@ func pureOp(op ir.Op) bool {
 		return true
 	}
 	return false
-}
-
-// exprKey appends in's expression key to buf: opcode, immediate and
-// use value IDs in decimal, colon-separated ("op:imm:u0:u1...").
-func exprKey(buf []byte, in *ir.Instr) []byte {
-	buf = strconv.AppendInt(buf, int64(in.Op()), 10)
-	buf = append(buf, ':')
-	buf = strconv.AppendInt(buf, in.Imm, 10)
-	for _, u := range in.Uses() {
-		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, int64(u.Val), 10)
-	}
-	return buf
 }
 
 // EliminateDeadCode removes pure instructions whose results are unused
